@@ -29,7 +29,7 @@ from .diagram import (
     smooth,
     smooth_crossing,
 )
-from .state_complex import EnhancedState, GradedComplex, enumerate_states
+from .state_complex import EnhancedState, GradedComplex
 from .homology import (
     AbelianGroup,
     HomologyTable,

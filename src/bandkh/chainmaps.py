@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
@@ -31,6 +30,7 @@ from .diagram import (
     smooth_crossing,
     validate_r3_site,
 )
+from .homology import homology, rank_mod2, rank_rational
 from .state_complex import (
     EnhancedState,
     GradedComplex,
@@ -60,10 +60,6 @@ def mats_equal(a: Matrix, b: Matrix) -> bool:
             if va != vb:
                 return False
     return True
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not any(row) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -288,8 +284,6 @@ class DualityReport:
 
 def duality_check(diagram: Diagram) -> DualityReport:
     """Free ranks match the mirror at reversed gradings; torsion shifts by i-2."""
-    from .homology import homology
-
     table = homology(GradedComplex(diagram))
     table_m = homology(GradedComplex(mirror(diagram)))
     failures = []
@@ -417,84 +411,26 @@ def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra for the homology-level exactness checks
+# Homology-level exactness over a field
 # ---------------------------------------------------------------------------
 
-class _Field:
-    """Dense elimination over Q (Fractions) or Z/2 (ints 0/1)."""
-
-    def __init__(self, tag: str):
-        if tag not in ("Q", "Z2"):
-            raise ChainMapError(f"unknown field {tag!r}")
-        self.tag = tag
-
-    def of_matrix(self, mat: Matrix) -> list[list]:
-        if self.tag == "Q":
-            return [[Fraction(v) for v in row] for row in mat]
-        return [[v & 1 for v in row] for row in mat]
-
-    def rref(self, m: list[list]) -> tuple[list[list], list[int]]:
-        m = [row[:] for row in m]
-        rows = len(m)
-        cols = len(m[0]) if m else 0
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pr = next((k for k in range(r, rows) if m[k][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            if self.tag == "Q" and m[r][c] != 1:
-                inv = m[r][c]
-                m[r] = [v / inv for v in m[r]]
-            for k in range(rows):
-                if k != r and m[k][c]:
-                    f = m[k][c]
-                    if self.tag == "Q":
-                        m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-                    else:
-                        m[k] = [a ^ b for a, b in zip(m[k], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return m, pivots
-
-    def rank(self, mat: Matrix) -> int:
-        return len(self.rref(self.of_matrix(mat))[1])
-
-    def kernel(self, mat: Matrix, cols: int) -> list[list]:
-        """Kernel basis as a (cols x k) matrix whose columns are the vectors."""
-        if cols == 0:
-            return []
-        red, pivots = self.rref(self.of_matrix(mat if mat else [[0] * cols]))
-        free = [c for c in range(cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [Fraction(0) if self.tag == "Q" else 0] * cols
-            vec[fc] = Fraction(1) if self.tag == "Q" else 1
-            for r, pc in enumerate(pivots):
-                v = red[r][fc]
-                vec[pc] = -v if self.tag == "Q" else v
-            basis.append(vec)
-        return [[basis[k][c] for k in range(len(basis))] for c in range(cols)]
-
-    def mul(self, a: list[list], b: list[list]) -> list[list]:
-        out = _mat_mul(a, b)
-        if self.tag == "Z2":
-            out = [[v & 1 for v in row] for row in out]
-        return out
+#: Exact rank over each field the exactness check supports.
+_FIELD_RANKS: dict[str, Callable[[Matrix], int]] = {"Q": rank_rational,
+                                                     "Z2": rank_mod2}
 
 
-def _augment(a: list[list], b: list[list], rows: int) -> list[list]:
-    wa = len(a[0]) if a else 0
-    wb = len(b[0]) if b else 0
-    out = []
-    for r in range(rows):
-        ra = list(a[r]) if r < len(a) else [0] * wa
-        rb = list(b[r]) if r < len(b) else [0] * wb
-        out.append(ra + rb)
-    return out
+def _block_rank(rank: Callable[[Matrix], int], f: Matrix, a: Matrix,
+                b: Matrix) -> int:
+    """Rank of the block matrix [[f, b], [a, 0]].
+
+    With ``a`` the differential out of f's source and ``b`` the differential
+    into f's target, this is rank a + rank b + the rank that f induces on
+    homology (Marsaglia and Styan's rank identity), so no kernel basis is
+    needed.  ``f`` and ``b`` must have the same number of rows.
+    """
+    width = len(b[0]) if b else 0
+    return rank([fr + br for fr, br in zip(f, b, strict=True)]
+                + [ar + [0] * width for ar in a])
 
 
 @dataclass
@@ -519,37 +455,28 @@ def long_exact_sequence_check(t: SkeinTriple,
     checked = 0
 
     for ftag in fields:
-        F = _Field(ftag)
-        cache: dict = {}
+        rank = _FIELD_RANKS.get(ftag)
+        if rank is None:
+            raise ChainMapError(f"unknown field {ftag!r}")
+        d_ranks: dict[tuple[GradedComplex, GradingKey], int] = {}
 
-        def hom(cx: GradedComplex, which: str, key: GradingKey):
-            """(cycle basis, boundary matrix over F, dim H) at one key."""
-            if (which, key) in cache:
-                return cache[(which, key)]
+        def d_rank(cx: GradedComplex, key: GradingKey) -> int:
+            """Rank of the differential out of ``key``, once per field."""
+            if (cx, key) not in d_ranks:
+                d_ranks[(cx, key)] = rank(cx.differential(key))
+            return d_ranks[(cx, key)]
+
+        def h_dim(cx: GradedComplex, key: GradingKey) -> int:
             i, j, s = key
-            z = F.kernel(cx.differential(key), cx.dim(key))
-            d_in = cx.differential((i + 2, j, s))
-            b = F.of_matrix(d_in)
-            nker = len(z[0]) if z else 0
-            data = (z, b, nker - F.rank(d_in))
-            cache[(which, key)] = data
-            return data
+            return cx.dim(key) - d_rank(cx, key) - d_rank(cx, (i + 2, j, s))
 
-        def induced_rank(chmap: ChainMap, src, src_key, tgt, tgt_which, tgt_key):
-            z_src, _, _ = hom(src, _which(src), src_key)
-            _, b_tgt, _ = hom(tgt, tgt_which, tgt_key)
-            block = F.of_matrix(chmap.block(src_key))
-            fz = F.mul(block, z_src) if z_src else []
-            rank_b = len(F.rref([row[:] for row in b_tgt])[1]) if b_tgt else 0
-            aug = _augment(fz, b_tgt, max(len(fz), len(b_tgt)))
-            if not aug:
-                return 0
-            return len(F.rref(aug)[1]) - rank_b
-
-        which_of = {id(t.cp): "p", id(t.c0): "0", id(t.cinf): "inf"}
-
-        def _which(cx):
-            return which_of[id(cx)]
+        def induced_rank(chmap: ChainMap, key: GradingKey) -> int:
+            ti, tj, ts = chmap.grading(key)
+            b_key = (ti + 2, tj, ts)
+            whole = _block_rank(rank, chmap.block(key),
+                                chmap.source.differential(key),
+                                chmap.target.differential(b_key))
+            return whole - d_rank(chmap.source, key) - d_rank(chmap.target, b_key)
 
         candidates: set[GradingKey] = set()
         for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
@@ -559,38 +486,21 @@ def long_exact_sequence_check(t: SkeinTriple,
 
         done: set = set()
         for (i, j, s) in candidates:
-            key_inf = (i, j, s)
-            key_p = (i - 1, j - 1, s)
-            key_0 = (i - 2, j - 2, s)
+            key_inf, key_p, key_0 = (i, j, s), (i - 1, j - 1, s), (i - 2, j - 2, s)
             key_inf2 = (i - 2, j, s)
-            key_p2 = (i - 3, j - 1, s)
-            # Position at D_p.
-            if ("p", key_p) not in done:
-                done.add(("p", key_p))
-                h_p = hom(t.cp, "p", key_p)[2]
-                r_in = induced_rank(alpha, t.cinf, key_inf, t.cp, "p", key_p)
-                r_out = induced_rank(beta, t.cp, key_p, t.c0, "0", key_0)
+            # (position, its complex and key, incoming map and its source
+            # key, outgoing map); the outgoing map starts at the position.
+            for name, cx, key, into, src_key, out_of in (
+                    ("D_p", t.cp, key_p, alpha, key_inf, beta),
+                    ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
+                    ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
+                if (name, key) in done:
+                    continue
+                done.add((name, key))
                 checked += 1
-                if r_in + r_out != h_p:
-                    failures.append(f"{ftag}: not exact at D_p {key_p}")
-            # Position at D_0.
-            if ("0", key_0) not in done:
-                done.add(("0", key_0))
-                h_0 = hom(t.c0, "0", key_0)[2]
-                r_in = induced_rank(beta, t.cp, key_p, t.c0, "0", key_0)
-                r_out = induced_rank(gamma_hat, t.c0, key_0, t.cinf, "inf", key_inf2)
-                checked += 1
-                if r_in + r_out != h_0:
-                    failures.append(f"{ftag}: not exact at D_0 {key_0}")
-            # Position at D_inf.
-            if ("inf", key_inf2) not in done:
-                done.add(("inf", key_inf2))
-                h_i = hom(t.cinf, "inf", key_inf2)[2]
-                r_in = induced_rank(gamma_hat, t.c0, key_0, t.cinf, "inf", key_inf2)
-                r_out = induced_rank(alpha, t.cinf, key_inf2, t.cp, "p", key_p2)
-                checked += 1
-                if r_in + r_out != h_i:
-                    failures.append(f"{ftag}: not exact at D_inf {key_inf2}")
+                r_in = induced_rank(into, src_key)
+                if r_in + induced_rank(out_of, key) != h_dim(cx, key):
+                    failures.append(f"{ftag}: not exact at {name} {key}")
     return LESReport(not failures, sorted(set(failures)), checked)
 
 

@@ -43,7 +43,7 @@ from .skein import (
     kauffman_bracket,
     phi_expand,
 )
-from .state_complex import ComplexError, GradedComplex, _mat_mul
+from .state_complex import ComplexError, GradedComplex
 from .surface import (
     CurveKind,
     SurfaceModel,
@@ -160,8 +160,14 @@ def emit_diagram(diagram: Diagram) -> str:
 
 
 def load_diagram(path: str) -> Diagram:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_diagram(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_diagram(text)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +242,8 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
 
     cx = GradedComplex(diagram)
     if "d2" in suites:
-        blocks: dict = {}
-        for (i, j, s) in cx.buckets:
-            prod = _mat_mul(cx.differential((i, j, s)), cx.differential((i + 2, j, s)))
-            ok = all(not any(row) for row in prod)
-            key = (j, s)
-            blocks[key] = blocks.get(key, True) and ok
-        for (j, s) in sorted(blocks, key=lambda k: (k[0], k[1].sort_key)):
-            report(blocks[(j, s)], f"d2 (j={j},s={s.text})")
+        for (j, s), ok in cx.d_squared_blocks().items():
+            report(ok, f"d2 (j={j},s={s.text})")
     table = None
     if "euler" in suites:
         try:
@@ -308,7 +308,7 @@ def _loop_is_nontrivial(diagram: Diagram, word) -> bool:
 
 def _parse_move_site(token: str) -> tuple[str, int]:
     kind = {"e": "edge", "l": "loop"}.get(token[:1])
-    if kind is None or not token[1:].isdigit():
+    if kind is None or not token[1:].isdecimal():
         raise SiteError(f"bad site token {token!r} (use e<k> or l<k>)")
     return (kind, int(token[1:]))
 
@@ -326,11 +326,10 @@ def run_moves(diagram: Diagram, move: str, site: str, out_path: str | None,
                          _parse_move_site(tokens[1]))
     elif move == "r3":
         tokens = site.split(",")
-        if len(tokens) != 6:
-            raise SiteError("r3 needs --site=p,v,w,<e_a>,<e_vp>,<e_wp>")
-        moved = apply_r3(diagram, R3Site(tokens[0], tokens[1], tokens[2],
-                                         int(tokens[3]), int(tokens[4]),
-                                         int(tokens[5])))
+        if len(tokens) != 6 or not all(t.isdecimal() for t in tokens[3:]):
+            raise SiteError("r3 needs --site=p,v,w,<e_a>,<e_vp>,<e_wp> "
+                            "with edge indices")
+        moved = apply_r3(diagram, R3Site(*tokens[:3], *map(int, tokens[3:])))
     else:
         raise SiteError(f"unknown move {move!r}")
     text = emit_diagram(moved)

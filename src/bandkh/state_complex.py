@@ -178,10 +178,6 @@ class GradedComplex:
         """Negative free markers at crossings ordered after ``pos``."""
         return sum(1 for q in self.free if q > pos and state.markers[q] < 0)
 
-    def t_count_plus(self, state: EnhancedState, pos: int) -> int:
-        """Positive free markers at crossings ordered after ``pos``."""
-        return sum(1 for q in self.free if q > pos and state.markers[q] > 0)
-
     # -- the differential ---------------------------------------------------
 
     def resmoothings(self, state: EnhancedState, pos: int,
@@ -261,39 +257,54 @@ class GradedComplex:
             raise ComplexError(f"crossing position {pos} is frozen")
         return self.resmoothings(state, pos)
 
-    def differential(self, key: GradingKey) -> Matrix:
-        """Matrix of d from the bucket at ``key`` to the bucket at i-2."""
-        if key in self._blocks:
-            return self._blocks[key]
+    def _assemble(self, key: GradingKey, counted: int) -> Matrix:
+        """Matrix out of ``key`` with entries ``(-1)^t``, where ``t`` counts
+        the free markers equal to ``counted`` after the flipped crossing."""
         i, j, s = key
         src = self.buckets.get(key, [])
         tgt_key = (i - 2, j, s)
-        rows = self.dim(tgt_key)
-        mat = [[0] * len(src) for _ in range(rows)]
+        mat = [[0] * len(src) for _ in range(self.dim(tgt_key))]
         for col, state in enumerate(src):
+            markers = state.markers
             for pos in self.free:
-                if state.markers[pos] <= 0:
+                if markers[pos] <= 0:
                     continue
-                sign = -1 if self.t_count(state, pos) % 2 else 1
+                t = sum(1 for q in self.free if q > pos and markers[q] == counted)
+                sign = -1 if t % 2 else 1
                 for target in self.resmoothings(state, pos):
                     tkey, row = self.locate(target.markers, target.labels)
                     assert tkey == tgt_key
                     mat[row][col] += sign
-        self._blocks[key] = mat
         return mat
 
-    def check_d_squared(self) -> None:
-        """Raise :class:`ComplexError` unless d composed with itself is zero."""
+    def differential(self, key: GradingKey) -> Matrix:
+        """Matrix of d from the bucket at ``key`` to the bucket at i-2."""
+        if key not in self._blocks:
+            self._blocks[key] = self._assemble(key, -1)
+        return self._blocks[key]
+
+    def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
+        """Whether d composed with itself vanishes on each (j, s) block.
+
+        The keys come in (j, s) order.
+        """
+        ok: dict[tuple[int, GradingS], bool] = {}
         for (i, j, s) in list(self.buckets):
             upper = self.differential((i + 2, j, s))
             lower = self.differential((i, j, s))
-            if not upper or not lower:
-                continue
-            prod = _mat_mul(lower, upper)
-            if any(any(row) for row in prod):
+            zero = (not upper or not lower
+                    or not any(any(row) for row in _mat_mul(lower, upper)))
+            ok[(j, s)] = ok.get((j, s), True) and zero
+        return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], k[1].sort_key))}
+
+    def check_d_squared(self) -> None:
+        """Raise :class:`ComplexError` unless d composed with itself is zero."""
+        for (j, s), zero in self.d_squared_blocks().items():
+            if not zero:
                 raise ComplexError(
-                    "differential does not square to zero; the diagram is not "
-                    "drawable on the declared surface")
+                    f"differential does not square to zero in block "
+                    f"(j={j},s={s.text}); the diagram is not drawable on the "
+                    "declared surface")
 
     def dual_matrices(self) -> dict[GradingKey, Matrix]:
         """Cochain blocks: the map out of (i, j, s) raising i by 2.
@@ -310,19 +321,7 @@ class GradedComplex:
 
     def d_plus(self, key: GradingKey) -> Matrix:
         """Differential signed by positive markers after the crossing instead."""
-        i, j, s = key
-        src = self.buckets.get(key, [])
-        tgt_key = (i - 2, j, s)
-        mat = [[0] * len(src) for _ in range(self.dim(tgt_key))]
-        for col, state in enumerate(src):
-            for pos in self.free:
-                if state.markers[pos] <= 0:
-                    continue
-                sign = -1 if self.t_count_plus(state, pos) % 2 else 1
-                for target in self.resmoothings(state, pos):
-                    _, row = self.locate(target.markers, target.labels)
-                    mat[row][col] += sign
-        return mat
+        return self._assemble(key, 1)
 
 
 def incidence_number(complex_: GradedComplex, s_from: EnhancedState,
@@ -331,21 +330,6 @@ def incidence_number(complex_: GradedComplex, s_from: EnhancedState,
     return int(any(t.markers == s_to.markers and t.labels == s_to.labels
                    for t in complex_.resmoothings(s_from, pos))
                if s_from.markers[pos] > 0 else 0)
-
-
-# ---------------------------------------------------------------------------
-# Spec-level convenience wrappers
-# ---------------------------------------------------------------------------
-
-def enumerate_states(diagram: Diagram) -> GradedComplex:
-    return GradedComplex(diagram)
-
-
-def differential_matrices(diagram: Diagram) -> GradedComplex:
-    cx = GradedComplex(diagram)
-    for key in list(cx.buckets):
-        cx.differential(key)
-    return cx
 
 
 # ---------------------------------------------------------------------------

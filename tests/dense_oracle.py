@@ -6,11 +6,16 @@ shared with the library; state bookkeeping, the incidence rule, the
 differential assembly and the Smith reduction are reimplemented here in the
 plainest possible way (states grouped by total degree alone, one dense
 matrix per homological level and j-value, naive first-nonzero pivoting).
+
+:func:`induced_rank` is the field algebra the long-exact-sequence check
+used before it moved to block ranks: a kernel basis by ``Fraction`` (or
+Z/2) row reduction, its image, and the rank modulo the boundaries.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from bandkh.diagram import Diagram, smooth
 from bandkh.surface import CurveKind
@@ -144,3 +149,67 @@ def dense_homology_by_ij(diagram: Diagram):
         if rank or torsion:
             result[(i, j)] = (rank, torsion)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Induced rank on homology over Q or Z/2, through an explicit kernel basis
+# ---------------------------------------------------------------------------
+
+def _rref(m, field):
+    """Reduced row echelon form over Q (Fractions) or Z/2; (rows, pivots)."""
+    m = [row[:] for row in m]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((k for k in range(r, rows) if m[k][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if field == "Q" and m[r][c] != 1:
+            inv = m[r][c]
+            m[r] = [v / inv for v in m[r]]
+        for k in range(rows):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                if field == "Q":
+                    m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+                else:
+                    m[k] = [a ^ b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def induced_rank(f, a, b, cols: int, field: str) -> int:
+    """Rank of the map ``f`` induces from ker ``a`` to coker ``b``.
+
+    ``f`` maps a ``cols``-dimensional space; ``a`` is the differential out
+    of it and ``b`` the differential into f's target.  ``field`` is "Q" or
+    "Z2".
+    """
+    def lift(mat):
+        if field == "Q":
+            return [[Fraction(v) for v in row] for row in mat]
+        return [[v & 1 for v in row] for row in mat]
+
+    if cols == 0:
+        return 0
+    red, pivots = _rref(lift(a if a else [[0] * cols]), field)
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc] if field == "Q" else red[r][fc]
+        kernel.append(vec)
+    # Images of the kernel vectors, one column each, beside the columns of b.
+    fz = [[sum(x * v for x, v in zip(row, vec)) for vec in kernel]
+          for row in lift(f)]
+    bf = lift(b)
+    aug = [fr + br for fr, br in zip(fz, bf)] if bf else fz
+    if field == "Z2":
+        aug = [[v & 1 for v in row] for row in aug]
+    return len(_rref(aug, field)[1]) - len(_rref(bf, field)[1])

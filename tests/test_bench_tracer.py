@@ -1,0 +1,45 @@
+"""Smoke test of the benchmark's layer tracer against the current program.
+
+The traced benchmark wraps functions of every layer by name (``bench/spans.py``)
+and counts block sizes through ``GradedComplex`` (``bench/counters.py``).
+Renaming or re-binding one of those names must fail here, not only in a
+traced benchmark run.
+"""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import counters  # noqa: E402
+import spans  # noqa: E402
+
+from bandkh import chainmaps  # noqa: E402
+from bandkh.homology import homology  # noqa: E402
+from bandkh.state_complex import GradedComplex  # noqa: E402
+
+from helpers import DISK, twist_pair  # noqa: E402
+
+
+def test_tracer_wraps_every_span_and_counters_read_blocks():
+    d = twist_pair(DISK, "", 2)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # raises TracingError if a target is left unwrapped
+        tracer.active = True
+        homology(GradedComplex(d))
+        # Through the module: the tracer patches bandkh's own bindings only.
+        assert chainmaps.long_exact_sequence_check(chainmaps.skein_triple(d, 0)).ok
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    calls = {name: c for name, (c, _s) in tracer.totals().items()}
+    for name in ("state_complex.enumerate", "state_complex.differential",
+                 "state_complex.d2", "homology.snf", "chainmaps.les",
+                 "chainmaps.map_build", "diagram.smooth", "surface.classify"):
+        assert calls[name] > 0, name
+    # A (2, 2) twist has 3^2 + 3 states and a largest block of 2.
+    states, largest, nnz, cells = counters.dense_block_sizes(GradedComplex(d))
+    assert (states, largest) == (12, 2)
+    assert 0 < nnz <= cells

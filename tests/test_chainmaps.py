@@ -1,10 +1,15 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bandkh import chainmaps
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
 from bandkh.homology import homology, table_isomorphic
 from bandkh.chainmaps import (
+    _FIELD_RANKS,
+    _block_rank,
     ChainMapError,
     c_prime_columns,
     duality_check,
@@ -36,6 +41,7 @@ from bandkh.chainmaps import (
 )
 from bandkh.state_complex import GradedComplex, _mat_mul
 
+from dense_oracle import induced_rank
 from helpers import (
     ALL_SURFACES,
     ANNULUS,
@@ -72,6 +78,62 @@ def test_viro_maps_are_chain_maps_and_sequence_is_exact():
             report = long_exact_sequence_check(t)
             assert report.ok, report.failures
             assert report.positions_checked > 0
+
+
+@st.composite
+def map_and_differentials(draw):
+    """Integer f (m x n), a (p x n) and b (m x q); any side may be 0."""
+    m, n, p, q = (draw(st.integers(0, 6)) for _ in range(4))
+    entry = st.integers(-3, 3)
+
+    def mat(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return mat(m, n), mat(p, n), mat(m, q), n
+
+
+def _formula(rank, f, a, b):
+    return _block_rank(rank, f, a, b) - rank(a) - rank(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_and_differentials())
+def test_block_rank_formula_matches_kernel_oracle(fabn):
+    f, a, b, n = fabn
+    for ftag, rank in _FIELD_RANKS.items():
+        assert _formula(rank, f, a, b) == induced_rank(f, a, b, n, ftag)
+
+
+def test_block_rank_formula_on_skein_triple_maps():
+    for d in suite(44, 1) + [trefoil()]:
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p)
+            for chmap in (viro_alpha(t), viro_beta(t), viro_gamma_hat(t)):
+                for key in chmap.source.buckets:
+                    ti, tj, ts = chmap.grading(key)
+                    f = chmap.block(key)
+                    a = chmap.source.differential(key)
+                    b = chmap.target.differential((ti + 2, tj, ts))
+                    for ftag, rank in _FIELD_RANKS.items():
+                        assert _formula(rank, f, a, b) == induced_rank(
+                            f, a, b, chmap.source.dim(key), ftag)
+
+
+def test_les_check_reports_a_zeroed_connecting_map(monkeypatch):
+    real = chainmaps.viro_gamma_hat
+    monkeypatch.setattr(chainmaps, "viro_gamma_hat", lambda t: real(t).scale(0))
+    report = long_exact_sequence_check(skein_triple(trefoil(), 0))
+    assert not report.ok
+    assert report.failures
+    for failure in report.failures:
+        assert re.fullmatch(r"(Q|Z2): not exact at D_(p|0|inf) \(.*\)", failure)
+    assert any("at D_0 (" in x for x in report.failures)
+    assert any("at D_inf (" in x for x in report.failures)
+
+
+def test_les_check_rejects_unknown_field():
+    with pytest.raises(ChainMapError, match="unknown field"):
+        long_exact_sequence_check(skein_triple(trefoil(), 0), ("Q", "R"))
 
 
 def test_viro_splittings():

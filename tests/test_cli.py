@@ -174,6 +174,24 @@ def test_cli_moves_bad_site(tmp_path, capsys):
     path = tmp_path / "d.txt"
     path.write_text(LOOP_A)
     assert main(["moves", str(path), "--move=r1neg", "--site=e5"]) == 2
+    assert main(["moves", str(path), "--move=r1neg", "--site=e\u00b2"]) == 2
+
+
+def test_cli_moves_r3_non_integer_edge(tmp_path, capsys):
+    d, _site = triangle_closure(DISK, 0)
+    path = tmp_path / "d.txt"
+    path.write_text(emit_diagram(d))
+    assert main(["moves", str(path), "--move=r3", "--site=t1,t2,t3,x,1,2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_non_utf8_file_names_its_line(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"surface planar_holes 1\nloop : a\n# caf\xe9\n")
+    assert main(["homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:")
+    assert "UTF-8" in err
 
 
 def test_cli_verify_triangle_runs_r3(tmp_path, capsys):

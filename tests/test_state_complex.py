@@ -7,8 +7,6 @@ from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos
 from bandkh.state_complex import (
     ComplexError,
     GradedComplex,
-    enumerate_states,
-    differential_matrices,
     incidence_number,
 )
 from bandkh.surface import CurveKind, parse_word
@@ -37,21 +35,21 @@ from helpers import (
 
 
 def test_enumerate_trivial_loop():
-    cx = enumerate_states(loops_diagram(DISK, ""))
+    cx = GradedComplex(loops_diagram(DISK, ""))
     keys = set(cx.buckets)
     assert {(i, j) for (i, j, s) in keys} == {(0, 2), (0, -2)}
     assert all(s.is_zero() for (_, _, s) in keys)
 
 
 def test_enumerate_loop_a():
-    cx = enumerate_states(loops_diagram(ANNULUS, "a"))
+    cx = GradedComplex(loops_diagram(ANNULUS, "a"))
     keys = sorted((i, j, s.text) for (i, j, s) in cx.buckets)
     assert keys == [(0, 0, "a:+1"), (0, 0, "a:-1")]
 
 
 def test_enumerate_kink_counts():
     d = apply_r1_pos(loops_diagram(DISK, ""), ("loop", 0))
-    cx = enumerate_states(d)
+    cx = GradedComplex(d)
     total = sum(len(b) for b in cx.buckets.values())
     assert total == 6  # marker +: two circles (4 states), marker -: one (2)
     by_i = {}
@@ -64,7 +62,7 @@ def test_state_parity_and_gradings():
     rng = random.Random(4)
     for surface in ALL_SURFACES:
         d = random_diagram(surface, rng, max_crossings=4)
-        cx = enumerate_states(d)
+        cx = GradedComplex(d)
         for (i, j, s), bucket in cx.buckets.items():
             assert (j - i) % 2 == 0
             assert i % 2 == d.n_crossings % 2
@@ -73,7 +71,7 @@ def test_state_parity_and_gradings():
 
 
 def test_empty_diagram_complex():
-    cx = enumerate_states(Diagram(DISK))
+    cx = GradedComplex(Diagram(DISK))
     ((key, bucket),) = cx.buckets.items()
     assert key[0] == 0 and key[1] == 0 and key[2].is_zero()
     assert len(bucket) == 1
@@ -270,7 +268,7 @@ def test_dvdw_on_random_diagrams():
 
 
 def test_non_embeddable_input_fails_d_squared():
-    with pytest.raises(ComplexError):
+    with pytest.raises(ComplexError, match=r"square.*\(j=0,s=0\)"):
         GradedComplex(crosscap_shadow()).check_d_squared()
 
 
@@ -288,7 +286,7 @@ def test_gradings_constant_along_differential():
 
 def test_dual_matrices_are_transposes():
     d = twist_pair(DISK, "", 2)
-    cx = differential_matrices(d)
+    cx = GradedComplex(d)
     duals = cx.dual_matrices()
     for (i, j, s), block in duals.items():
         orig = cx.differential((i + 2, j, s))
