@@ -29,7 +29,7 @@ from .diagram import (
     smooth,
     smooth_crossing,
 )
-from .state_complex import EnhancedState, GradedComplex
+from .state_complex import EnhancedState, GradedComplex, StateKey
 from .homology import (
     AbelianGroup,
     HomologyTable,

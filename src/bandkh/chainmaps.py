@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
@@ -30,12 +31,13 @@ from .diagram import (
     smooth_crossing,
     validate_r3_site,
 )
-from .homology import homology, rank_mod2, rank_rational
+from .homology import FIELD_RANKS, homology
 from .state_complex import (
     EnhancedState,
     GradedComplex,
     GradingKey,
     Matrix,
+    StateKey,
     _mat_mul,
     _transpose,
 )
@@ -93,6 +95,8 @@ def _normalize(mat: Matrix, rows: int, cols: int) -> Matrix:
 # Chain maps
 # ---------------------------------------------------------------------------
 
+#: A source state's (coefficient, target state) pairs; a target state is
+#: named by its markers and labels, an EnhancedState or a StateKey.
 EntriesFn = Callable[[EnhancedState], list]
 
 
@@ -189,6 +193,18 @@ def identity_grading(key: GradingKey) -> GradingKey:
     return key
 
 
+def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
+               src_key_of, tgt_key_of, marker_map):
+    """State transport between two diagrams via circle-key translation."""
+    def move(s: EnhancedState) -> StateKey:
+        markers2 = marker_map(s.markers)
+        src = src_cx.smoothing(s.markers)
+        by_key = {src_key_of(c): lab for c, lab in zip(src.circles, s.labels)}
+        tgt = tgt_cx.smoothing(markers2)
+        return StateKey(markers2, tuple(by_key[tgt_key_of(c)] for c in tgt.circles))
+    return move
+
+
 # ---------------------------------------------------------------------------
 # Sign maps
 # ---------------------------------------------------------------------------
@@ -250,14 +266,12 @@ def mirror_map(diagram: Diagram) -> tuple[ChainMap, GradedComplex, GradedComplex
             return key
         return ("slots", tuple(sorted((c, (s + 1) % 4) for c, s in key[1])))
 
+    move = _transport(cx, cxm, lambda c: rot_key(c.key), attrgetter("key"),
+                      lambda markers: tuple(-m for m in markers))
+
     def entries(s: EnhancedState):
-        flipped = tuple(-m for m in s.markers)
-        src = cx.smoothing(s.markers)
-        labels_by_key = {rot_key(c.key): -lab
-                         for c, lab in zip(src.circles, s.labels)}
-        tgt = cxm.smoothing(flipped)
-        labels = [labels_by_key[c.key] for c in tgt.circles]
-        return [(1, cxm.make_state(flipped, labels))]
+        moved = move(s)
+        return [(1, StateKey(moved.markers, tuple(-lab for lab in moved.labels)))]
 
     return ChainMap.build(cx, cxm, _negate_key, entries, "mirror"), cx, cxm
 
@@ -312,16 +326,13 @@ def reorder_iso(diagram: Diagram, permutation: Sequence[int]) -> ChainMap:
     d2 = reorder_crossings(diagram, permutation)
     cx, cx2 = GradedComplex(diagram), GradedComplex(d2)
     new_pos = {diagram.crossings[old]: k for k, old in enumerate(permutation)}
+    move = _transport(cx, cx2, attrgetter("key"), attrgetter("key"),
+                      lambda markers: tuple(markers[old] for old in permutation))
 
     def entries(s: EnhancedState):
-        markers2 = tuple(s.markers[permutation[k]] for k in range(len(permutation)))
-        src = cx.smoothing(s.markers)
-        by_key = {c.key: lab for c, lab in zip(src.circles, s.labels)}
-        tgt = cx2.smoothing(markers2)
-        labels = [by_key[c.key] for c in tgt.circles]
         seq = [new_pos[c] for c, m in zip(diagram.crossings, s.markers) if m < 0]
         inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
-        return [((-1) ** inversions, cx2.make_state(markers2, labels))]
+        return [((-1) ** inversions, move(s))]
 
     return ChainMap.build(cx, cx2, identity_grading, entries, "f12")
 
@@ -368,7 +379,7 @@ def _t_before(t: SkeinTriple, state: EnhancedState) -> int:
 def viro_alpha(t: SkeinTriple) -> ChainMap:
     """Embedding of the infinity smoothing with a negative marker at p."""
     def entries(s: EnhancedState):
-        return [((-1) ** _t_before(t, s), t.cp.make_state(s.markers, s.labels))]
+        return [((-1) ** _t_before(t, s), s)]
     return ChainMap.build(t.cinf, t.cp, _shift(-1, -1), entries, "alpha")
 
 
@@ -377,7 +388,7 @@ def viro_beta(t: SkeinTriple) -> ChainMap:
     def entries(s: EnhancedState):
         if s.markers[t.p] < 0:
             return []
-        return [(1, t.c0.make_state(s.markers, s.labels))]
+        return [(1, s)]
     return ChainMap.build(t.cp, t.c0, _shift(-1, -1), entries, "beta")
 
 
@@ -385,14 +396,13 @@ def viro_alpha_bar(t: SkeinTriple) -> ChainMap:
     def entries(s: EnhancedState):
         if s.markers[t.p] > 0:
             return []
-        return [((-1) ** _t_before(t, s), t.cinf.make_state(s.markers, s.labels))]
+        return [((-1) ** _t_before(t, s), s)]
     return ChainMap.build(t.cp, t.cinf, _shift(1, 1), entries, "alpha_bar")
 
 
 def viro_beta_bar(t: SkeinTriple) -> ChainMap:
-    def entries(s: EnhancedState):
-        return [(1, t.cp.make_state(s.markers, s.labels))]
-    return ChainMap.build(t.c0, t.cp, _shift(1, 1), entries, "beta_bar")
+    return ChainMap.build(t.c0, t.cp, _shift(1, 1), lambda s: [(1, s)],
+                          "beta_bar")
 
 
 def viro_gamma(t: SkeinTriple) -> ChainMap:
@@ -413,11 +423,6 @@ def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
 # ---------------------------------------------------------------------------
 # Homology-level exactness over a field
 # ---------------------------------------------------------------------------
-
-#: Exact rank over each field the exactness check supports.
-_FIELD_RANKS: dict[str, Callable[[Matrix], int]] = {"Q": rank_rational,
-                                                     "Z2": rank_mod2}
-
 
 def _block_rank(rank: Callable[[Matrix], int], f: Matrix, a: Matrix,
                 b: Matrix) -> int:
@@ -455,7 +460,7 @@ def long_exact_sequence_check(t: SkeinTriple,
     checked = 0
 
     for ftag in fields:
-        rank = _FIELD_RANKS.get(ftag)
+        rank = FIELD_RANKS.get(ftag)
         if rank is None:
             raise ChainMapError(f"unknown field {ftag!r}")
         d_ranks: dict[tuple[GradedComplex, GradingKey], int] = {}
@@ -470,13 +475,20 @@ def long_exact_sequence_check(t: SkeinTriple,
             i, j, s = key
             return cx.dim(key) - d_rank(cx, key) - d_rank(cx, (i + 2, j, s))
 
+        induced: dict[tuple[str, GradingKey], int] = {}
+
         def induced_rank(chmap: ChainMap, key: GradingKey) -> int:
-            ti, tj, ts = chmap.grading(key)
-            b_key = (ti + 2, tj, ts)
-            whole = _block_rank(rank, chmap.block(key),
-                                chmap.source.differential(key),
-                                chmap.target.differential(b_key))
-            return whole - d_rank(chmap.source, key) - d_rank(chmap.target, b_key)
+            """Rank induced on homology, once per field: the map out of one
+            position is the map into the next."""
+            if (chmap.name, key) not in induced:
+                ti, tj, ts = chmap.grading(key)
+                b_key = (ti + 2, tj, ts)
+                whole = _block_rank(rank, chmap.block(key),
+                                    chmap.source.differential(key),
+                                    chmap.target.differential(b_key))
+                induced[(chmap.name, key)] = (whole - d_rank(chmap.source, key)
+                                              - d_rank(chmap.target, b_key))
+            return induced[(chmap.name, key)]
 
         candidates: set[GradingKey] = set()
         for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
@@ -546,7 +558,7 @@ def rho_I(diagram: Diagram, site, side: str = "left",
                 labels.append(-1)
             else:
                 labels.append(by_key[src_key_of(c)])
-        return [(1, cx2.make_state(markers2, labels))]
+        return [(1, StateKey(markers2, tuple(labels)))]
 
     return ChainMap.build(cx, cx2, _shift(-1, -3), entries, "rho_I"), kinked
 
@@ -622,7 +634,7 @@ def gamma_r2(pair: R2Pair) -> ChainMap:
     return ChainMap.build(pair.small, pair.tilde, _shift(0, 2), entries, "gamma_r2")
 
 
-def _g_embed_state(pair: R2Pair, s: EnhancedState) -> EnhancedState:
+def _g_embed_state(pair: R2Pair, s: EnhancedState) -> StateKey:
     """Transport a tilde state to the (v:+1, w:-1) pattern with a -1 circle."""
     markers = list(s.markers)
     markers[pair.v] = 1
@@ -641,7 +653,7 @@ def _g_embed_state(pair: R2Pair, s: EnhancedState) -> EnhancedState:
             labels.append(by_key[key])
     if len(unmatched) != 1:
         raise ChainMapError("R2 small-circle detection failed")
-    return pair.big.make_state(markers, labels)
+    return StateKey(markers, tuple(labels))
 
 
 def g_embed(pair: R2Pair) -> ChainMap:
@@ -667,7 +679,7 @@ def rho_II_section(pair: R2Pair) -> ChainMap:
     """Left inverse of rho_II on its image: read off the (v:-1, w:+1) rows."""
     def entries(s: EnhancedState):
         if s.markers[pair.v] == -1 and s.markers[pair.w] == 1:
-            return [(1, pair.small.make_state(s.markers, s.labels))]
+            return [(1, s)]
         return []
     return ChainMap.build(pair.big, pair.small, identity_grading, entries,
                           "rho_II_inv")
@@ -688,19 +700,6 @@ def _external_edge_keys(diagram: Diagram, internal: set[int]):
             raise ChainMapError("circle with no stable edges; cannot transport")
         return ("edges", ext)
     return key_of
-
-
-def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
-               src_key_of, tgt_key_of, marker_map):
-    """State transport between two diagrams via circle-key translation."""
-    def move(s: EnhancedState) -> EnhancedState:
-        markers2 = marker_map(s.markers)
-        src = src_cx.smoothing(s.markers)
-        by_key = {src_key_of(c): lab for c, lab in zip(src.circles, s.labels)}
-        tgt = tgt_cx.smoothing(markers2)
-        labels = [by_key[tgt_key_of(c)] for c in tgt.circles]
-        return tgt_cx.make_state(markers2, labels)
-    return move
 
 
 @dataclass

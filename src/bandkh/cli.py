@@ -70,14 +70,19 @@ def parse_diagram(text: str) -> Diagram:
     crossings: list[str] = []
     edges: list[Edge] = []
     loops: list = []
+    used: set = set()
 
     def endpoint(token: str, lineno: int):
         parts = token.rsplit(".", 1)
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) > 3:
+        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) > 3:
             raise ParseError(f"bad slot reference {token!r}", lineno)
         cid, slot = parts[0], int(parts[1])
         if cid not in crossings:
             raise ParseError(f"unknown crossing {cid!r}", lineno)
+        if (cid, slot) in used:
+            raise ParseError(f"slot {token!r} used by more than one edge endpoint",
+                             lineno)
+        used.add((cid, slot))
         return (cid, slot)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,6 +116,8 @@ def parse_diagram(text: str) -> Diagram:
         if kind == "crossing":
             if len(tokens) != 2:
                 raise ParseError("expected: crossing <id>", lineno)
+            if tokens[1] in crossings:
+                raise ParseError(f"duplicate crossing id {tokens[1]!r}", lineno)
             crossings.append(tokens[1])
         elif kind == "edge":
             if ":" not in tokens:

@@ -424,7 +424,11 @@ def validate_r3_site(diagram: Diagram, site: R3Site) -> tuple[int, int, int]:
     beta_v is the slot of e_a at v, gamma_w its slot at w, xi the slot of
     e_vp at p.  The required cyclic relations pin down the triangle shape:
     e_vp sits one slot counterclockwise of e_a at v, e_wp one slot clockwise
-    of e_a at w, and e_vp one slot clockwise of e_wp at p.
+    of e_a at w, and e_vp one slot clockwise of e_wp at p.  A strand is
+    over at a crossing when its slots there are even, so a is over b iff
+    beta_v is even, a is over c iff gamma_w is even, and b is over c iff xi
+    is even; the two cyclic triangles, where no strand is on top, are not
+    R3 sites.
     """
     for c in (site.p, site.v, site.w):
         if c not in diagram.crossing_index:
@@ -454,6 +458,8 @@ def validate_r3_site(diagram: Diagram, site: R3Site) -> tuple[int, int, int]:
         raise SiteError("e_wp must sit one slot clockwise of e_a at w")
     if _edge_slot_at(e_wp, site.p) != (xi + 1) % 4:
         raise SiteError("e_vp must sit one slot clockwise of e_wp at p")
+    if beta_v % 2 == xi % 2 != gamma_w % 2:
+        raise SiteError("cyclic triangle: no strand passes over the other two")
     return beta_v, gamma_w, xi
 
 

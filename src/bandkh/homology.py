@@ -255,34 +255,39 @@ class HomologyTable:
 
 COEFFICIENTS = ("Z", "Q", "Z2")
 
+#: Exact rank over each field: the one table that :func:`homology` and the
+#: long-exact-sequence check share.
+FIELD_RANKS: dict[str, Callable[[Matrix], int]] = {"Q": rank_rational,
+                                                    "Z2": rank_mod2}
+
 
 def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
     """Homology of every (i, j, s) block.
 
     Over Z the result is rank plus torsion divisor chain; over Q and Z/2 the
-    rank field holds the dimension and torsion is empty.
+    rank field holds the dimension and torsion is empty.  Each differential
+    block is reduced once: it is d_out of its own key and d_in of the key
+    two steps below.
     """
     if coefficients not in COEFFICIENTS:
         raise HomologyError(f"unknown coefficients {coefficients!r}")
     cx.check_d_squared()
-    groups: dict[GradingKey, AbelianGroup] = {}
+    # Invariant factors of d out of each key; over a field each is a unit, 1.
+    factors: dict[GradingKey, tuple[int, ...]] = {}
     for key in cx.buckets:
-        i, j, s = key
-        dim = cx.dim(key)
         d_out = cx.differential(key)
-        d_in = cx.differential((i + 2, j, s))
         if coefficients == "Z":
-            snf_in = smith_normal_form(d_in)
-            rank = dim - len(smith_normal_form(d_out)) - len(snf_in)
-            torsion = divisor_chain(t for t in snf_in if t > 1)
-        elif coefficients == "Q":
-            rank = dim - rank_rational(d_out) - rank_rational(d_in)
-            torsion = ()
+            factors[key] = smith_normal_form(d_out)
         else:
-            rank = dim - rank_mod2(d_out) - rank_mod2(d_in)
-            torsion = ()
+            factors[key] = (1,) * FIELD_RANKS[coefficients](d_out)
+    groups: dict[GradingKey, AbelianGroup] = {}
+    for (i, j, s), out in factors.items():
+        # No bucket at i + 2 means d_in has no columns.
+        into = factors.get((i + 2, j, s), ())
+        rank = cx.dim((i, j, s)) - len(out) - len(into)
+        torsion = divisor_chain(t for t in into if t > 1)
         if rank or torsion:
-            groups[key] = AbelianGroup(rank, torsion)
+            groups[(i, j, s)] = AbelianGroup(rank, torsion)
     return HomologyTable(groups, coefficients)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
 from .surface import CurveKind, GradingS
@@ -81,6 +81,14 @@ def _state_text(circles: Sequence[Circle], markers: MarkerVector,
     return marks + " " + "".join(parts) if parts else marks
 
 
+class StateKey(NamedTuple):
+    """A state named by its markers and labels, the key of ``GradedComplex.index``;
+    only enumeration builds the graded :class:`EnhancedState` objects."""
+
+    markers: MarkerVector
+    labels: tuple[int, ...]
+
+
 @dataclass
 class _Smoothing:
     """Cached data of one marker vector's smoothing."""
@@ -88,7 +96,6 @@ class _Smoothing:
     circles: tuple[Circle, ...]
     trivial: tuple[int, ...]
     unbounding: tuple[tuple[int, object], ...]  # (circle index, CurveClass)
-    by_key: dict
 
 
 def _analyze(diagram: Diagram, markers: MarkerVector) -> _Smoothing:
@@ -96,7 +103,7 @@ def _analyze(diagram: Diagram, markers: MarkerVector) -> _Smoothing:
     trivial = tuple(k for k, c in enumerate(circles) if c.kind is CurveKind.TRIVIAL)
     unb = tuple((k, c.cls) for k, c in enumerate(circles)
                 if c.kind is CurveKind.UNBOUNDING)
-    return _Smoothing(circles, trivial, unb, {c.key: k for k, c in enumerate(circles)})
+    return _Smoothing(circles, trivial, unb)
 
 
 class GradedComplex:
@@ -117,7 +124,7 @@ class GradedComplex:
                           if k not in self.frozen)
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
         self.buckets: dict[GradingKey, list[EnhancedState]] = {}
-        self.index: dict[tuple, tuple[GradingKey, int]] = {}
+        self.index: dict[StateKey, tuple[GradingKey, int]] = {}
         self._blocks: dict[GradingKey, Matrix] = {}
         self._enumerate()
 
@@ -156,7 +163,8 @@ class GradedComplex:
             for labels in itertools.product((1, -1), repeat=len(data.circles)):
                 state = self.make_state(markers, labels)
                 bucket = self.buckets.setdefault(state.grading, [])
-                self.index[(state.markers, state.labels)] = (state.grading, len(bucket))
+                self.index[StateKey(markers, state.labels)] = (state.grading,
+                                                               len(bucket))
                 bucket.append(state)
 
     # -- queries ----------------------------------------------------------
@@ -180,15 +188,14 @@ class GradedComplex:
 
     # -- the differential ---------------------------------------------------
 
-    def resmoothings(self, state: EnhancedState, pos: int,
-                     delta_tau: int = 1) -> list[EnhancedState]:
+    def resmoothings(self, state: EnhancedState | StateKey,
+                     pos: int) -> list[StateKey]:
         """States reached by turning the +1 marker at ``pos`` into -1.
 
         Untouched circles keep their labels; the circles through the
         crossing are relabeled in every way that raises the trivial-circle
-        sum by ``delta_tau`` and preserves the signed class sum of the
-        nontrivial circles.  With ``delta_tau=1`` this is exactly the
-        incidence condition of the differential.
+        sum by one and preserves the signed class sum of the nontrivial
+        circles: exactly the incidence condition of the differential.
 
         The conservation law covers Moebius-bounding classes as well, even
         though they enter neither the j- nor the s-grading: dropping them
@@ -205,28 +212,25 @@ class GradedComplex:
         cid = self.diagram.crossings[pos]
         vslots = {(cid, s) for s in range(4)}
 
-        touched_src = [k for k, c in enumerate(src.circles) if c.slots & vslots]
         labels_by_key = {}
-        for k, c in enumerate(src.circles):
-            if not (c.slots & vslots):
-                labels_by_key[c.key] = state.labels[k]
+        tau_src = 0
+        psi_src: dict = {}
+        for circ, lab in zip(src.circles, state.labels):
+            if not circ.slots & vslots:
+                labels_by_key[circ.key] = lab
+            elif circ.kind is CurveKind.TRIVIAL:
+                tau_src += lab
+            else:
+                psi_src[circ.cls] = psi_src.get(circ.cls, 0) + lab
 
-        fixed: dict[int, int] = {}
+        # Untouched circles keep their labels; the others are filled below.
+        kept = [0] * len(tgt.circles)
         new_circles: list[int] = []
         for k, c in enumerate(tgt.circles):
             if c.slots & vslots:
                 new_circles.append(k)
             else:
-                fixed[k] = labels_by_key[c.key]
-
-        tau_src = 0
-        psi_src: dict = {}
-        for k in touched_src:
-            circ, lab = src.circles[k], state.labels[k]
-            if circ.kind is CurveKind.TRIVIAL:
-                tau_src += lab
-            else:
-                psi_src[circ.cls] = psi_src.get(circ.cls, 0) + lab
+                kept[k] = labels_by_key[c.key]
 
         out = []
         for assignment in itertools.product((1, -1), repeat=len(new_circles)):
@@ -238,24 +242,16 @@ class GradedComplex:
                     tau_tgt += lab
                 else:
                     psi_tgt[circ.cls] = psi_tgt.get(circ.cls, 0) + lab
-            if tau_tgt != tau_src + delta_tau:
+            if tau_tgt != tau_src + 1:
                 continue
             if {c: x for c, x in psi_tgt.items() if x} != \
                     {c: x for c, x in psi_src.items() if x}:
                 continue
-            labels = [0] * len(tgt.circles)
-            for k, lab in fixed.items():
-                labels[k] = lab
+            labels = kept.copy()
             for k, lab in zip(new_circles, assignment):
                 labels[k] = lab
-            out.append(self.make_state(flipped, labels))
+            out.append(StateKey(flipped, tuple(labels)))
         return out
-
-    def partial_derivative(self, state: EnhancedState, pos: int) -> list[EnhancedState]:
-        """Unsigned partial derivative at one free crossing."""
-        if pos not in self.free:
-            raise ComplexError(f"crossing position {pos} is frozen")
-        return self.resmoothings(state, pos)
 
     def _assemble(self, key: GradingKey, counted: int) -> Matrix:
         """Matrix out of ``key`` with entries ``(-1)^t``, where ``t`` counts
@@ -272,7 +268,7 @@ class GradedComplex:
                 t = sum(1 for q in self.free if q > pos and markers[q] == counted)
                 sign = -1 if t % 2 else 1
                 for target in self.resmoothings(state, pos):
-                    tkey, row = self.locate(target.markers, target.labels)
+                    tkey, row = self.index[target]
                     assert tkey == tgt_key
                     mat[row][col] += sign
         return mat
@@ -324,12 +320,11 @@ class GradedComplex:
         return self._assemble(key, 1)
 
 
-def incidence_number(complex_: GradedComplex, s_from: EnhancedState,
-                     s_to: EnhancedState, pos: int) -> int:
+def incidence_number(complex_: GradedComplex, s_from: EnhancedState | StateKey,
+                     s_to: EnhancedState | StateKey, pos: int) -> int:
     """1 when the flip at ``pos`` connects the two states, else 0."""
-    return int(any(t.markers == s_to.markers and t.labels == s_to.labels
-                   for t in complex_.resmoothings(s_from, pos))
-               if s_from.markers[pos] > 0 else 0)
+    return int(StateKey(s_to.markers, s_to.labels)
+               in complex_.resmoothings(s_from, pos))
 
 
 # ---------------------------------------------------------------------------

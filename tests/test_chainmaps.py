@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bandkh import chainmaps
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
-from bandkh.homology import homology, table_isomorphic
+from bandkh.homology import FIELD_RANKS, homology, table_isomorphic
 from bandkh.chainmaps import (
-    _FIELD_RANKS,
     _block_rank,
     ChainMapError,
     c_prime_columns,
@@ -47,12 +46,14 @@ from helpers import (
     ANNULUS,
     DISK,
     MOEBIUS,
+    PANTS,
     TORUS_HOLE,
     loops_diagram,
     random_diagram,
     surface_words,
     trefoil,
     triangle_closure,
+    twist_pair,
 )
 
 
@@ -100,7 +101,7 @@ def _formula(rank, f, a, b):
 @given(map_and_differentials())
 def test_block_rank_formula_matches_kernel_oracle(fabn):
     f, a, b, n = fabn
-    for ftag, rank in _FIELD_RANKS.items():
+    for ftag, rank in FIELD_RANKS.items():
         assert _formula(rank, f, a, b) == induced_rank(f, a, b, n, ftag)
 
 
@@ -114,7 +115,7 @@ def test_block_rank_formula_on_skein_triple_maps():
                     f = chmap.block(key)
                     a = chmap.source.differential(key)
                     b = chmap.target.differential((ti + 2, tj, ts))
-                    for ftag, rank in _FIELD_RANKS.items():
+                    for ftag, rank in FIELD_RANKS.items():
                         assert _formula(rank, f, a, b) == induced_rank(
                             f, a, b, chmap.source.dim(key), ftag)
 
@@ -129,6 +130,30 @@ def test_les_check_reports_a_zeroed_connecting_map(monkeypatch):
         assert re.fullmatch(r"(Q|Z2): not exact at D_(p|0|inf) \(.*\)", failure)
     assert any("at D_0 (" in x for x in report.failures)
     assert any("at D_inf (" in x for x in report.failures)
+
+
+def test_les_check_builds_each_induced_block_once(monkeypatch):
+    """One ChainMap.block call per distinct (field, map, key) triple."""
+    calls = []
+    real = chainmaps.ChainMap.block
+
+    def block(self, key):
+        calls.append((self.name, key))
+        return real(self, key)
+
+    monkeypatch.setattr(chainmaps.ChainMap, "block", block)
+    d = twist_pair(PANTS, "a", 4)
+    for p in range(d.n_crossings):
+        t = skein_triple(d, p)
+        calls.clear()
+        assert long_exact_sequence_check(t).ok
+        both = len(calls)
+        triples = 0
+        for ftag in ("Q", "Z2"):
+            calls.clear()
+            long_exact_sequence_check(t, (ftag,))
+            triples += len(set(calls))
+        assert both == triples
 
 
 def test_les_check_rejects_unknown_field():

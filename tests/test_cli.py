@@ -1,13 +1,19 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bandkh.cli import (
     ParseError,
+    _find_r3_sites,
     emit_diagram,
     main,
     parse_diagram,
 )
+from bandkh.diagram import R3Site, SiteError, apply_r3, mirror, validate_r3_site
+from bandkh.homology import homology, table_isomorphic
+from bandkh.state_complex import GradedComplex
 from bandkh.surface import UnsupportedSurfaceError
 
 from helpers import ALL_SURFACES, DISK, random_diagram, triangle_closure
@@ -201,3 +207,127 @@ def test_cli_verify_triangle_runs_r3(tmp_path, capsys):
     assert main(["verify", str(path), "--suite=reidemeister"]) == 0
     out = capsys.readouterr().out
     assert "PASS r3" in out and "PASS r1neg" in out
+
+
+# ---------------------------------------------------------------------------
+# Parser robustness
+# ---------------------------------------------------------------------------
+
+DUPLICATE_ID = """\
+surface planar_holes 0
+crossing x
+crossing x
+edge x.0 x.1 :
+edge x.2 x.3 :
+"""
+
+_SLOT_REFS = st.sampled_from(["x.0", "x.1", "x.2", "x.3", "y.0", "y.2", "x.4",
+                              "x.\u00b2", "z.1", "x", ".1"])
+_WORDS = st.sampled_from(["", "a", "b'", "a b", "c", "a''", "'"])
+_LINES = st.one_of(
+    st.sampled_from(["surface planar_holes 1", "surface orientable 1 1",
+                     "surface moebius", "surface rp2", "surface planar_holes -1",
+                     "surface"]),
+    st.builds("crossing {}".format, st.sampled_from(["x", "y", "x y", ""])),
+    st.builds("edge {} {} : {}".format, _SLOT_REFS, _SLOT_REFS, _WORDS),
+    st.builds("loop : {}".format, _WORDS),
+    st.text(max_size=10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join)))
+@example("surface planar_holes 1\ncrossing x\nedge x.\u00b2 x.1 :\n")
+@example(DUPLICATE_ID)
+def test_parse_raises_only_input_errors(text):
+    try:
+        parse_diagram(text)
+    except (ParseError, UnsupportedSurfaceError):
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES))
+def test_emit_parse_roundtrip(seed, surface):
+    d = random_diagram(surface, random.Random(seed), max_crossings=4)
+    text = emit_diagram(d)
+    assert parse_diagram(text) == d
+    assert emit_diagram(parse_diagram(text)) == text
+
+
+def test_parse_errors_name_the_offending_line():
+    with pytest.raises(ParseError, match=r"^line 3: duplicate crossing id 'x'"):
+        parse_diagram(DUPLICATE_ID)
+    reused = "surface planar_holes 0\ncrossing x\nedge x.0 x.1 :\nedge x.1 x.2 :\n" \
+             "edge x.3 x.2 :\n"
+    with pytest.raises(ParseError, match=r"^line 4: slot 'x.1' used by more"):
+        parse_diagram(reused)
+
+
+def test_cli_superscript_slot_exits_2(tmp_path, capsys):
+    text = "surface planar_holes 1\ncrossing x\nedge x.\u00b2 x.1 :\n"
+    code = run_cli(tmp_path, text, "homology")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 3: bad slot reference")
+
+
+# ---------------------------------------------------------------------------
+# Cyclic triangles are not R3 sites
+# ---------------------------------------------------------------------------
+
+def _slot_parities(d, site):
+    """(beta_v, gamma_w, xi) mod 2, read off the edges directly."""
+    def slot(k, crossing):
+        e = d.edges[k]
+        return (e.a[1] if e.a[0] == crossing else e.b[1]) % 2
+    return slot(site.e_a, site.v), slot(site.e_a, site.w), slot(site.e_vp, site.p)
+
+
+def _cyclic_sites(d):
+    out = []
+    for p, v, w in itertools.permutations(d.crossings, 3):
+        for edges in itertools.product(range(len(d.edges)), repeat=3):
+            site = R3Site(p, v, w, *edges)
+            try:
+                validate_r3_site(d, site)
+            except SiteError as exc:
+                if "cyclic" in str(exc):
+                    out.append(site)
+    return out
+
+
+@pytest.mark.parametrize("index", [2, 9, 28, 30])
+def test_r3_refuses_cyclic_triangles(tmp_path, capsys, index):
+    """Diagrams of the seed-2024 acceptance suite whose only triangles are
+    cyclic (slot parities (1, 0, 1); their mirrors give (0, 1, 0))."""
+    rng = random.Random(2024)
+    suite50 = [random_diagram(surface, rng, max_crossings=4)
+               for surface in ALL_SURFACES for _ in range(10)]
+    base = suite50[index]
+    for d, parity in ((base, (1, 0, 1)), (mirror(base), (0, 1, 0))):
+        cyclic = _cyclic_sites(d)
+        assert cyclic and {_slot_parities(d, c) for c in cyclic} == {parity}
+        assert not set(_find_r3_sites(d, 100)) & set(cyclic)
+        site = cyclic[0]
+        path = tmp_path / "d.txt"
+        path.write_text(emit_diagram(d))
+        assert main(["moves", str(path), "--move=r3",
+                     f"--site={site.p},{site.v},{site.w},"
+                     f"{site.e_a},{site.e_vp},{site.e_wp}"]) == 2
+        assert "cyclic triangle" in capsys.readouterr().err
+        _assert_found_sites_keep_the_table(d)
+
+
+def _assert_found_sites_keep_the_table(d):
+    table = homology(GradedComplex(d))
+    for site in _find_r3_sites(d, 100):
+        assert _slot_parities(d, site) not in ((1, 0, 1), (0, 1, 0))
+        assert table_isomorphic(table, homology(GradedComplex(apply_r3(d, site))))
+
+
+def test_found_r3_sites_keep_the_table():
+    for closure in range(5):
+        for b_over in (True, False):
+            d, site = triangle_closure(DISK, closure, b_over=b_over)
+            assert site in _find_r3_sites(d, 100)
+            _assert_found_sites_keep_the_table(d)
+            _assert_found_sites_keep_the_table(mirror(d))

@@ -1,9 +1,11 @@
+import importlib
 import random
 
 import pytest
 
 from bandkh.diagram import reorder_crossings
 from bandkh.homology import (
+    FIELD_RANKS,
     AbelianGroup,
     HomologyError,
     aggregate_handlebody,
@@ -155,3 +157,28 @@ def test_tsv_output_shape():
     table = homology(GradedComplex(loops_diagram(ANNULUS, "a")))
     lines = table.to_tsv().splitlines()
     assert lines == ["0\t0\ta:-1\t1\t-", "0\t0\ta:+1\t1\t-"]
+
+
+def test_homology_reduces_each_block_once(monkeypatch):
+    calls = []
+
+    def counted(reduce):
+        def wrapper(matrix):
+            calls.append(matrix)
+            return reduce(matrix)
+        return wrapper
+
+    # bandkh re-exports the homology function under the module's name.
+    module = importlib.import_module("bandkh.homology")
+    monkeypatch.setattr(module, "smith_normal_form",
+                        counted(smith_normal_form))
+    for ftag, rank in list(FIELD_RANKS.items()):
+        monkeypatch.setitem(FIELD_RANKS, ftag, counted(rank))
+    rng = random.Random(12)
+    for cx in [GradedComplex(trefoil())] + [
+            GradedComplex(random_diagram(surface, rng, max_crossings=4))
+            for surface in ALL_SURFACES]:
+        for coefficients in ("Z", "Q", "Z2"):
+            calls.clear()
+            homology(cx, coefficients)
+            assert len(calls) == len(cx.buckets)

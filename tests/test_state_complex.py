@@ -280,8 +280,7 @@ def test_gradings_constant_along_differential():
         for state in bucket:
             for pos in cx.free:
                 for target in cx.resmoothings(state, pos):
-                    assert target.j == j and target.s == s
-                    assert target.i == i - 2
+                    assert cx.locate(*target)[0] == (i - 2, j, s)
 
 
 def test_dual_matrices_are_transposes():
