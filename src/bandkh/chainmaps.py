@@ -724,6 +724,10 @@ class R3Data:
     f_inf: ChainMap        # C(D_inf) -> C(D'_inf), the geometric transport
     rho: ChainMap          # C(D_0) -> C(D'_0), defined on the image subcomplex
     rho_III: ChainMap      # C(D) -> C(D'), defined on C'
+    beta: ChainMap         # viro_beta(triple)
+    section: ChainMap      # rho_II_section(pair)
+    rho2: ChainMap         # rho_II(pair)
+    lift: ChainMap         # viro_beta_bar(triple) . rho2
 
 
 def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
@@ -781,12 +785,14 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
     f_inf = ChainMap.build(triple.cinf, triple2.cinf, identity_grading,
                            lambda s: [(1, move_inf(s))], "f_inf")
 
-    rho = rho_II(pair2).compose(nu).compose(rho_II_section(pair), "rho")
-    term1 = viro_beta_bar(triple2).compose(rho).compose(viro_beta(triple))
+    beta, section = viro_beta(triple), rho_II_section(pair)
+    rho = rho_II(pair2).compose(nu).compose(section, "rho")
+    term1 = viro_beta_bar(triple2).compose(rho).compose(beta)
     term2 = viro_alpha(triple2).compose(f_inf).compose(viro_alpha_bar(triple))
     rho3 = term1.add(term2, "rho_III")
-    return R3Data(diagram, site, moved, triple, triple2, pair, pair2,
-                  nu, f_inf, rho, rho3)
+    rho2 = rho_II(pair)
+    return R3Data(diagram, site, moved, triple, triple2, pair, pair2, nu, f_inf,
+                  rho, rho3, beta, section, rho2, viro_beta_bar(triple).compose(rho2))
 
 
 def c_prime_columns(data: R3Data, key: GradingKey) -> Matrix:
@@ -803,10 +809,9 @@ def c_prime_columns(data: R3Data, key: GradingKey) -> Matrix:
             col = [0] * len(bucket)
             col[n] = 1
             cols.append(col)
-    lift = viro_beta_bar(data.triple).compose(rho_II(data.pair))
     i, j, s0 = key
     small_key = (i - 1, j - 1, s0)
-    block = lift.block(small_key)
+    block = data.lift.block(small_key)
     for c in range(data.pair.small.dim(small_key)):
         cols.append([block[r][c] for r in range(len(bucket))])
     return [[cols[c][r] for c in range(len(cols))] for r in range(len(bucket))]
@@ -815,12 +820,9 @@ def c_prime_columns(data: R3Data, key: GradingKey) -> Matrix:
 def membership_in_c_prime(data: R3Data, key: GradingKey,
                           vec: Sequence[int]) -> bool:
     """x is in C' iff beta(x) equals rho_II of its (v:-1, w:+1) component."""
-    beta = viro_beta(data.triple)
-    proj = rho_II_section(data.pair)
-    rho2 = rho_II(data.pair)
     i, j, s0 = key
     bkey = (i - 1, j - 1, s0)
-    y = _mat_mul(beta.block(key), [[x] for x in vec])
-    small = _mat_mul(proj.block(bkey), y)
-    back = _mat_mul(rho2.block(bkey), small)
+    y = _mat_mul(data.beta.block(key), [[x] for x in vec])
+    small = _mat_mul(data.section.block(bkey), y)
+    back = _mat_mul(data.rho2.block(bkey), small)
     return mats_equal(y, back)

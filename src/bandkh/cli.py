@@ -67,7 +67,7 @@ _OFF_CATALOGUE = {"rp2", "projective", "projective_plane", "sphere", "s2",
 
 def parse_diagram(text: str) -> Diagram:
     surface: SurfaceModel | None = None
-    crossings: list[str] = []
+    crossings: dict[str, int] = {}  # id -> line of its declaration
     edges: list[Edge] = []
     loops: list = []
     used: set = set()
@@ -118,7 +118,7 @@ def parse_diagram(text: str) -> Diagram:
                 raise ParseError("expected: crossing <id>", lineno)
             if tokens[1] in crossings:
                 raise ParseError(f"duplicate crossing id {tokens[1]!r}", lineno)
-            crossings.append(tokens[1])
+            crossings[tokens[1]] = lineno
         elif kind == "edge":
             if ":" not in tokens:
                 raise ParseError("edge needs a ':' before its word", lineno)
@@ -146,6 +146,11 @@ def parse_diagram(text: str) -> Diagram:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
     if surface is None:
         raise ParseError("missing surface declaration", 1)
+    unmatched = sorted((cid, s) for cid in crossings for s in range(4)
+                       if (cid, s) not in used)
+    if unmatched:
+        raise ParseError(f"unmatched crossing slots: {unmatched}",
+                         crossings[unmatched[0][0]])
     try:
         return Diagram(surface, tuple(crossings), tuple(edges), tuple(loops))
     except DiagramError as exc:

@@ -88,16 +88,18 @@ def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
                         break
             if not dirty:
                 break
-        # Enforce divisibility of the remaining submatrix by the pivot.
+        # Enforce divisibility of the remaining submatrix by the pivot; a
+        # unit pivot divides every entry, so only larger ones need the scan.
         p = m[top][top]
         offender = None
-        for r in range(top + 1, rows):
-            for c in range(top + 1, cols):
-                if m[r][c] % p:
-                    offender = r
+        if abs(p) != 1:
+            for r in range(top + 1, rows):
+                for c in range(top + 1, cols):
+                    if m[r][c] % p:
+                        offender = r
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             for c in range(top, cols):
                 m[top][c] += m[offender][c]

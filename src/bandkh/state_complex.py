@@ -106,6 +106,26 @@ def _analyze(diagram: Diagram, markers: MarkerVector) -> _Smoothing:
     return _Smoothing(circles, trivial, unb)
 
 
+@dataclass(frozen=True)
+class _FlipRule:
+    """Turning the +1 marker at one crossing into -1, for every state over
+    one marker vector: ``table`` maps the labels of the source circles at the
+    crossing (``touched``) to each allowed labelling of the target circles at
+    it; target circle ``k`` takes entry ``gather[k]`` of the source labels
+    followed by that labelling.  ``signs[counted]`` is ``(-1)^t``.
+    """
+
+    target: MarkerVector
+    touched: tuple[int, ...]
+    gather: tuple[int, ...]
+    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+    signs: dict[int, int]
+
+    def targets(self, labels: tuple[int, ...]) -> list[StateKey]:
+        return [StateKey(self.target, tuple(map((labels + a).__getitem__, self.gather)))
+                for a in self.table[tuple(map(labels.__getitem__, self.touched))]]
+
+
 class GradedComplex:
     """The chain complex of a diagram, optionally with frozen markers.
 
@@ -126,6 +146,7 @@ class GradedComplex:
         self.buckets: dict[GradingKey, list[EnhancedState]] = {}
         self.index: dict[StateKey, tuple[GradingKey, int]] = {}
         self._blocks: dict[GradingKey, Matrix] = {}
+        self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         self._enumerate()
 
     # -- construction ---------------------------------------------------
@@ -147,24 +168,27 @@ class GradedComplex:
         return tuple(out)
 
     def make_state(self, markers: MarkerVector, labels: Sequence[int]) -> EnhancedState:
-        data = self.smoothing(markers)
-        if len(labels) != len(data.circles):
-            raise ComplexError("label count does not match circle count")
-        i = sum(markers[p] for p in self.free)
-        tau = sum(labels[k] for k in data.trivial)
-        s = GradingS.from_pairs((cls, labels[k]) for k, cls in data.unbounding)
-        m_neg = sum(1 for p in self.free if markers[p] < 0)
-        return EnhancedState(markers, tuple(labels), i, tau, i + 2 * tau, s, m_neg)
+        """The enumerated state with these markers and labels."""
+        key, n = self.locate(markers, labels)
+        return self.buckets[key][n]
 
     def _enumerate(self) -> None:
+        """Compute ``i``, ``m_neg`` and each ``s`` once per smoothing; only
+        ``tau`` is summed per state."""
         for free_markers in itertools.product((1, -1), repeat=len(self.free)):
             markers = self._full_markers(free_markers)
             data = self.smoothing(markers)
+            i = sum(free_markers)
+            m_neg = free_markers.count(-1)
+            classes = [cls for _, cls in data.unbounding]
+            s_of = {u: GradingS.from_pairs(zip(classes, u))
+                    for u in itertools.product((1, -1), repeat=len(classes))}
             for labels in itertools.product((1, -1), repeat=len(data.circles)):
-                state = self.make_state(markers, labels)
+                tau = sum(labels[k] for k in data.trivial)
+                s = s_of[tuple(labels[k] for k, _ in data.unbounding)]
+                state = EnhancedState(markers, labels, i, tau, i + 2 * tau, s, m_neg)
                 bucket = self.buckets.setdefault(state.grading, [])
-                self.index[StateKey(markers, state.labels)] = (state.grading,
-                                                               len(bucket))
+                self.index[StateKey(markers, labels)] = (state.grading, len(bucket))
                 bucket.append(state)
 
     # -- queries ----------------------------------------------------------
@@ -206,52 +230,49 @@ class GradedComplex:
         """
         if state.markers[pos] <= 0:
             return []
-        src = self.smoothing(state.markers)
-        flipped = state.markers[:pos] + (-1,) + state.markers[pos + 1:]
+        return self._flip(state.markers, pos).targets(state.labels)
+
+    def _flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
+        rule = self._flips.get((markers, pos))
+        if rule is None:
+            rule = self._flips[(markers, pos)] = self._derive_flip(markers, pos)
+        return rule
+
+    def _derive_flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
+        """The rule of :meth:`resmoothings` for every state over ``markers``."""
+        src = self.smoothing(markers)
+        flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
         cid = self.diagram.crossings[pos]
         vslots = {(cid, s) for s in range(4)}
-
-        labels_by_key = {}
-        tau_src = 0
-        psi_src: dict = {}
-        for circ, lab in zip(src.circles, state.labels):
-            if not circ.slots & vslots:
-                labels_by_key[circ.key] = lab
-            elif circ.kind is CurveKind.TRIVIAL:
-                tau_src += lab
-            else:
-                psi_src[circ.cls] = psi_src.get(circ.cls, 0) + lab
-
-        # Untouched circles keep their labels; the others are filled below.
-        kept = [0] * len(tgt.circles)
-        new_circles: list[int] = []
-        for k, c in enumerate(tgt.circles):
+        touched = [k for k, c in enumerate(src.circles) if c.slots & vslots]
+        kept = {c.key: k for k, c in enumerate(src.circles) if not c.slots & vslots}
+        gather, new = [], []
+        for c in tgt.circles:
             if c.slots & vslots:
-                new_circles.append(k)
+                gather.append(len(src.circles) + len(new))
+                new.append(c)
             else:
-                kept[k] = labels_by_key[c.key]
+                gather.append(kept[c.key])
 
-        out = []
-        for assignment in itertools.product((1, -1), repeat=len(new_circles)):
-            tau_tgt = 0
-            psi_tgt: dict = {}
-            for k, lab in zip(new_circles, assignment):
-                circ = tgt.circles[k]
+        def sums(circles: Sequence[Circle], labels: Sequence[int]) -> tuple:
+            tau, psi = 0, {}
+            for circ, lab in zip(circles, labels):
                 if circ.kind is CurveKind.TRIVIAL:
-                    tau_tgt += lab
+                    tau += lab
                 else:
-                    psi_tgt[circ.cls] = psi_tgt.get(circ.cls, 0) + lab
-            if tau_tgt != tau_src + 1:
-                continue
-            if {c: x for c, x in psi_tgt.items() if x} != \
-                    {c: x for c, x in psi_src.items() if x}:
-                continue
-            labels = kept.copy()
-            for k, lab in zip(new_circles, assignment):
-                labels[k] = lab
-            out.append(StateKey(flipped, tuple(labels)))
-        return out
+                    psi[circ.cls] = psi.get(circ.cls, 0) + lab
+            return tau, {c: x for c, x in psi.items() if x}
+
+        outcomes = [(a, sums(new, a))
+                    for a in itertools.product((1, -1), repeat=len(new))]
+        table = {}
+        for pattern in itertools.product((1, -1), repeat=len(touched)):
+            tau, psi = sums([src.circles[k] for k in touched], pattern)
+            table[pattern] = tuple(a for a, got in outcomes if got == (tau + 1, psi))
+        signs = {c: (-1) ** sum(1 for q in self.free if q > pos and markers[q] == c)
+                 for c in (1, -1)}
+        return _FlipRule(flipped, tuple(touched), tuple(gather), table, signs)
 
     def _assemble(self, key: GradingKey, counted: int) -> Matrix:
         """Matrix out of ``key`` with entries ``(-1)^t``, where ``t`` counts
@@ -265,9 +286,9 @@ class GradedComplex:
             for pos in self.free:
                 if markers[pos] <= 0:
                     continue
-                t = sum(1 for q in self.free if q > pos and markers[q] == counted)
-                sign = -1 if t % 2 else 1
-                for target in self.resmoothings(state, pos):
+                rule = self._flip(markers, pos)
+                sign = rule.signs[counted]
+                for target in rule.targets(state.labels):
                     tkey, row = self.index[target]
                     assert tkey == tgt_key
                     mat[row][col] += sign

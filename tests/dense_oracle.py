@@ -7,6 +7,9 @@ differential assembly and the Smith reduction are reimplemented here in the
 plainest possible way (states grouped by total degree alone, one dense
 matrix per homological level and j-value, naive first-nonzero pivoting).
 
+:func:`resmoothings` derives the targets of one crossing flip state by
+state, as the library did before it cached one rule per (markers, crossing).
+
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
 Z/2) row reduction, its image, and the rank modulo the boundaries.
@@ -18,6 +21,7 @@ import itertools
 from fractions import Fraction
 
 from bandkh.diagram import Diagram, smooth
+from bandkh.state_complex import StateKey
 from bandkh.surface import CurveKind
 
 
@@ -69,6 +73,59 @@ def _incident(diagram, circ_cache, s_from, s_to):
         return 0
     t = sum(1 for q in range(v + 1, len(m1)) if m1[q] < 0)
     return -1 if t % 2 else 1
+
+
+def resmoothings(complex_, state, pos):
+    """States of ``complex_`` reached by turning the +1 marker at ``pos``
+    into -1, derived for this one state from the incidence conditions."""
+    if state.markers[pos] <= 0:
+        return []
+    src = complex_.smoothing(state.markers).circles
+    flipped = state.markers[:pos] + (-1,) + state.markers[pos + 1:]
+    tgt = complex_.smoothing(flipped).circles
+    cid = complex_.diagram.crossings[pos]
+    vslots = {(cid, s) for s in range(4)}
+
+    labels_by_key = {}
+    tau_src = 0
+    psi_src: dict = {}
+    for circ, lab in zip(src, state.labels):
+        if not circ.slots & vslots:
+            labels_by_key[circ.key] = lab
+        elif circ.kind is CurveKind.TRIVIAL:
+            tau_src += lab
+        else:
+            psi_src[circ.cls] = psi_src.get(circ.cls, 0) + lab
+
+    # Untouched circles keep their labels; the others are filled below.
+    kept = [0] * len(tgt)
+    new_circles: list[int] = []
+    for k, c in enumerate(tgt):
+        if c.slots & vslots:
+            new_circles.append(k)
+        else:
+            kept[k] = labels_by_key[c.key]
+
+    out = []
+    for assignment in itertools.product((1, -1), repeat=len(new_circles)):
+        tau_tgt = 0
+        psi_tgt: dict = {}
+        for k, lab in zip(new_circles, assignment):
+            circ = tgt[k]
+            if circ.kind is CurveKind.TRIVIAL:
+                tau_tgt += lab
+            else:
+                psi_tgt[circ.cls] = psi_tgt.get(circ.cls, 0) + lab
+        if tau_tgt != tau_src + 1:
+            continue
+        if {c: x for c, x in psi_tgt.items() if x} != \
+                {c: x for c, x in psi_src.items() if x}:
+            continue
+        labels = kept.copy()
+        for k, lab in zip(new_circles, assignment):
+            labels[k] = lab
+        out.append(StateKey(flipped, tuple(labels)))
+    return out
 
 
 def _snf_diagonal(mat):

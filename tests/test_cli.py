@@ -261,6 +261,11 @@ def test_parse_errors_name_the_offending_line():
              "edge x.3 x.2 :\n"
     with pytest.raises(ParseError, match=r"^line 4: slot 'x.1' used by more"):
         parse_diagram(reused)
+    unmatched = "surface planar_holes 0\ncrossing x\ncrossing y\nedge x.0 x.1 :\n" \
+                "edge x.2 x.3 :\n\n\n"
+    with pytest.raises(ParseError, match=r"^line 3: unmatched crossing slots: "
+                                         r"\[\('y', 0\), \('y', 1\)"):
+        parse_diagram(unmatched)
 
 
 def test_cli_superscript_slot_exits_2(tmp_path, capsys):

@@ -2,7 +2,9 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from bandkh.diagram import reorder_crossings
 from bandkh.homology import (
     FIELD_RANKS,
@@ -17,7 +19,7 @@ from bandkh.homology import (
     smith_normal_form,
     table_isomorphic,
 )
-from bandkh.state_complex import GradedComplex
+from bandkh.state_complex import GradedComplex, _mat_mul
 from bandkh.surface import grading_flip
 
 from helpers import (
@@ -38,6 +40,7 @@ def test_snf_examples():
     assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
     assert smith_normal_form([]) == ()
     assert smith_normal_form([[0, 0], [0, 0]]) == ()
+    assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == (1, 1, 6)
 
 
 def test_snf_random_properties():
@@ -50,6 +53,49 @@ def test_snf_random_properties():
             assert b % a == 0
         assert len(inv) == rank_rational(m)
         assert rank_mod2(m) == len([d for d in inv if d % 2])
+
+
+@st.composite
+def integer_matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_snf_matches_naive_oracle(m):
+    assert smith_normal_form(m) == tuple(dense_oracle._snf_diagonal(m))
+
+
+def _unimodular(n: int, rng: random.Random):
+    """A random n x n integer matrix of determinant +-1."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(2 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            u[a] = [-x for x in u[a]]
+        else:
+            f = rng.choice((-1, 1))
+            u[a] = [x + f * y for x, y in zip(u[a], u[b])]
+            u[a], u[b] = u[b], u[a]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+       st.sampled_from((((2, 6, 0), (2, 6)), ((2, 3), (1, 6)))),
+       st.randoms(use_true_random=False))
+def test_snf_finds_planted_torsion(units, extra_rows, extra_cols, planted, rng):
+    """U . diag(1, ..., 1, torsion) . V: the unit pivots come first, then a
+    residue whose divisor chain may need the divisibility fix-up."""
+    diagonal, expected = planted
+    diagonal = (1,) * units + diagonal
+    rows, cols = len(diagonal) + extra_rows, len(diagonal) + extra_cols
+    d = [[diagonal[r] if r == c and r < len(diagonal) else 0 for c in range(cols)]
+         for r in range(rows)]
+    m = _mat_mul(_mat_mul(_unimodular(rows, rng), d), _unimodular(cols, rng))
+    assert smith_normal_form(m) == (1,) * units + expected
 
 
 def test_divisor_chain():

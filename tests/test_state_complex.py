@@ -2,8 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos
+import dense_oracle
+from bandkh.chainmaps import r2_pair, skein_triple
+from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2
+from bandkh.homology import homology
 from bandkh.state_complex import (
     ComplexError,
     GradedComplex,
@@ -16,6 +20,7 @@ from helpers import (
     ANNULUS,
     DISK,
     MOEBIUS,
+    PANTS,
     clasp_params,
     clasp,
     chain3,
@@ -168,6 +173,64 @@ def test_incidence_number_symbols():
     assert incidence_number(cx, s_from, s_to, 0) == 1
     assert incidence_number(cx, s_from, cx.make_state((-1,), (-1,)), 0) == 0
     assert cx.t_count(cx.make_state((1,), (1, 1)), 0) == 0
+
+
+def _check_flip_rules(cx):
+    """Cached-rule targets equal the per-state oracle and the incident states."""
+    circles = {}
+    by_markers: dict = {}
+    for key in cx.index:
+        by_markers.setdefault(key.markers, []).append(key)
+        circles[key.markers] = cx.smoothing(key.markers).circles
+    for key in cx.index:
+        for pos in cx.free:
+            if key.markers[pos] < 0:
+                continue
+            fast = cx.resmoothings(key, pos)
+            flipped = key.markers[:pos] + (-1,) + key.markers[pos + 1:]
+            incident = {t for t in by_markers[flipped]
+                        if dense_oracle._incident(cx.diagram, circles, key, t)}
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == set(dense_oracle.resmoothings(cx, key, pos)) \
+                == incident
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1))
+@example(0, 4)
+def test_flip_rule_matches_per_state_oracle(seed, surface):
+    rng = random.Random(seed)
+    d = random_diagram(ALL_SURFACES[surface], rng, max_crossings=4)
+    complexes = [GradedComplex(d)]
+    if d.n_crossings:
+        triple = skein_triple(d, rng.randrange(d.n_crossings))
+        complexes += [triple.c0, triple.cinf]
+    sites = [("edge", k) for k in range(len(d.edges))]
+    sites += [("loop", k) for k in range(len(d.loops))]
+    if sites:
+        with_loop = Diagram(d.surface, d.crossings, d.edges, d.loops + ((),))
+        pair = r2_pair(apply_r2(with_loop, ("loop", len(d.loops)),
+                                rng.choice(sites)), 0, 1)
+        complexes += [pair.small, pair.tilde]
+    for cx in complexes:
+        _check_flip_rules(cx)
+
+
+def test_flip_rule_derived_once_per_markers_and_crossing(monkeypatch):
+    derived = []
+    original = GradedComplex._derive_flip
+
+    def counting(self, markers, pos):
+        derived.append((markers, pos))
+        return original(self, markers, pos)
+
+    monkeypatch.setattr(GradedComplex, "_derive_flip", counting)
+    cx = GradedComplex(twist_pair(PANTS, "a", 4))
+    homology(cx, "Z")
+    flips = [(state.markers, pos) for bucket in cx.buckets.values()
+             for state in bucket for pos in cx.free if state.markers[pos] > 0]
+    assert sorted(derived) == sorted(set(flips))
+    assert len(derived) < len(flips)
 
 
 # ---------------------------------------------------------------------------
