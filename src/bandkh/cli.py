@@ -19,10 +19,16 @@ letter.  Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
-from .chainmaps import duality_check, long_exact_sequence_check, skein_triple
+from .chainmaps import (
+    ChainMapError,
+    duality_check,
+    long_exact_sequence_check,
+    skein_triple,
+)
 from .diagram import (
     Diagram,
     DiagramError,
@@ -34,9 +40,10 @@ from .diagram import (
     apply_r3,
     validate_r3_site,
 )
-from .homology import aggregate_handlebody, homology
+from .homology import HomologyError, aggregate_handlebody, homology
 from .skein import (
     LaurentPolyA,
+    SkeinError,
     bracket_recursive,
     euler_characteristic,
     expansion_text,
@@ -59,6 +66,16 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+#: Line breaks of the format: ``str.splitlines`` also breaks at form feeds,
+#: NEL and U+2028, which may sit inside a ``#`` comment.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _lines(text: str) -> list[str]:
+    lines = _LINE_BREAK.split(text)
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 _OFF_CATALOGUE = {"rp2", "projective", "projective_plane", "sphere", "s2",
@@ -85,7 +102,7 @@ def parse_diagram(text: str) -> Diagram:
         used.add((cid, slot))
         return (cid, slot)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,7 +171,7 @@ def parse_diagram(text: str) -> Diagram:
     try:
         return Diagram(surface, tuple(crossings), tuple(edges), tuple(loops))
     except DiagramError as exc:
-        raise ParseError(str(exc), len(text.splitlines()) or 1) from None
+        raise ParseError(str(exc), len(_lines(text)) or 1) from None
 
 
 def emit_diagram(diagram: Diagram) -> str:
@@ -178,7 +195,7 @@ def load_diagram(path: str) -> Diagram:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
-                         data.count(b"\n", 0, exc.start) + 1) from None
+                         len(_LINE_BREAK.split(data[:exc.start].decode()))) from None
     return parse_diagram(text)
 
 
@@ -410,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_moves(diagram, args.move, args.site, args.out, out)
         raise AssertionError(args.command)
     except (ParseError, UnsupportedSurfaceError, SurfaceError, DiagramError,
-            SiteError, OSError) as exc:
+            SiteError, HomologyError, ChainMapError, SkeinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComplexError as exc:

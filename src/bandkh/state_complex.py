@@ -28,6 +28,15 @@ crossings smoothed away, without rebuilding the diagram: the gradings count
 free crossings only, and the differential never flips a frozen crossing.
 This representation is what the skein-triple and Reidemeister chain maps
 are built on, since all their states live over one common diagram.
+
+Label codes
+-----------
+Inside a complex a state is an integer pair: its marker vector's row table
+and its *label code*, the position of its labels in
+``itertools.product((1, -1), repeat=c)`` -- bit ``c-1-k`` is set iff circle
+``k`` is labelled -1.  The row table maps each label code to the state's
+(block id, row); each block of d is assembled from these tables in one
+sweep over (marker vector, crossing) and stored as sparse columns.
 """
 
 from __future__ import annotations
@@ -37,10 +46,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
-from .surface import CurveKind, GradingS
+from .surface import CurveClass, CurveKind, GradingS
 
 Matrix = list[list[int]]
 GradingKey = tuple[int, int, GradingS]
+#: A sparse block: for each source column, its (row, entry) pairs.
+Columns = list[list[tuple[int, int]]]
 
 
 class ComplexError(ValueError):
@@ -96,34 +107,49 @@ class _Smoothing:
     circles: tuple[Circle, ...]
     trivial: tuple[int, ...]
     unbounding: tuple[tuple[int, object], ...]  # (circle index, CurveClass)
+    cids: tuple[int, ...]  # per circle: 0 if trivial, else its class id
 
 
-def _analyze(diagram: Diagram, markers: MarkerVector) -> _Smoothing:
-    circles = smooth(diagram, markers)
-    trivial = tuple(k for k, c in enumerate(circles) if c.kind is CurveKind.TRIVIAL)
-    unb = tuple((k, c.cls) for k, c in enumerate(circles)
-                if c.kind is CurveKind.UNBOUNDING)
-    return _Smoothing(circles, trivial, unb)
+def _code(labels: Sequence[int]) -> int:
+    """Label code: the position of ``labels`` in ``product((1, -1), ...)``."""
+    code = 0
+    for lab in labels:
+        code = code << 1 | (lab < 0)
+    return code
+
+
+def _labels(code: int, width: int) -> tuple[int, ...]:
+    return tuple(-1 if code >> k & 1 else 1 for k in range(width - 1, -1, -1))
+
+
+def _mask(circles: Sequence[int], width: int) -> int:
+    """The label-code bits of these circles of a ``width``-circle smoothing."""
+    return sum(1 << width - 1 - k for k in circles)
 
 
 @dataclass(frozen=True)
 class _FlipRule:
     """Turning the +1 marker at one crossing into -1, for every state over
-    one marker vector: ``table`` maps the labels of the source circles at the
-    crossing (``touched``) to each allowed labelling of the target circles at
-    it; target circle ``k`` takes entry ``gather[k]`` of the source labels
-    followed by that labelling.  ``signs[counted]`` is ``(-1)^t``.
+    one marker vector, on label codes: each untouched circle's source bit
+    becomes its target bit (the pairs in ``kept``), and ``local`` maps the
+    bits of the source circles at the crossing (``code & mask``) to the
+    bits of each allowed labelling of the target circles at it.
+    ``signs[counted]`` is ``(-1)^t``.
     """
 
     target: MarkerVector
-    touched: tuple[int, ...]
-    gather: tuple[int, ...]
-    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+    width: int  # circles of the target smoothing
+    kept: tuple[tuple[int, int], ...]
+    mask: int
+    local: dict[int, tuple[int, ...]]
     signs: dict[int, int]
 
-    def targets(self, labels: tuple[int, ...]) -> list[StateKey]:
-        return [StateKey(self.target, tuple(map((labels + a).__getitem__, self.gather)))
-                for a in self.table[tuple(map(labels.__getitem__, self.touched))]]
+    def targets(self, code: int) -> list[int]:
+        base = 0
+        for src, tgt in self.kept:
+            if code & src:
+                base |= tgt
+        return [base | new for new in self.local[code & self.mask]]
 
 
 class GradedComplex:
@@ -142,11 +168,20 @@ class GradedComplex:
                 raise ComplexError(f"bad frozen marker {pos}:{mark}")
         self.free = tuple(k for k in range(diagram.n_crossings)
                           if k not in self.frozen)
+        self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
         self.buckets: dict[GradingKey, list[EnhancedState]] = {}
         self.index: dict[StateKey, tuple[GradingKey, int]] = {}
-        self._blocks: dict[GradingKey, Matrix] = {}
+        # Block ids number the buckets in order; ``_rows[markers][code]`` is
+        # the (block id, row) of a state, ``_below[bid]`` the block id of
+        # (i-2, j, s) or -1, and ``_blocks[counted]`` the sparse blocks of
+        # d (counted -1) or d+ (counted +1) by block id.
+        self._bids: dict[GradingKey, int] = {}
+        self._rows: dict[MarkerVector, list[tuple[int, int]]] = {}
+        self._below: list[int] = []
+        self._blocks: dict[int, list[Columns]] = {}
         self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
+        self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._enumerate()
 
     # -- construction ---------------------------------------------------
@@ -155,7 +190,15 @@ class GradedComplex:
         try:
             return self._smooth_cache[markers]
         except KeyError:
-            data = _analyze(self.diagram, markers)
+            circles = smooth(self.diagram, markers)
+            ids = self._class_ids
+            data = _Smoothing(
+                circles,
+                tuple(k for k, c in enumerate(circles) if c.kind is CurveKind.TRIVIAL),
+                tuple((k, c.cls) for k, c in enumerate(circles)
+                      if c.kind is CurveKind.UNBOUNDING),
+                tuple(0 if c.kind is CurveKind.TRIVIAL
+                      else ids.setdefault(c.cls, len(ids) + 1) for c in circles))
             self._smooth_cache[markers] = data
             return data
 
@@ -173,23 +216,41 @@ class GradedComplex:
         return self.buckets[key][n]
 
     def _enumerate(self) -> None:
-        """Compute ``i``, ``m_neg`` and each ``s`` once per smoothing; only
-        ``tau`` is summed per state."""
+        """Fill the buckets, the index and the row tables.  ``i`` and
+        ``m_neg`` are computed once per smoothing, each ``s`` once per
+        (smoothing, unbounding-label pattern) and each grading key once per
+        (smoothing, tau, unbounding-label pattern); per state only label-code
+        bits are counted."""
+        bids = self._bids
         for free_markers in itertools.product((1, -1), repeat=len(self.free)):
             markers = self._full_markers(free_markers)
             data = self.smoothing(markers)
             i = sum(free_markers)
             m_neg = free_markers.count(-1)
-            classes = [cls for _, cls in data.unbounding]
-            s_of = {u: GradingS.from_pairs(zip(classes, u))
-                    for u in itertools.product((1, -1), repeat=len(classes))}
-            for labels in itertools.product((1, -1), repeat=len(data.circles)):
-                tau = sum(labels[k] for k in data.trivial)
-                s = s_of[tuple(labels[k] for k, _ in data.unbounding)]
-                state = EnhancedState(markers, labels, i, tau, i + 2 * tau, s, m_neg)
-                bucket = self.buckets.setdefault(state.grading, [])
-                self.index[StateKey(markers, labels)] = (state.grading, len(bucket))
-                bucket.append(state)
+            width = len(data.circles)
+            triv = _mask(data.trivial, width)
+            unb = _mask([k for k, _ in data.unbounding], width)
+            s_of: dict[int, GradingS] = {}
+            graded: dict[tuple[int, int], tuple] = {}
+            rows = self._rows[markers] = []
+            for code, labels in enumerate(itertools.product((1, -1), repeat=width)):
+                group = ((code & triv).bit_count(), code & unb)
+                found = graded.get(group)
+                if found is None:
+                    s = s_of.get(group[1])
+                    if s is None:
+                        s = s_of[group[1]] = GradingS.from_pairs(
+                            (cls, labels[k]) for k, cls in data.unbounding)
+                    tau = len(data.trivial) - 2 * group[0]
+                    key = (i, i + 2 * tau, s)
+                    found = graded[group] = (key, bids.setdefault(key, len(bids)),
+                                             self.buckets.setdefault(key, []), tau)
+                key, bid, bucket, tau = found
+                self.index[StateKey(markers, labels)] = (key, len(bucket))
+                rows.append((bid, len(bucket)))
+                bucket.append(EnhancedState(markers, labels, i, tau, key[1], key[2],
+                                            m_neg))
+        self._below = [bids.get((i - 2, j, s), -1) for (i, j, s) in self.buckets]
 
     # -- queries ----------------------------------------------------------
 
@@ -230,7 +291,9 @@ class GradedComplex:
         """
         if state.markers[pos] <= 0:
             return []
-        return self._flip(state.markers, pos).targets(state.labels)
+        rule = self._flip(state.markers, pos)
+        return [StateKey(rule.target, _labels(code, rule.width))
+                for code in rule.targets(_code(state.labels))]
 
     def _flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
         rule = self._flips.get((markers, pos))
@@ -243,75 +306,130 @@ class GradedComplex:
         src = self.smoothing(markers)
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
+        width_src, width = len(src.circles), len(tgt.circles)
         cid = self.diagram.crossings[pos]
         vslots = {(cid, s) for s in range(4)}
         touched = [k for k, c in enumerate(src.circles) if c.slots & vslots]
-        kept = {c.key: k for k, c in enumerate(src.circles) if not c.slots & vslots}
-        gather, new = [], []
-        for c in tgt.circles:
+        untouched = {c.key: k for k, c in enumerate(src.circles)
+                     if not c.slots & vslots}
+        kept, new = [], []
+        for k, c in enumerate(tgt.circles):
             if c.slots & vslots:
-                gather.append(len(src.circles) + len(new))
-                new.append(c)
+                new.append(k)
             else:
-                gather.append(kept[c.key])
-
-        def sums(circles: Sequence[Circle], labels: Sequence[int]) -> tuple:
-            tau, psi = 0, {}
-            for circ, lab in zip(circles, labels):
-                if circ.kind is CurveKind.TRIVIAL:
-                    tau += lab
-                else:
-                    psi[circ.cls] = psi.get(circ.cls, 0) + lab
-            return tau, {c: x for c, x in psi.items() if x}
-
-        outcomes = [(a, sums(new, a))
-                    for a in itertools.product((1, -1), repeat=len(new))]
-        table = {}
-        for pattern in itertools.product((1, -1), repeat=len(touched)):
-            tau, psi = sums([src.circles[k] for k in touched], pattern)
-            table[pattern] = tuple(a for a, got in outcomes if got == (tau + 1, psi))
+                kept.append((1 << width_src - 1 - untouched[c.key], 1 << width - 1 - k))
+        local = self._local_rule(
+            tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
+            tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))
+        mask = _mask(touched, width_src)
         signs = {c: (-1) ** sum(1 for q in self.free if q > pos and markers[q] == c)
                  for c in (1, -1)}
-        return _FlipRule(flipped, tuple(touched), tuple(gather), table, signs)
+        return _FlipRule(flipped, width, tuple(kept), mask, local, signs)
 
-    def _assemble(self, key: GradingKey, counted: int) -> Matrix:
-        """Matrix out of ``key`` with entries ``(-1)^t``, where ``t`` counts
-        the free markers equal to ``counted`` after the flipped crossing."""
-        i, j, s = key
-        src = self.buckets.get(key, [])
-        tgt_key = (i - 2, j, s)
-        mat = [[0] * len(src) for _ in range(self.dim(tgt_key))]
-        for col, state in enumerate(src):
-            markers = state.markers
+    def _local_rule(self, touched: tuple[tuple[int, int], ...],
+                    new: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
+        """The merge/split rule of one shape, derived once per complex.
+
+        ``touched`` and ``new`` give the (label-code bit, class id) of the
+        circles through the crossing before and after the flip, class id 0
+        for trivial circles.  Each labelling of the touched circles (its
+        bits) maps to the bits of every labelling of the new circles that
+        raises the trivial-circle sum by one and conserves the signed label
+        sum of every other class.
+        """
+        rule = self._locals.get((touched, new))
+        if rule is None:
+            def outcomes(places: tuple[tuple[int, int], ...]) -> list[tuple]:
+                out = []
+                for labels in itertools.product((1, -1), repeat=len(places)):
+                    bits, tau, psi = 0, 0, {}
+                    for (bit, c), lab in zip(places, labels):
+                        if lab < 0:
+                            bits |= bit
+                        if c:
+                            psi[c] = psi.get(c, 0) + lab
+                        else:
+                            tau += lab
+                    out.append((bits, tau, {c: x for c, x in psi.items() if x}))
+                return out
+
+            after = [(bits, (tau, psi)) for bits, tau, psi in outcomes(new)]
+            rule = self._locals[(touched, new)] = {
+                bits: tuple(b for b, got in after if got == (tau + 1, psi))
+                for bits, tau, psi in outcomes(touched)}
+        return rule
+
+    def _sweep(self, counted: int) -> list[Columns]:
+        """Every block of the map lowering ``i`` by 2 with entries
+        ``(-1)^t``, ``t`` counting the free markers equal to ``counted``
+        after the flipped crossing: one pass over (marker vector, free +1
+        crossing), each entry checked to land in the block at (i-2, j, s)."""
+        blocks = [[[] for _ in bucket] for bucket in self.buckets.values()]
+        below = self._below
+        for markers, rows in self._rows.items():
             for pos in self.free:
-                if markers[pos] <= 0:
+                if markers[pos] < 0:
                     continue
                 rule = self._flip(markers, pos)
                 sign = rule.signs[counted]
-                for target in rule.targets(state.labels):
-                    tkey, row = self.index[target]
-                    assert tkey == tgt_key
-                    mat[row][col] += sign
+                targets = self._rows[rule.target]
+                bases = [(0, 0)]
+                for src, tgt in rule.kept:
+                    bases += [(s | src, t | tgt) for s, t in bases]
+                for touched, news in rule.local.items():
+                    if not news:
+                        continue
+                    for src, tgt in bases:
+                        bid, col = rows[src | touched]
+                        want = below[bid]
+                        column = blocks[bid][col]
+                        for new in news:
+                            got, row = targets[tgt | new]
+                            if got != want:
+                                raise AssertionError("differential leaves the grading "
+                                                     f"{list(self.buckets)[bid]}")
+                            column.append((row, sign))
+        return blocks
+
+    def _dense(self, key: GradingKey, counted: int) -> Matrix:
+        """Dense view of a block of the sweep for ``counted``, run once."""
+        blocks = self._blocks.get(counted)
+        if blocks is None:
+            blocks = self._blocks[counted] = self._sweep(counted)
+        i, j, s = key
+        bid = self._bids.get(key)
+        columns = blocks[bid] if bid is not None else []
+        mat = [[0] * len(columns) for _ in range(self.dim((i - 2, j, s)))]
+        for c, column in enumerate(columns):
+            for r, v in column:
+                mat[r][c] = v
         return mat
 
     def differential(self, key: GradingKey) -> Matrix:
-        """Matrix of d from the bucket at ``key`` to the bucket at i-2."""
-        if key not in self._blocks:
-            self._blocks[key] = self._assemble(key, -1)
-        return self._blocks[key]
+        """Matrix of d from the bucket at ``key`` to the bucket at i-2: a new
+        dense view of the stored sparse block."""
+        return self._dense(key, -1)
+
+    def d_plus(self, key: GradingKey) -> Matrix:
+        """Differential signed by positive markers after the crossing instead."""
+        return self._dense(key, 1)
 
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
         The keys come in (j, s) order.
         """
+        if -1 not in self._blocks:
+            # Assemble d through differential(), the assembly's one entry.
+            self.differential(next(iter(self.buckets)))
+        d = self._blocks[-1]
+        zero = [True] * len(d)
+        for upper, lower in enumerate(self._below):
+            if lower >= 0:
+                zero[lower] = all(_vanishes(col, d[lower]) for col in d[upper])
         ok: dict[tuple[int, GradingS], bool] = {}
-        for (i, j, s) in list(self.buckets):
-            upper = self.differential((i + 2, j, s))
-            lower = self.differential((i, j, s))
-            zero = (not upper or not lower
-                    or not any(any(row) for row in _mat_mul(lower, upper)))
-            ok[(j, s)] = ok.get((j, s), True) and zero
+        for (i, j, s), z in zip(self.buckets, zero):
+            ok[(j, s)] = ok.get((j, s), True) and z
         return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], k[1].sort_key))}
 
     def check_d_squared(self) -> None:
@@ -336,9 +454,14 @@ class GradedComplex:
                                         self.dim((i, j, s)), self.dim((i + 2, j, s)))
         return out
 
-    def d_plus(self, key: GradingKey) -> Matrix:
-        """Differential signed by positive markers after the crossing instead."""
-        return self._assemble(key, 1)
+
+def _vanishes(column: list[tuple[int, int]], lower: Columns) -> bool:
+    """Whether ``lower`` maps the sparse ``column`` to zero."""
+    acc: dict[int, int] = {}
+    for r, v in column:
+        for r2, w in lower[r]:
+            acc[r2] = acc.get(r2, 0) + v * w
+    return not any(acc.values())
 
 
 def incidence_number(complex_: GradedComplex, s_from: EnhancedState | StateKey,

@@ -5,10 +5,13 @@ Used to cross-check the optimized pipeline.  Only the circle tracer is
 shared with the library; state bookkeeping, the incidence rule, the
 differential assembly and the Smith reduction are reimplemented here in the
 plainest possible way (states grouped by total degree alone, one dense
-matrix per homological level and j-value, naive first-nonzero pivoting).
+matrix per homological level and j-value, naive Euclidean Smith reduction).
 
 :func:`resmoothings` derives the targets of one crossing flip state by
 state, as the library did before it cached one rule per (markers, crossing).
+:func:`assemble` builds one dense block of d (or d+) state by state from it,
+and :func:`d_squared_blocks` multiplies those dense blocks: the per-block
+path the library used before its one-sweep sparse assembly.
 
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
@@ -128,23 +131,59 @@ def resmoothings(complex_, state, pos):
     return out
 
 
+def assemble(complex_, key, counted=-1):
+    """Dense block of ``complex_`` out of ``key``, entry ``(-1)^t`` where
+    ``t`` counts the free markers equal to ``counted`` after the flipped
+    crossing (-1 for d, +1 for d+)."""
+    i, j, s = key
+    src = complex_.buckets.get(key, [])
+    tgt_key = (i - 2, j, s)
+    mat = [[0] * len(src) for _ in range(complex_.dim(tgt_key))]
+    for col, state in enumerate(src):
+        for pos in complex_.free:
+            if state.markers[pos] <= 0:
+                continue
+            t = sum(1 for q in complex_.free
+                    if q > pos and state.markers[q] == counted)
+            for target in resmoothings(complex_, state, pos):
+                tkey, row = complex_.index[target]
+                assert tkey == tgt_key
+                mat[row][col] += (-1) ** t
+    return mat
+
+
+def _mat_mul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][c] for t in range(inner)) for c in range(cols)]
+            for row in a]
+
+
+def d_squared_blocks(complex_):
+    """Whether d o d vanishes on each (j, s) block, in (j, s) order."""
+    ok = {}
+    for (i, j, s) in complex_.buckets:
+        upper = assemble(complex_, (i + 2, j, s))
+        lower = assemble(complex_, (i, j, s))
+        zero = not any(any(row) for row in _mat_mul(lower, upper))
+        ok[(j, s)] = ok.get((j, s), True) and zero
+    return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], k[1].sort_key))}
+
+
 def _snf_diagonal(mat):
-    """Naive Smith reduction (first nonzero pivot, Euclidean steps)."""
+    """Naive Smith reduction (Euclidean steps from a pivot of minimal
+    absolute value; the first nonzero entry let the entries of some small
+    matrices grow without bound)."""
     m = [row[:] for row in mat]
     rows, cols = len(m), len(m[0]) if m else 0
     diag = []
     top = 0
     while top < rows and top < cols:
-        pr = pc = None
-        for r in range(top, rows):
-            for c in range(top, cols):
-                if m[r][c]:
-                    pr, pc = r, c
-                    break
-            if pr is not None:
-                break
-        if pr is None:
+        nonzero = [(abs(m[r][c]), r, c) for r in range(top, rows)
+                   for c in range(top, cols) if m[r][c]]
+        if not nonzero:
             break
+        _, pr, pc = min(nonzero)
         m[top], m[pr] = m[pr], m[top]
         for row in m:
             row[top], row[pc] = row[pc], row[top]

@@ -1,18 +1,24 @@
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bandkh import cli
+from bandkh.chainmaps import ChainMapError
 from bandkh.cli import (
     ParseError,
     _find_r3_sites,
     emit_diagram,
+    load_diagram,
     main,
     parse_diagram,
 )
 from bandkh.diagram import R3Site, SiteError, apply_r3, mirror, validate_r3_site
-from bandkh.homology import homology, table_isomorphic
+from bandkh.homology import HomologyError, homology, table_isomorphic
+from bandkh.skein import SkeinError
 from bandkh.state_complex import GradedComplex
 from bandkh.surface import UnsupportedSurfaceError
 
@@ -198,6 +204,23 @@ def test_cli_non_utf8_file_names_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3:")
     assert "UTF-8" in err
+    path.write_bytes(b"surface planar_holes 1\rloop : a\r\n# caf\xe9\n")
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("command, runner, error", [
+    ("homology", "run_homology", HomologyError),
+    ("verify", "run_verify", ChainMapError),
+    ("bracket", "run_bracket", SkeinError)])
+def test_cli_library_errors_exit_2(tmp_path, capsys, monkeypatch, command,
+                                   runner, error):
+    def fail(*_args):
+        raise error("no such group")
+
+    monkeypatch.setattr(cli, runner, fail)
+    assert run_cli(tmp_path, LOOP_A, command) == 2
+    assert capsys.readouterr().err == "error: no such group\n"
 
 
 def test_cli_verify_triangle_runs_r3(tmp_path, capsys):
@@ -245,6 +268,26 @@ def test_parse_raises_only_input_errors(text):
         pass
 
 
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(), st.builds(
+    lambda lines, sep: sep.join(lines).encode(),
+    st.lists(_LINES, max_size=12), _BREAKS)))
+@example(b"surface planar_holes 1\r\nloop : a\r# caf\xe9\n")
+def test_load_raises_only_input_errors(data):
+    handle, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(handle, "wb") as out:
+            out.write(data)
+        load_diagram(path)
+    except (ParseError, UnsupportedSurfaceError):
+        pass
+    finally:
+        os.unlink(path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES))
 def test_emit_parse_roundtrip(seed, surface):
@@ -266,6 +309,14 @@ def test_parse_errors_name_the_offending_line():
     with pytest.raises(ParseError, match=r"^line 3: unmatched crossing slots: "
                                          r"\[\('y', 0\), \('y', 1\)"):
         parse_diagram(unmatched)
+    # A form feed, NEL or U+2028 inside a comment ends neither the comment
+    # nor the line; \r and \r\n do end a line.
+    commented = "surface planar_holes 0\n# note\x0c here\x85 and\u2028 there\nloop :"
+    assert parse_diagram(commented).loops == ((),)
+    with pytest.raises(ParseError, match=r"^line 4: unknown declaration 'bogus'"):
+        parse_diagram(commented + "\r\nbogus\n")
+    with pytest.raises(ParseError, match=r"^line 3: unknown declaration 'bogus'"):
+        parse_diagram("surface planar_holes 0\r# x\x0c y\rbogus\r")
 
 
 def test_cli_superscript_slot_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh.diagram import reorder_crossings
@@ -34,6 +34,14 @@ from helpers import (
 )
 
 
+#: U . diag(1, 1, 1, 1, 2, 3) . V, on which the oracle's entries once grew
+#: without bound when it pivoted on the first nonzero entry.
+PLANTED_8X7 = [[7, 0, 1, 1, 0, -5, 0], [-8, 1, 3, 4, 0, 0, -5],
+               [0, 0, 2, 2, 0, -2, -2], [-6, 0, 0, 0, 0, 3, 0],
+               [1, 0, 3, 2, 0, -2, -1], [-8, 1, 3, 4, 0, 0, -5],
+               [6, -1, -2, -2, 0, -1, 2], [7, -1, -2, -2, 0, -2, 2]]
+
+
 def test_snf_examples():
     assert smith_normal_form([[2, 0], [0, 0]]) == (2,)
     assert smith_normal_form([[1, 1], [1, 1]]) == (1,)
@@ -41,6 +49,7 @@ def test_snf_examples():
     assert smith_normal_form([]) == ()
     assert smith_normal_form([[0, 0], [0, 0]]) == ()
     assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == (1, 1, 6)
+    assert smith_normal_form(PLANTED_8X7) == (1, 1, 1, 1, 1, 6)
 
 
 def test_snf_random_properties():
@@ -64,6 +73,7 @@ def integer_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
+@example(PLANTED_8X7)
 def test_snf_matches_naive_oracle(m):
     assert smith_normal_form(m) == tuple(dense_oracle._snf_diagonal(m))
 
@@ -95,7 +105,8 @@ def test_snf_finds_planted_torsion(units, extra_rows, extra_cols, planted, rng):
     d = [[diagonal[r] if r == c and r < len(diagonal) else 0 for c in range(cols)]
          for r in range(rows)]
     m = _mat_mul(_mat_mul(_unimodular(rows, rng), d), _unimodular(cols, rng))
-    assert smith_normal_form(m) == (1,) * units + expected
+    assert smith_normal_form(m) == (1,) * units + expected \
+        == tuple(dense_oracle._snf_diagonal(m))
 
 
 def test_divisor_chain():

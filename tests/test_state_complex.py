@@ -195,13 +195,27 @@ def _check_flip_rules(cx):
                 == incident
 
 
+def _check_blocks(cx):
+    """Every dense block of d and d+, and every (j, s) verdict of d o d,
+    equal the per-block oracle's."""
+    keys = set(cx.buckets) | {(i + 2, j, s) for (i, j, s) in cx.buckets}
+    for key in keys:
+        assert cx.differential(key) == dense_oracle.assemble(cx, key)
+        assert cx.d_plus(key) == dense_oracle.assemble(cx, key, 1)
+    assert list(cx.d_squared_blocks().items()) == \
+        list(dense_oracle.d_squared_blocks(cx).items())
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1))
 @example(0, 4)
-def test_flip_rule_matches_per_state_oracle(seed, surface):
+def test_differential_matches_dense_oracle(seed, surface):
+    """The one-sweep sparse blocks, their d o d verdicts and the bit-coded
+    resmoothings against the per-state oracle, on the unfrozen complex, a
+    skein triple's frozen ones, an R2 pair's and a non-embeddable diagram."""
     rng = random.Random(seed)
     d = random_diagram(ALL_SURFACES[surface], rng, max_crossings=4)
-    complexes = [GradedComplex(d)]
+    complexes = [GradedComplex(d), GradedComplex(crosscap_shadow())]
     if d.n_crossings:
         triple = skein_triple(d, rng.randrange(d.n_crossings))
         complexes += [triple.c0, triple.cinf]
@@ -214,6 +228,7 @@ def test_flip_rule_matches_per_state_oracle(seed, surface):
         complexes += [pair.small, pair.tilde]
     for cx in complexes:
         _check_flip_rules(cx)
+        _check_blocks(cx)
 
 
 def test_flip_rule_derived_once_per_markers_and_crossing(monkeypatch):
