@@ -31,8 +31,9 @@ from .diagram import (
     smooth_crossing,
     validate_r3_site,
 )
-from .homology import FIELD_RANKS, homology
+from .homology import FIELD_RANKS, eliminate_units, homology
 from .state_complex import (
+    Columns,
     EnhancedState,
     GradedComplex,
     GradingKey,
@@ -424,18 +425,24 @@ def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
 # Homology-level exactness over a field
 # ---------------------------------------------------------------------------
 
-def _block_rank(rank: Callable[[Matrix], int], f: Matrix, a: Matrix,
-                b: Matrix) -> int:
-    """Rank of the block matrix [[f, b], [a, 0]].
+def _block_rank(f: Matrix, a: Columns, b: Columns,
+                a_rows: int) -> tuple[int, Matrix]:
+    """The block matrix [[f, b], [a, 0]] reduced by :func:`eliminate_units`.
 
-    With ``a`` the differential out of f's source and ``b`` the differential
-    into f's target, this is rank a + rank b + the rank that f induces on
+    Its rank over any field is the unit count plus the residue's rank.  With
+    ``a`` the differential out of f's source and ``b`` the differential into
+    f's target, that rank is rank a + rank b + the rank that f induces on
     homology (Marsaglia and Styan's rank identity), so no kernel basis is
-    needed.  ``f`` and ``b`` must have the same number of rows.
+    needed.  ``f`` is dense; ``a`` (``a_rows`` rows, one column per column
+    of f) and ``b`` (f's rows) are sparse columns.
     """
-    width = len(b[0]) if b else 0
-    return rank([fr + br for fr, br in zip(f, b, strict=True)]
-                + [ar + [0] * width for ar in a])
+    top = len(f)
+    stacked = [[(top + r, v) for r, v in col] for col in a]
+    for r, row in enumerate(f):
+        for c, v in enumerate(row):
+            if v:
+                stacked[c].append((r, v))
+    return eliminate_units(stacked + b, top + a_rows)
 
 
 @dataclass
@@ -458,6 +465,28 @@ def long_exact_sequence_check(t: SkeinTriple,
     gamma_hat = viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
+    # Each d block and each block matrix is eliminated once for every
+    # field; only the residue's rank is taken per field.
+    d_reduced: dict[tuple[GradedComplex, GradingKey], tuple[int, Matrix]] = {}
+    map_reduced: dict[tuple[str, GradingKey], tuple[int, Matrix]] = {}
+
+    def reduce_d(cx: GradedComplex, key: GradingKey) -> tuple[int, Matrix]:
+        if (cx, key) not in d_reduced:
+            i, j, s = key
+            d_reduced[(cx, key)] = eliminate_units(cx.columns(key),
+                                                   cx.dim((i - 2, j, s)))
+        return d_reduced[(cx, key)]
+
+    def reduce_map(chmap: ChainMap, key: GradingKey) -> tuple[int, Matrix]:
+        """The map out of one position is the map into the next."""
+        if (chmap.name, key) not in map_reduced:
+            i, j, s = key
+            ti, tj, ts = chmap.grading(key)
+            map_reduced[(chmap.name, key)] = _block_rank(
+                chmap.block(key), chmap.source.columns(key),
+                chmap.target.columns((ti + 2, tj, ts)),
+                chmap.source.dim((i - 2, j, s)))
+        return map_reduced[(chmap.name, key)]
 
     for ftag in fields:
         rank = FIELD_RANKS.get(ftag)
@@ -468,7 +497,8 @@ def long_exact_sequence_check(t: SkeinTriple,
         def d_rank(cx: GradedComplex, key: GradingKey) -> int:
             """Rank of the differential out of ``key``, once per field."""
             if (cx, key) not in d_ranks:
-                d_ranks[(cx, key)] = rank(cx.differential(key))
+                units, residue = reduce_d(cx, key)
+                d_ranks[(cx, key)] = units + rank(residue)
             return d_ranks[(cx, key)]
 
         def h_dim(cx: GradedComplex, key: GradingKey) -> int:
@@ -478,16 +508,13 @@ def long_exact_sequence_check(t: SkeinTriple,
         induced: dict[tuple[str, GradingKey], int] = {}
 
         def induced_rank(chmap: ChainMap, key: GradingKey) -> int:
-            """Rank induced on homology, once per field: the map out of one
-            position is the map into the next."""
+            """Rank induced on homology, once per field."""
             if (chmap.name, key) not in induced:
                 ti, tj, ts = chmap.grading(key)
-                b_key = (ti + 2, tj, ts)
-                whole = _block_rank(rank, chmap.block(key),
-                                    chmap.source.differential(key),
-                                    chmap.target.differential(b_key))
-                induced[(chmap.name, key)] = (whole - d_rank(chmap.source, key)
-                                              - d_rank(chmap.target, b_key))
+                units, residue = reduce_map(chmap, key)
+                induced[(chmap.name, key)] = (units + rank(residue)
+                                              - d_rank(chmap.source, key)
+                                              - d_rank(chmap.target, (ti + 2, tj, ts)))
             return induced[(chmap.name, key)]
 
         candidates: set[GradingKey] = set()

@@ -19,6 +19,7 @@ letter.  Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -374,7 +375,10 @@ def run_moves(diagram: Diagram, move: str, site: str, out_path: str | None,
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="bandkh",
         description="Khovanov-type homology of band-link diagrams on surfaces")

@@ -1,9 +1,14 @@
 """Exact homology of the graded integer complexes.
 
-Everything here is arbitrary-precision integer (or small-field) linear
-algebra on the small dense blocks produced by :mod:`bandkh.state_complex`.
-Smith normal form uses elimination with pivoting on entries of minimal
-absolute value; no modular shortcuts.
+Each block of the differential is reduced in two steps, both exact over
+Z, Q and Z/2 alike.  :func:`eliminate_units` first eliminates +-1 pivots
+on the sparse columns that :class:`~bandkh.state_complex.GradedComplex`
+stores: each step is a unimodular row-and-column operation (a Schur
+complement on a unit pivot), so each pivot is one invariant factor 1 and
+one unit of rank over every field.  What survives is a small dense
+residue, reduced by :func:`smith_normal_form` over Z, or by
+:func:`rank_rational` (exact rational Bareiss) or :func:`rank_mod2` over a
+field.  No modular shortcuts.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .state_complex import GradedComplex, GradingKey, Matrix
+from .state_complex import Columns, GradedComplex, GradingKey, Matrix
 from .surface import GradingS
 
 
@@ -20,8 +25,85 @@ class HomologyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and ranks
+# Unit-pivot elimination, Smith normal form and ranks
 # ---------------------------------------------------------------------------
+
+def eliminate_units(columns: Columns, rows: int) -> tuple[int, Matrix]:
+    """Eliminate +-1 pivots of a sparse integer matrix; (pivots, residue).
+
+    ``columns`` holds each column's (row, entry) pairs, entries nonzero and
+    each row at most once per column; ``rows`` is the row count.  Each pivot
+    is a Schur complement on a unit entry, a unimodular row-and-column
+    operation, so the matrix is equivalent over Z to the identity of size
+    ``pivots`` beside the residue: its invariant factors are ``pivots`` ones
+    followed by the residue's, and its rank over any field is ``pivots``
+    plus the residue's.  The residue is dense, holds no +-1 entry and keeps
+    its surviving rows and columns in their original order; rows and
+    columns left empty drop out, so it may be ``[]``.  The input is not
+    modified.
+
+    Pivots are taken column by column in order of nonzero count, each at the
+    unit entry whose row has the fewest nonzeros, which keeps the fill-in
+    small; passes repeat while fill-in creates new units.
+
+    >>> eliminate_units([[(0, 1), (1, 2)], [(0, 1), (1, 4)]], 2)
+    (1, [[2]])
+    """
+    live = {c: dict(col) for c, col in enumerate(columns) if col}
+    where: list[set[int]] = [set() for _ in range(rows)]
+    for c, col in live.items():
+        for r in col:
+            where[r].add(c)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for c in sorted(live, key=lambda c: len(live[c])):
+            col = live.get(c)
+            if col is None:
+                continue
+            pivot = None
+            for r, v in col.items():
+                if (v == 1 or v == -1) and (
+                        pivot is None or len(where[r]) < len(where[pivot])):
+                    pivot = r
+            if pivot is None:
+                continue
+            found = True
+            units += 1
+            u = col.pop(pivot)
+            del live[c]
+            for r in col:
+                where[r].discard(c)
+            hit = where[pivot]
+            hit.discard(c)
+            # Clear the pivot row from every other column: with u = +-1 the
+            # multiplier of column c is the other column's entry times u.
+            for c2 in hit:
+                other = live[c2]
+                f = other.pop(pivot) * u
+                for r, v in col.items():
+                    x = other.get(r, 0) - f * v
+                    if x:
+                        if r not in other:
+                            where[r].add(c2)
+                        other[r] = x
+                    else:
+                        del other[r]
+                        where[r].discard(c2)
+                if not other:
+                    del live[c2]
+            hit.clear()
+    if not live:
+        return units, []
+    kept = sorted(live)
+    at = {r: k for k, r in enumerate(r for r in range(rows) if where[r])}
+    residue = [[0] * len(kept) for _ in at]
+    for k, c in enumerate(kept):
+        for r, v in live[c].items():
+            residue[at[r]][k] = v
+    return units, residue
+
 
 def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr (all positive, r = rank).
@@ -268,8 +350,10 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
 
     Over Z the result is rank plus torsion divisor chain; over Q and Z/2 the
     rank field holds the dimension and torsion is empty.  Each differential
-    block is reduced once: it is d_out of its own key and d_in of the key
-    two steps below.
+    block is reduced once, from its stored sparse columns: it is d_out of its
+    own key and d_in of the key two steps below.  Its unit pivots are
+    eliminated first; the residue routine then runs once per block, on the
+    residue, even when that is empty.
     """
     if coefficients not in COEFFICIENTS:
         raise HomologyError(f"unknown coefficients {coefficients!r}")
@@ -277,11 +361,12 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
     # Invariant factors of d out of each key; over a field each is a unit, 1.
     factors: dict[GradingKey, tuple[int, ...]] = {}
     for key in cx.buckets:
-        d_out = cx.differential(key)
+        i, j, s = key
+        units, residue = eliminate_units(cx.columns(key), cx.dim((i - 2, j, s)))
         if coefficients == "Z":
-            factors[key] = smith_normal_form(d_out)
+            factors[key] = (1,) * units + smith_normal_form(residue)
         else:
-            factors[key] = (1,) * FIELD_RANKS[coefficients](d_out)
+            factors[key] = (1,) * (units + FIELD_RANKS[coefficients](residue))
     groups: dict[GradingKey, AbelianGroup] = {}
     for (i, j, s), out in factors.items():
         # No bucket at i + 2 means d_in has no columns.

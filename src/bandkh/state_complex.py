@@ -414,15 +414,26 @@ class GradedComplex:
         """Differential signed by positive markers after the crossing instead."""
         return self._dense(key, 1)
 
+    def _d_blocks(self) -> list[Columns]:
+        """The stored sparse blocks of d by block id, assembled on first use
+        through :meth:`differential`, the assembly's one entry."""
+        if -1 not in self._blocks:
+            self.differential(next(iter(self.buckets)))
+        return self._blocks[-1]
+
+    def columns(self, key: GradingKey) -> Columns:
+        """The stored sparse block of d out of ``key``: per column, its
+        (row, entry) pairs, rows indexing the bucket at i-2.  ``[]`` for a
+        key with no bucket.  The block is shared, not copied: read it only."""
+        bid = self._bids.get(key)
+        return self._d_blocks()[bid] if bid is not None else []
+
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
         The keys come in (j, s) order.
         """
-        if -1 not in self._blocks:
-            # Assemble d through differential(), the assembly's one entry.
-            self.differential(next(iter(self.buckets)))
-        d = self._blocks[-1]
+        d = self._d_blocks()
         zero = [True] * len(d)
         for upper, lower in enumerate(self._below):
             if lower >= 0:

@@ -13,6 +13,10 @@ state, as the library did before it cached one rule per (markers, crossing).
 and :func:`d_squared_blocks` multiplies those dense blocks: the per-block
 path the library used before its one-sweep sparse assembly.
 
+:func:`block_homology` is the per-block dense reduction that
+:func:`bandkh.homology.homology` ran before it eliminated unit pivots on the
+sparse blocks.
+
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
 Z/2) row reduction, its image, and the rank modulo the boundaries.
@@ -24,6 +28,13 @@ import itertools
 from fractions import Fraction
 
 from bandkh.diagram import Diagram, smooth
+from bandkh.homology import (
+    FIELD_RANKS,
+    AbelianGroup,
+    HomologyTable,
+    divisor_chain,
+    smith_normal_form,
+)
 from bandkh.state_complex import StateKey
 from bandkh.surface import CurveKind
 
@@ -152,6 +163,13 @@ def assemble(complex_, key, counted=-1):
     return mat
 
 
+def sparse_columns(mat, cols):
+    """The sparse columns, (row, entry) pairs, of a dense matrix with
+    ``cols`` columns: the form ``GradedComplex.columns`` returns."""
+    return [[(r, row[c]) for r, row in enumerate(mat) if row[c]]
+            for c in range(cols)]
+
+
 def _mat_mul(a, b):
     inner = len(b)
     cols = len(b[0]) if b else 0
@@ -171,9 +189,11 @@ def d_squared_blocks(complex_):
 
 
 def _snf_diagonal(mat):
-    """Naive Smith reduction (Euclidean steps from a pivot of minimal
-    absolute value; the first nonzero entry let the entries of some small
-    matrices grow without bound)."""
+    """Naive Smith reduction: Euclidean steps from a pivot of minimal
+    absolute value, picked afresh whenever a step leaves a remainder, so
+    that the pivot shrinks at every step.  (Pivoting on the first nonzero
+    entry, or keeping a remainder as the pivot and sweeping on, let the
+    entries of some small matrices grow without bound.)"""
     m = [row[:] for row in mat]
     rows, cols = len(m), len(m[0]) if m else 0
     diag = []
@@ -187,39 +207,25 @@ def _snf_diagonal(mat):
         m[top], m[pr] = m[pr], m[top]
         for row in m:
             row[top], row[pc] = row[pc], row[top]
-        stable = False
-        while not stable:
-            stable = True
-            for r in range(top + 1, rows):
-                if m[r][top]:
-                    q = m[r][top] // m[top][top]
-                    for c in range(top, cols):
-                        m[r][c] -= q * m[top][c]
-                    if m[r][top]:
-                        m[top], m[r] = m[r], m[top]
-                        stable = False
-            for c in range(top + 1, cols):
-                if m[top][c]:
-                    q = m[top][c] // m[top][top]
-                    for r in range(top, rows):
-                        m[r][c] -= q * m[r][top]
-                    if m[top][c]:
-                        for row in m:
-                            row[top], row[c] = row[c], row[top]
-                        stable = False
-        bad = None
+        p = m[top][top]
         for r in range(top + 1, rows):
-            for c in range(top + 1, cols):
-                if m[r][c] % m[top][top]:
-                    bad = r
-                    break
-            if bad is not None:
-                break
+            q = m[r][top] // p
+            for c in range(top, cols):
+                m[r][c] -= q * m[top][c]
+        for c in range(top + 1, cols):
+            q = m[top][c] // p
+            for r in range(top, rows):
+                m[r][c] -= q * m[r][top]
+        if any(m[r][top] for r in range(top + 1, rows)) or \
+                any(m[top][c] for c in range(top + 1, cols)):
+            continue  # a remainder smaller than p is the next pivot
+        bad = next((r for r in range(top + 1, rows)
+                    for c in range(top + 1, cols) if m[r][c] % p), None)
         if bad is not None:
             for c in range(top, cols):
                 m[top][c] += m[bad][c]
             continue
-        diag.append(abs(m[top][top]))
+        diag.append(abs(p))
         top += 1
     return diag
 
@@ -245,6 +251,28 @@ def dense_homology_by_ij(diagram: Diagram):
         if rank or torsion:
             result[(i, j)] = (rank, torsion)
     return result
+
+
+def block_homology(complex_, coefficients="Z"):
+    """The homology table by the per-block path the library used before
+    unit-pivot elimination: a dense view of every block of d, reduced whole
+    by ``smith_normal_form`` over Z or by the field's dense rank."""
+    complex_.check_d_squared()
+    factors = {}
+    for key in complex_.buckets:
+        d_out = complex_.differential(key)
+        if coefficients == "Z":
+            factors[key] = smith_normal_form(d_out)
+        else:
+            factors[key] = (1,) * FIELD_RANKS[coefficients](d_out)
+    groups = {}
+    for (i, j, s), out in factors.items():
+        into = factors.get((i + 2, j, s), ())
+        rank = complex_.dim((i, j, s)) - len(out) - len(into)
+        torsion = divisor_chain(t for t in into if t > 1)
+        if rank or torsion:
+            groups[(i, j, s)] = AbelianGroup(rank, torsion)
+    return HomologyTable(groups, coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,19 @@ def test_cli_bracket_and_euler(tmp_path, capsys):
     assert "a:+1\t1*A^0" in out
 
 
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--coefficients=R", "d.txt"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert run_cli(tmp_path, TWO_CROSSING, "homology", "--coefficients=Q") == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_cli_verify_all_passes(tmp_path, capsys):
     code = run_cli(tmp_path, TWO_CROSSING, "verify", "--suite=all")
     out = capsys.readouterr().out

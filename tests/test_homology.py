@@ -5,13 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
+from bandkh.chainmaps import skein_triple
 from bandkh.diagram import reorder_crossings
 from bandkh.homology import (
+    COEFFICIENTS,
     FIELD_RANKS,
     AbelianGroup,
     HomologyError,
     aggregate_handlebody,
     divisor_chain,
+    eliminate_units,
     euler_characteristic_consistent,
     homology,
     rank_mod2,
@@ -31,6 +34,7 @@ from helpers import (
     loops_diagram,
     random_diagram,
     trefoil,
+    twist_pair,
 )
 
 
@@ -107,6 +111,71 @@ def test_snf_finds_planted_torsion(units, extra_rows, extra_cols, planted, rng):
     m = _mat_mul(_mat_mul(_unimodular(rows, rng), d), _unimodular(cols, rng))
     assert smith_normal_form(m) == (1,) * units + expected \
         == tuple(dense_oracle._snf_diagonal(m))
+
+
+def _check_elimination(m, cols):
+    """Unit elimination plus the dense routine on its residue agrees with
+    the dense routines on the whole matrix, over Z, Q and Z/2."""
+    columns = dense_oracle.sparse_columns(m, cols)
+    before = [list(col) for col in columns]
+    units, residue = eliminate_units(columns, len(m))
+    assert columns == before
+    assert not any(v in (1, -1) for row in residue for v in row)
+    assert all(any(row) for row in residue)
+    assert all(any(col) for col in zip(*residue))
+    assert (1,) * units + smith_normal_form(residue) == smith_normal_form(m) \
+        == tuple(dense_oracle._snf_diagonal(m))
+    assert units + rank_rational(residue) == rank_rational(m)
+    assert units + rank_mod2(residue) == rank_mod2(m)
+    return units, residue
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(dense matrix, column count): zero rows and zero columns allowed, and
+    mostly +-1 entries, so that pivots fill in and create new units."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_matrices())
+@example((PLANTED_8X7, 7))
+@example(([], 0))
+@example(([], 3))
+@example(([[0, 0], [0, 0], [0, 0]], 2))
+@example(([[2, 1], [1, 1]], 2))
+def test_unit_elimination_matches_dense_routines(mc):
+    _check_elimination(*mc)
+
+
+def test_unit_elimination_examples():
+    assert eliminate_units([], 0) == (0, [])
+    assert eliminate_units([[], []], 4) == (0, [])
+    assert eliminate_units([[(0, 2), (1, 3)]], 2) == (0, [[2], [3]])
+    # One pivot turns the other column's 4 into 4 - 2 * 1 = 2.
+    assert eliminate_units([[(0, 1), (1, 2)], [(0, 1), (1, 4)]], 2) == (1, [[2]])
+    # After the pivot at (0, 0) the fill-in 2 - 1 = 1 is a new unit.
+    assert eliminate_units([[(0, 1), (1, 1)], [(0, 1), (1, 2)]], 2) == (2, [])
+    _check_elimination(PLANTED_8X7, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+       st.sampled_from((((2, 6, 0), (2, 6)), ((2, 3), (1, 6)),
+                        ((3, 3, 9), (3, 3, 9)))),
+       st.randoms(use_true_random=False))
+def test_unit_elimination_keeps_planted_torsion(units, extra_rows, extra_cols,
+                                                 planted, rng):
+    diagonal, expected = planted
+    diagonal = (1,) * units + diagonal
+    rows, cols = len(diagonal) + extra_rows, len(diagonal) + extra_cols
+    d = [[diagonal[r] if r == c and r < len(diagonal) else 0 for c in range(cols)]
+         for r in range(rows)]
+    m = _mat_mul(_mat_mul(_unimodular(rows, rng), d), _unimodular(cols, rng))
+    _check_elimination(m, cols)
+    assert smith_normal_form(m) == (1,) * units + expected
 
 
 def test_divisor_chain():
@@ -239,3 +308,22 @@ def test_homology_reduces_each_block_once(monkeypatch):
             calls.clear()
             homology(cx, coefficients)
             assert len(calls) == len(cx.buckets)
+
+
+def test_homology_matches_dense_block_oracle():
+    """Unit elimination on the sparse blocks gives the tables of the old
+    per-block dense reduction, over Z, Q and Z/2."""
+    rng = random.Random(15)
+    diagrams = [random_diagram(surface, rng, max_crossings=4)
+                for surface in ALL_SURFACES for _ in range(2)]
+    complexes = [GradedComplex(d) for d in diagrams]
+    for d in diagrams[::2] + [trefoil()]:
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p)
+            complexes += [t.c0, t.cp, t.cinf]
+    complexes.append(GradedComplex(twist_pair(PANTS, "a", 6)))
+    assert any(cx.frozen for cx in complexes)
+    for cx in complexes:
+        for coefficients in COEFFICIENTS:
+            assert homology(cx, coefficients) == \
+                dense_oracle.block_homology(cx, coefficients)
