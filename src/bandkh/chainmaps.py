@@ -1,10 +1,12 @@
 """Executable chain-level maps and their verification.
 
 All maps are integer matrices between the graded blocks of two
-:class:`~bandkh.state_complex.GradedComplex` objects.  The complexes of the
-two smoothings of a crossing are represented as the same diagram with that
-crossing's marker frozen, so every state of every complex in a skein triple
-lives over one diagram and no circle matching across diagrams is needed.
+:class:`~bandkh.state_complex.GradedComplex` objects, stored like the blocks
+of d as sparse columns (per source state, its (row, entry) pairs).  The
+complexes of the two smoothings of a crossing are represented as the same
+diagram with that crossing's marker frozen, so every state of every complex
+in a skein triple lives over one diagram and no circle matching across
+diagrams is needed.
 
 Naming note: several classical letters are overloaded in the literature.
 Here ``reorder_iso`` is the crossing-reorder isomorphism, ``f_embed`` and
@@ -39,6 +41,7 @@ from .state_complex import (
     GradingKey,
     Matrix,
     StateKey,
+    _dense_view,
     _mat_mul,
     _transpose,
 )
@@ -50,49 +53,6 @@ class ChainMapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Matrix utilities (zero-padded comparisons for degenerate shapes)
-# ---------------------------------------------------------------------------
-
-def mats_equal(a: Matrix, b: Matrix) -> bool:
-    for r in range(max(len(a), len(b))):
-        ra = a[r] if r < len(a) else ()
-        rb = b[r] if r < len(b) else ()
-        for c in range(max(len(ra), len(rb))):
-            va = ra[c] if c < len(ra) else 0
-            vb = rb[c] if c < len(rb) else 0
-            if va != vb:
-                return False
-    return True
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    rows = max(len(a), len(b))
-    out = []
-    for r in range(rows):
-        ra = a[r] if r < len(a) else ()
-        rb = b[r] if r < len(b) else ()
-        cols = max(len(ra), len(rb))
-        out.append([(ra[c] if c < len(ra) else 0) + (rb[c] if c < len(rb) else 0)
-                    for c in range(cols)])
-    return out
-
-
-def mat_scale(a: Matrix, x: int) -> Matrix:
-    return [[x * v for v in row] for row in a]
-
-
-def _normalize(mat: Matrix, rows: int, cols: int) -> Matrix:
-    """Zero-pad a matrix to an exact shape (degenerate products lose widths)."""
-    if len(mat) == rows and all(len(r) == cols for r in mat):
-        return mat
-    out = [[0] * cols for _ in range(rows)]
-    for r, row in enumerate(mat):
-        for c, val in enumerate(row):
-            out[r][c] = val
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Chain maps
 # ---------------------------------------------------------------------------
 
@@ -101,25 +61,34 @@ def _normalize(mat: Matrix, rows: int, cols: int) -> Matrix:
 EntriesFn = Callable[[EnhancedState], list]
 
 
+def _same(a: Columns, b: Columns, sign: int = 1) -> bool:
+    """Whether ``a == sign * b``, both with zero entries dropped."""
+    return len(a) == len(b) and all(
+        sorted(x) == sorted((r, sign * v) for r, v in y) for x, y in zip(a, b))
+
+
 @dataclass
 class ChainMap:
-    """A graded map given by one integer block per source grading key."""
+    """A graded map given by one sparse block per source grading key: per
+    source state, the (row, entry) pairs of its image, rows indexing the
+    target bucket at ``grading(key)``, zero entries dropped."""
 
     source: GradedComplex
     target: GradedComplex
     grading: Callable[[GradingKey], GradingKey]
-    blocks: dict[GradingKey, Matrix]
+    blocks: dict[GradingKey, Columns]
     name: str = ""
 
     @staticmethod
     def build(source: GradedComplex, target: GradedComplex,
               grading: Callable[[GradingKey], GradingKey],
               entries: EntriesFn, name: str = "") -> "ChainMap":
-        blocks: dict[GradingKey, Matrix] = {}
+        blocks: dict[GradingKey, Columns] = {}
         for key, bucket in source.buckets.items():
             tkey = grading(key)
-            mat = [[0] * len(bucket) for _ in range(target.dim(tkey))]
-            for col, state in enumerate(bucket):
+            columns: Columns = []
+            for state in bucket:
+                column: dict[int, int] = {}
                 for coef, tstate in entries(state):
                     if coef == 0:
                         continue
@@ -127,16 +96,19 @@ class ChainMap:
                     if got != tkey:
                         raise ChainMapError(
                             f"{name or 'map'}: state lands in {got}, expected {tkey}")
-                    mat[row][col] += coef
-            blocks[key] = mat
+                    column[row] = column.get(row, 0) + coef
+                columns.append([(r, v) for r, v in column.items() if v])
+            blocks[key] = columns
         return ChainMap(source, target, grading, blocks, name)
 
+    def columns(self, key: GradingKey) -> Columns:
+        """The stored sparse block out of ``key``; ``[]`` for a key with no
+        source bucket.  Shared, not copied: read it only."""
+        return self.blocks.get(key, [])
+
     def block(self, key: GradingKey) -> Matrix:
-        rows = self.target.dim(self.grading(key))
-        cols = self.source.dim(key)
-        if key in self.blocks:
-            return _normalize(self.blocks[key], rows, cols)
-        return [[0] * cols for _ in range(rows)]
+        """A new dense view of the block out of ``key``."""
+        return _dense_view(self.columns(key), self.target.dim(self.grading(key)))
 
     def commutes(self, sign: int = 1) -> bool:
         """d_target . M == sign * M . d_source on every block."""
@@ -145,10 +117,9 @@ class ChainMap:
             ti, tj, ts = self.grading(key)
             if self.grading((i - 2, j, s)) != (ti - 2, tj, ts):
                 raise ChainMapError("commutes() needs a shift-type grading map")
-            lhs = _mat_mul(self.target.differential((ti, tj, ts)), self.block(key))
-            rhs = mat_scale(_mat_mul(self.block((i - 2, j, s)),
-                                     self.source.differential(key)), sign)
-            if not mats_equal(lhs, rhs):
+            lhs = _mat_mul(self.target.columns((ti, tj, ts)), self.columns(key))
+            rhs = _mat_mul(self.columns((i - 2, j, s)), self.source.columns(key))
+            if not _same(lhs, rhs, sign):
                 return False
         return True
 
@@ -157,7 +128,7 @@ class ChainMap:
         if not _compatible(inner.target, self.source):
             raise ChainMapError("composition target/source mismatch")
         grading = lambda key, g1=inner.grading, g2=self.grading: g2(g1(key))
-        blocks = {key: _mat_mul(self.block(inner.grading(key)), inner.block(key))
+        blocks = {key: _mat_mul(self.columns(inner.grading(key)), inner.columns(key))
                   for key in inner.source.buckets}
         return ChainMap(inner.source, self.target, grading, blocks,
                         name or f"{self.name}.{inner.name}")
@@ -166,14 +137,22 @@ class ChainMap:
         if not (_compatible(other.source, self.source)
                 and _compatible(other.target, self.target)):
             raise ChainMapError("sum needs identical source and target")
-        blocks = {key: mat_add(self.block(key), other.block(key))
-                  for key in set(self.blocks) | set(other.blocks)}
+        blocks = {}
+        for key in set(self.blocks) | set(other.blocks):
+            columns = []
+            for x, y in zip(self.columns(key), other.columns(key)):
+                acc = dict(x)
+                for r, v in y:
+                    acc[r] = acc.get(r, 0) + v
+                columns.append([(r, v) for r, v in acc.items() if v])
+            blocks[key] = columns
         return ChainMap(self.source, self.target, self.grading, blocks,
                         name or f"{self.name}+{other.name}")
 
     def scale(self, x: int) -> "ChainMap":
         return ChainMap(self.source, self.target, self.grading,
-                        {k: mat_scale(m, x) for k, m in self.blocks.items()},
+                        {k: [[(r, x * v) for r, v in col if x] for col in m]
+                         for k, m in self.blocks.items()},
                         self.name)
 
 
@@ -237,9 +216,9 @@ def g_conjugates_differentials(cx: GradedComplex) -> bool:
     g = g_map(cx)
     for key in cx.buckets:
         i, j, s = key
-        lhs = _mat_mul(g.block((i - 2, j, s)), cx.differential(key))
-        rhs = _mat_mul(cx.d_plus(key), g.block(key))
-        if not mats_equal(lhs, rhs):
+        lhs = _mat_mul(g.columns((i - 2, j, s)), cx.columns(key))
+        rhs = _mat_mul(cx.columns(key, 1), g.columns(key))
+        if not _same(lhs, rhs):
             return False
     return True
 
@@ -283,10 +262,10 @@ def mirror_intertwines(diagram: Diagram) -> bool:
     for key in cx.buckets:
         i, j, s = key
         up = (i + 2, j, s)
-        d_tilde = _transpose(cx.differential(up), cx.dim(key), cx.dim(up))
-        lhs = _mat_mul(phi.block(up), d_tilde)
-        rhs = _mat_mul(cxm.d_plus(_negate_key(key)), phi.block(key))
-        if not mats_equal(lhs, rhs):
+        d_tilde = _transpose(cx.columns(up), cx.dim(key))
+        lhs = _mat_mul(phi.columns(up), d_tilde)
+        rhs = _mat_mul(cxm.columns(_negate_key(key), 1), phi.columns(key))
+        if not _same(lhs, rhs):
             return False
     return True
 
@@ -425,7 +404,7 @@ def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
 # Homology-level exactness over a field
 # ---------------------------------------------------------------------------
 
-def _block_rank(f: Matrix, a: Columns, b: Columns,
+def _block_rank(f: Columns, a: Columns, b: Columns, f_rows: int,
                 a_rows: int) -> tuple[int, Matrix]:
     """The block matrix [[f, b], [a, 0]] reduced by :func:`eliminate_units`.
 
@@ -433,16 +412,13 @@ def _block_rank(f: Matrix, a: Columns, b: Columns,
     ``a`` the differential out of f's source and ``b`` the differential into
     f's target, that rank is rank a + rank b + the rank that f induces on
     homology (Marsaglia and Styan's rank identity), so no kernel basis is
-    needed.  ``f`` is dense; ``a`` (``a_rows`` rows, one column per column
-    of f) and ``b`` (f's rows) are sparse columns.
+    needed.  All three are sparse columns: ``f`` has ``f_rows`` rows, ``a``
+    has ``a_rows`` rows and one column per column of f, and ``b`` has f's
+    rows.
     """
-    top = len(f)
-    stacked = [[(top + r, v) for r, v in col] for col in a]
-    for r, row in enumerate(f):
-        for c, v in enumerate(row):
-            if v:
-                stacked[c].append((r, v))
-    return eliminate_units(stacked + b, top + a_rows)
+    stacked = [[(f_rows + r, v) for r, v in a_col] + f_col
+               for a_col, f_col in zip(a, f)]
+    return eliminate_units(stacked + b, f_rows + a_rows)
 
 
 @dataclass
@@ -483,9 +459,9 @@ def long_exact_sequence_check(t: SkeinTriple,
             i, j, s = key
             ti, tj, ts = chmap.grading(key)
             map_reduced[(chmap.name, key)] = _block_rank(
-                chmap.block(key), chmap.source.columns(key),
+                chmap.columns(key), chmap.source.columns(key),
                 chmap.target.columns((ti + 2, tj, ts)),
-                chmap.source.dim((i - 2, j, s)))
+                chmap.target.dim((ti, tj, ts)), chmap.source.dim((i - 2, j, s)))
         return map_reduced[(chmap.name, key)]
 
     for ftag in fields:
@@ -822,34 +798,25 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
                   rho, rho3, beta, section, rho2, viro_beta_bar(triple).compose(rho2))
 
 
-def c_prime_columns(data: R3Data, key: GradingKey) -> Matrix:
-    """Columns spanning the subcomplex C' of C(D) at one grading key.
+def c_prime_columns(data: R3Data, key: GradingKey) -> Columns:
+    """Sparse columns spanning the subcomplex C' of C(D) at one grading key.
 
     C' is spanned by all states with a negative marker at p together with
     the image of the undone complex under beta_bar . rho_II.
     """
-    cp = data.triple.cp
-    bucket = cp.buckets.get(key, [])
-    cols: list[list[int]] = []
-    for n, s in enumerate(bucket):
-        if s.markers[0] < 0:
-            col = [0] * len(bucket)
-            col[n] = 1
-            cols.append(col)
+    bucket = data.triple.cp.buckets.get(key, [])
     i, j, s0 = key
-    small_key = (i - 1, j - 1, s0)
-    block = data.lift.block(small_key)
-    for c in range(data.pair.small.dim(small_key)):
-        cols.append([block[r][c] for r in range(len(bucket))])
-    return [[cols[c][r] for c in range(len(cols))] for r in range(len(bucket))]
+    return ([[(n, 1)] for n, s in enumerate(bucket) if s.markers[0] < 0]
+            + data.lift.columns((i - 1, j - 1, s0)))
 
 
 def membership_in_c_prime(data: R3Data, key: GradingKey,
-                          vec: Sequence[int]) -> bool:
-    """x is in C' iff beta(x) equals rho_II of its (v:-1, w:+1) component."""
+                          column: list[tuple[int, int]]) -> bool:
+    """x (one sparse column) is in C' iff beta(x) equals rho_II of its
+    (v:-1, w:+1) component."""
     i, j, s0 = key
     bkey = (i - 1, j - 1, s0)
-    y = _mat_mul(data.beta.block(key), [[x] for x in vec])
-    small = _mat_mul(data.section.block(bkey), y)
-    back = _mat_mul(data.rho2.block(bkey), small)
-    return mats_equal(y, back)
+    y = _mat_mul(data.beta.columns(key), [column])
+    small = _mat_mul(data.section.columns(bkey), y)
+    back = _mat_mul(data.rho2.columns(bkey), small)
+    return _same(y, back)

@@ -79,19 +79,6 @@ class EnhancedState:
         return (self.i, self.j, self.s)
 
 
-def _state_text(circles: Sequence[Circle], markers: MarkerVector,
-                labels: Sequence[int]) -> str:
-    marks = "".join("+" if m > 0 else "-" for m in markers)
-    parts = []
-    for circ, lab in zip(circles, labels):
-        sign = "+" if lab > 0 else "-"
-        if circ.kind is CurveKind.TRIVIAL:
-            parts.append(f"(triv:{sign})")
-        else:
-            parts.append(f"({circ.cls.text}:{sign}0)")
-    return marks + " " + "".join(parts) if parts else marks
-
-
 class StateKey(NamedTuple):
     """A state named by its markers and labels, the key of ``GradedComplex.index``;
     only enumeration builds the graded :class:`EnhancedState` objects."""
@@ -182,6 +169,7 @@ class GradedComplex:
         self._blocks: dict[int, list[Columns]] = {}
         self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._enumerate()
 
     # -- construction ---------------------------------------------------
@@ -262,14 +250,6 @@ class GradedComplex:
 
     def locate(self, markers: MarkerVector, labels: Sequence[int]) -> tuple[GradingKey, int]:
         return self.index[(markers, tuple(labels))]
-
-    def state_text(self, state: EnhancedState) -> str:
-        return _state_text(self.smoothing(state.markers).circles,
-                           state.markers, state.labels)
-
-    def t_count(self, state: EnhancedState, pos: int) -> int:
-        """Negative free markers at crossings ordered after ``pos``."""
-        return sum(1 for q in self.free if q > pos and state.markers[q] < 0)
 
     # -- the differential ---------------------------------------------------
 
@@ -393,17 +373,10 @@ class GradedComplex:
 
     def _dense(self, key: GradingKey, counted: int) -> Matrix:
         """Dense view of a block of the sweep for ``counted``, run once."""
-        blocks = self._blocks.get(counted)
-        if blocks is None:
-            blocks = self._blocks[counted] = self._sweep(counted)
+        if counted not in self._blocks:
+            self._blocks[counted] = self._sweep(counted)
         i, j, s = key
-        bid = self._bids.get(key)
-        columns = blocks[bid] if bid is not None else []
-        mat = [[0] * len(columns) for _ in range(self.dim((i - 2, j, s)))]
-        for c, column in enumerate(columns):
-            for r, v in column:
-                mat[r][c] = v
-        return mat
+        return _dense_view(self.columns(key, counted), self.dim((i - 2, j, s)))
 
     def differential(self, key: GradingKey) -> Matrix:
         """Matrix of d from the bucket at ``key`` to the bucket at i-2: a new
@@ -414,34 +387,32 @@ class GradedComplex:
         """Differential signed by positive markers after the crossing instead."""
         return self._dense(key, 1)
 
-    def _d_blocks(self) -> list[Columns]:
-        """The stored sparse blocks of d by block id, assembled on first use
-        through :meth:`differential`, the assembly's one entry."""
-        if -1 not in self._blocks:
-            self.differential(next(iter(self.buckets)))
-        return self._blocks[-1]
-
-    def columns(self, key: GradingKey) -> Columns:
-        """The stored sparse block of d out of ``key``: per column, its
-        (row, entry) pairs, rows indexing the bucket at i-2.  ``[]`` for a
-        key with no bucket.  The block is shared, not copied: read it only."""
+    def columns(self, key: GradingKey, counted: int = -1) -> Columns:
+        """The stored sparse block of d (``counted`` -1) or d+ (+1) out of
+        ``key``: per column, its (row, entry) pairs, rows indexing the bucket
+        at i-2.  ``[]`` for a key with no bucket.  The block is shared, not
+        copied: read it only.  The blocks are assembled on first use through
+        :meth:`differential` or :meth:`d_plus`, the assembly's one entry."""
+        if counted not in self._blocks:
+            (self.differential if counted < 0 else self.d_plus)(
+                next(iter(self.buckets)))
         bid = self._bids.get(key)
-        return self._d_blocks()[bid] if bid is not None else []
+        return self._blocks[counted][bid] if bid is not None else []
 
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.
+        The keys come in (j, s) order.  Computed on the first call and
+        stored: read the result only.
         """
-        d = self._d_blocks()
-        zero = [True] * len(d)
-        for upper, lower in enumerate(self._below):
-            if lower >= 0:
-                zero[lower] = all(_vanishes(col, d[lower]) for col in d[upper])
-        ok: dict[tuple[int, GradingS], bool] = {}
-        for (i, j, s), z in zip(self.buckets, zero):
-            ok[(j, s)] = ok.get((j, s), True) and z
-        return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], k[1].sort_key))}
+        if self._d2 is None:
+            ok: dict[tuple[int, GradingS], bool] = {}
+            for (i, j, s) in self.gradings():
+                zero = not any(_mat_mul(self.columns((i - 2, j, s)),
+                                        self.columns((i, j, s))))
+                ok[(j, s)] = ok.get((j, s), True) and zero
+            self._d2 = ok
+        return self._d2
 
     def check_d_squared(self) -> None:
         """Raise :class:`ComplexError` unless d composed with itself is zero."""
@@ -452,62 +423,52 @@ class GradedComplex:
                     f"(j={j},s={s.text}); the diagram is not drawable on the "
                     "declared surface")
 
-    def dual_matrices(self) -> dict[GradingKey, Matrix]:
-        """Cochain blocks: the map out of (i, j, s) raising i by 2.
+    def dual_matrices(self) -> dict[GradingKey, Columns]:
+        """Cochain blocks as sparse columns: the map out of (i, j, s) raising
+        i by 2.
 
         The block at (i, j, s) is the transpose of the differential block at
         (i+2, j, s); identifying each state with its dual basis vector makes
         this the coboundary.
         """
-        out = {}
-        for (i, j, s) in self.buckets:
-            out[(i, j, s)] = _transpose(self.differential((i + 2, j, s)),
-                                        self.dim((i, j, s)), self.dim((i + 2, j, s)))
-        return out
-
-
-def _vanishes(column: list[tuple[int, int]], lower: Columns) -> bool:
-    """Whether ``lower`` maps the sparse ``column`` to zero."""
-    acc: dict[int, int] = {}
-    for r, v in column:
-        for r2, w in lower[r]:
-            acc[r2] = acc.get(r2, 0) + v * w
-    return not any(acc.values())
-
-
-def incidence_number(complex_: GradedComplex, s_from: EnhancedState | StateKey,
-                     s_to: EnhancedState | StateKey, pos: int) -> int:
-    """1 when the flip at ``pos`` connects the two states, else 0."""
-    return int(StateKey(s_to.markers, s_to.labels)
-               in complex_.resmoothings(s_from, pos))
+        return {key: _transpose(self.columns((key[0] + 2, key[1], key[2])),
+                                self.dim(key))
+                for key in self.buckets}
 
 
 # ---------------------------------------------------------------------------
-# Small exact integer matrix helpers shared across modules
+# Sparse integer matrices: for each column, its (row, entry) pairs
 # ---------------------------------------------------------------------------
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for r in range(n):
-        ar = a[r]
-        orow = out[r]
-        for t in range(k):
-            x = ar[t]
-            if x:
-                brow = b[t]
-                for c in range(m):
-                    if brow[c]:
-                        orow[c] += x * brow[c]
+def _mat_mul(a: Columns, b: Columns) -> Columns:
+    """The product a . b: column c is ``a`` applied to column c of ``b``.
+    Entries that cancel are dropped; rows come in no fixed order."""
+    out = []
+    for column in b:
+        acc: dict[int, int] = {}
+        for r, v in column:
+            for r2, w in a[r]:
+                acc[r2] = acc.get(r2, 0) + v * w
+        # In the d o d check nearly every column cancels: the scan keeps
+        # the product as fast as testing for zero alone.
+        out.append([(r, v) for r, v in acc.items() if v]
+                   if any(acc.values()) else [])
     return out
 
 
-def _transpose(mat: Matrix, rows: int, cols: int) -> Matrix:
-    out = [[0] * rows for _ in range(cols)]
-    for r in range(rows):
-        for c in range(cols):
-            if mat[r][c]:
-                out[c][r] = mat[r][c]
+def _transpose(mat: Columns, rows: int) -> Columns:
+    """The transpose of ``mat``, which has ``rows`` rows."""
+    out: Columns = [[] for _ in range(rows)]
+    for c, column in enumerate(mat):
+        for r, v in column:
+            out[r].append((c, v))
+    return out
+
+
+def _dense_view(mat: Columns, rows: int) -> Matrix:
+    """A new dense ``rows`` x ``len(mat)`` copy of ``mat``."""
+    out = [[0] * len(mat) for _ in range(rows)]
+    for c, column in enumerate(mat):
+        for r, v in column:
+            out[r][c] = v
     return out

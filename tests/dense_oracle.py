@@ -13,6 +13,10 @@ state, as the library did before it cached one rule per (markers, crossing).
 and :func:`d_squared_blocks` multiplies those dense blocks: the per-block
 path the library used before its one-sweep sparse assembly.
 
+:func:`dense_matrix`, :func:`_mat_mul`, :func:`mats_equal` and
+:func:`mat_add` are the dense matrix helpers the library used before its
+differentials and chain maps became sparse columns.
+
 :func:`block_homology` is the per-block dense reduction that
 :func:`bandkh.homology.homology` ran before it eliminated unit pivots on the
 sparse blocks.
@@ -170,11 +174,47 @@ def sparse_columns(mat, cols):
             for c in range(cols)]
 
 
+def dense_matrix(columns, rows):
+    """The dense ``rows`` x ``len(columns)`` matrix of sparse columns."""
+    mat = [[0] * len(columns) for _ in range(rows)]
+    for c, column in enumerate(columns):
+        for r, v in column:
+            mat[r][c] += v
+    return mat
+
+
 def _mat_mul(a, b):
     inner = len(b)
     cols = len(b[0]) if b else 0
     return [[sum(row[t] * b[t][c] for t in range(inner)) for c in range(cols)]
             for row in a]
+
+
+def mats_equal(a, b):
+    """Entrywise equality, shorter rows and missing rows read as zeros
+    (dense products of degenerate shapes lose widths)."""
+    for r in range(max(len(a), len(b))):
+        ra = a[r] if r < len(a) else ()
+        rb = b[r] if r < len(b) else ()
+        for c in range(max(len(ra), len(rb))):
+            va = ra[c] if c < len(ra) else 0
+            vb = rb[c] if c < len(rb) else 0
+            if va != vb:
+                return False
+    return True
+
+
+def mat_add(a, b):
+    """Entrywise sum, zero-padded to the larger shape."""
+    rows = max(len(a), len(b))
+    out = []
+    for r in range(rows):
+        ra = a[r] if r < len(a) else ()
+        rb = b[r] if r < len(b) else ()
+        cols = max(len(ra), len(rb))
+        out.append([(ra[c] if c < len(ra) else 0) + (rb[c] if c < len(rb) else 0)
+                    for c in range(cols)])
+    return out
 
 
 def d_squared_blocks(complex_):

@@ -22,7 +22,8 @@ from bandkh.diagram import (
     apply_r2,
     reorder_crossings,
 )
-from bandkh.surface import SurfaceModel, Word, classify, parse_word
+from bandkh.state_complex import StateKey
+from bandkh.surface import CurveKind, SurfaceModel, Word, classify, parse_word
 
 # ---------------------------------------------------------------------------
 # Surfaces and their families of pairwise-disjoint simple curve words
@@ -404,3 +405,30 @@ def classify_two_crossing(diagram: Diagram) -> frozenset:
     for e in diagram.edges:
         pairs.append(((names[e.a[0]], e.a[1]), (names[e.b[0]], e.b[1])))
     return _canonical_matching(frozenset(frozenset(p) for p in pairs))
+
+
+# ---------------------------------------------------------------------------
+# Reading states of a complex
+# ---------------------------------------------------------------------------
+
+def state_text(cx, state) -> str:
+    """A state as its markers, then per circle its class and label."""
+    marks = "".join("+" if m > 0 else "-" for m in state.markers)
+    parts = []
+    for circ, lab in zip(cx.smoothing(state.markers).circles, state.labels):
+        sign = "+" if lab > 0 else "-"
+        if circ.kind is CurveKind.TRIVIAL:
+            parts.append(f"(triv:{sign})")
+        else:
+            parts.append(f"({circ.cls.text}:{sign}0)")
+    return marks + " " + "".join(parts) if parts else marks
+
+
+def t_count(cx, state, pos: int) -> int:
+    """Negative free markers at crossings ordered after ``pos``."""
+    return sum(1 for q in cx.free if q > pos and state.markers[q] < 0)
+
+
+def incidence_number(cx, s_from, s_to, pos: int) -> int:
+    """1 when the flip at ``pos`` connects the two states, else 0."""
+    return int(StateKey(s_to.markers, s_to.labels) in cx.resmoothings(s_from, pos))

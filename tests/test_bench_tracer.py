@@ -43,3 +43,18 @@ def test_tracer_wraps_every_span_and_counters_read_blocks():
     states, largest, nnz, cells = counters.dense_block_sizes(GradedComplex(d))
     assert (states, largest) == (12, 2)
     assert 0 < nnz <= cells
+
+
+def test_d_squared_blocks_alone_records_the_d2_span():
+    """``verify --suite=d2`` calls only GradedComplex.d_squared_blocks."""
+    cx = GradedComplex(twist_pair(DISK, "", 2))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        assert all(cx.d_squared_blocks().values())
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    calls, self_s = tracer.totals()["state_complex.d2"]
+    assert calls > 0 and self_s > 0

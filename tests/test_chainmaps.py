@@ -9,6 +9,7 @@ from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
 from bandkh.homology import FIELD_RANKS, homology, table_isomorphic
 from bandkh.chainmaps import (
     _block_rank,
+    ChainMap,
     ChainMapError,
     c_prime_columns,
     duality_check,
@@ -22,8 +23,6 @@ from bandkh.chainmaps import (
     membership_in_c_prime,
     mirror_intertwines,
     mirror_map,
-    mat_add,
-    mats_equal,
     r2_pair,
     r3_data,
     reorder_iso,
@@ -38,9 +37,16 @@ from bandkh.chainmaps import (
     viro_gamma,
     viro_gamma_hat,
 )
-from bandkh.state_complex import GradedComplex, _mat_mul
+from bandkh.state_complex import GradedComplex
 
-from dense_oracle import induced_rank, sparse_columns
+from dense_oracle import (
+    _mat_mul,
+    dense_matrix,
+    induced_rank,
+    mat_add,
+    mats_equal,
+    sparse_columns,
+)
 from helpers import (
     ALL_SURFACES,
     ANNULUS,
@@ -75,7 +81,8 @@ def test_viro_maps_are_chain_maps_and_sequence_is_exact():
             assert viro_gamma(t).commutes()
             assert viro_gamma_hat(t).commutes(-1)
             composite = viro_beta(t).compose(viro_alpha(t))
-            assert all(not any(r) for m in composite.blocks.values() for r in m)
+            assert all(not any(r) for key in composite.blocks
+                       for r in composite.block(key))
             report = long_exact_sequence_check(t)
             assert report.ok, report.failures
             assert report.positions_checked > 0
@@ -93,10 +100,10 @@ def map_and_differentials(draw):
     return mat(m, n), mat(p, n), mat(m, q), n
 
 
-def _formula(rank, f, a, b, a_sparse, b_sparse):
+def _formula(rank, f, a, b, f_sparse, a_sparse, b_sparse):
     """The check's rank of the sparse block matrix [[f, b], [a, 0]], less
     the dense ranks of a and b."""
-    units, residue = _block_rank(f, a_sparse, b_sparse, len(a))
+    units, residue = _block_rank(f_sparse, a_sparse, b_sparse, len(f), len(a))
     return units + rank(residue) - rank(a) - rank(b)
 
 
@@ -105,7 +112,7 @@ def _formula(rank, f, a, b, a_sparse, b_sparse):
 def test_block_rank_formula_matches_kernel_oracle(fabn):
     f, a, b, n = fabn
     for ftag, rank in FIELD_RANKS.items():
-        assert _formula(rank, f, a, b, sparse_columns(a, n),
+        assert _formula(rank, f, a, b, sparse_columns(f, n), sparse_columns(a, n),
                         sparse_columns(b, len(b[0]) if b else 0)) \
             == induced_rank(f, a, b, n, ftag)
 
@@ -123,7 +130,7 @@ def test_block_rank_formula_on_skein_triple_maps():
                     b = chmap.target.differential(b_key)
                     n = chmap.source.dim(key)
                     for ftag, rank in FIELD_RANKS.items():
-                        assert _formula(rank, f, a, b,
+                        assert _formula(rank, f, a, b, chmap.columns(key),
                                         chmap.source.columns(key),
                                         chmap.target.columns(b_key)) \
                             == induced_rank(f, a, b, n, ftag)
@@ -142,22 +149,25 @@ def test_les_check_reports_a_zeroed_connecting_map(monkeypatch):
 
 
 def test_les_check_builds_each_induced_block_once(monkeypatch):
-    """One ChainMap.block call per distinct (map, key) pair, shared by both
-    fields."""
-    calls = []
-    real = chainmaps.ChainMap.block
+    """One ChainMap.columns read per distinct (map, key) pair, shared by both
+    fields, and no dense ChainMap.block view."""
+    calls, dense = [], []
+    real = chainmaps.ChainMap.columns
 
-    def block(self, key):
+    def columns(self, key):
         calls.append((self.name, key))
         return real(self, key)
 
-    monkeypatch.setattr(chainmaps.ChainMap, "block", block)
+    monkeypatch.setattr(chainmaps.ChainMap, "columns", columns)
+    monkeypatch.setattr(chainmaps.ChainMap, "block",
+                        lambda self, key: dense.append(key))
     d = twist_pair(PANTS, "a", 4)
     for p in range(d.n_crossings):
         t = skein_triple(d, p)
         calls.clear()
         assert long_exact_sequence_check(t).ok
         assert calls and len(calls) == len(set(calls))
+    assert not dense
 
 
 def test_les_check_builds_no_dense_differential(monkeypatch):
@@ -183,6 +193,112 @@ def test_les_check_builds_no_dense_differential(monkeypatch):
 def test_les_check_rejects_unknown_field():
     with pytest.raises(ChainMapError, match="unknown field"):
         long_exact_sequence_check(skein_triple(trefoil(), 0), ("Q", "R"))
+
+
+#: Small complexes for random chain maps; under the shifted gradings some
+#: target blocks are empty, so 0-row blocks occur.
+_SMALL = (GradedComplex(twist_pair(DISK, "", 2)), GradedComplex(trefoil()))
+_GRADINGS = (lambda key: key, lambda key: (key[0], key[1] + 2, key[2]),
+             lambda key: (key[0] - 2, key[1], key[2]))
+
+
+@st.composite
+def random_map(draw, source=None, target=None, grading=None):
+    """A ChainMap with random blocks (entries -2..2) between small complexes."""
+    src = source or draw(st.sampled_from(_SMALL))
+    tgt = target or draw(st.sampled_from(_SMALL))
+    grade = grading or draw(st.sampled_from(_GRADINGS))
+    blocks = {}
+    for key in src.buckets:
+        cols = src.dim(key)
+        mat = [[draw(st.integers(-2, 2)) for _ in range(cols)]
+               for _ in range(tgt.dim(grade(key)))]
+        blocks[key] = sparse_columns(mat, cols)
+    return ChainMap(src, tgt, grade, blocks)
+
+
+def _check_dense(chmap, key, want):
+    """``chmap.block(key)`` has its full shape and equals ``want``."""
+    got = chmap.block(key)
+    rows, cols = chmap.target.dim(chmap.grading(key)), chmap.source.dim(key)
+    assert len(got) == rows and all(len(row) == cols for row in got)
+    assert mats_equal(got, want)
+    for column in chmap.columns(key):
+        assert all(v for _r, v in column)
+        assert len({r for r, _v in column}) == len(column)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_add_and_scale_match_dense(data):
+    m1 = data.draw(random_map())
+    m2 = data.draw(random_map(m1.source, m1.target, m1.grading))
+    x = data.draw(st.integers(-2, 2))
+    total, scaled = m1.add(m2), m1.scale(x)
+    for key in m1.source.buckets:
+        _check_dense(total, key, mat_add(m1.block(key), m2.block(key)))
+        _check_dense(scaled, key, [[x * v for v in row] for row in m1.block(key)])
+    # m - m cancels to the zero map.
+    zero = m1.add(m1.scale(-1))
+    assert all(not column for m in zero.blocks.values() for column in m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_compose_matches_dense_product(data):
+    inner = data.draw(random_map())
+    outer = data.draw(random_map(inner.target))
+    composite = outer.compose(inner)
+    for key in inner.source.buckets:
+        _check_dense(composite, key, _mat_mul(outer.block(inner.grading(key)),
+                                              inner.block(key)))
+
+
+def _dense_commutes(chmap, sign):
+    """The dense check of commutes(): d . M == sign * M . d on dense views."""
+    for key in set(chmap.source.buckets) | set(chmap.blocks):
+        i, j, s = key
+        lhs = _mat_mul(chmap.target.differential(chmap.grading(key)),
+                       chmap.block(key))
+        rhs = _mat_mul(chmap.block((i - 2, j, s)), chmap.source.differential(key))
+        if not mats_equal(lhs, [[sign * v for v in row] for row in rhs]):
+            return False
+    return True
+
+
+def _perturbed(chmap):
+    """``chmap`` with 1 added at one entry whose target row d does not kill,
+    which must break commutation; None when there is no such entry."""
+    for key in chmap.source.buckets:
+        d_out = chmap.target.columns(chmap.grading(key))
+        row = next((r for r, column in enumerate(d_out) if column), None)
+        if row is None:
+            continue
+        blocks = dict(chmap.blocks)
+        column = dict(blocks[key][0])
+        column[row] = column.get(row, 0) + 1
+        blocks[key] = [[(r, v) for r, v in column.items() if v]] + blocks[key][1:]
+        return ChainMap(chmap.source, chmap.target, chmap.grading, blocks)
+    return None
+
+
+def test_commutes_matches_dense_check():
+    perturbed = 0
+    for d in suite(45, 1) + [trefoil()]:
+        maps = [(eta(GradedComplex(d)), -1)]
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p)
+            maps += [(viro_alpha(t), 1), (viro_beta(t), 1), (viro_gamma(t), 1),
+                     (viro_gamma_hat(t), -1)]
+        for chmap, sign in maps:
+            assert chmap.commutes(sign) and _dense_commutes(chmap, sign)
+            assert chmap.commutes(-sign) == _dense_commutes(chmap, -sign)
+            bad = _perturbed(chmap)
+            if bad is not None:
+                perturbed += 1
+                assert not bad.commutes(sign)
+                assert not _dense_commutes(bad, sign)
+    assert perturbed > 0
 
 
 def test_viro_splittings():
@@ -391,18 +507,27 @@ def test_rho_III_identities():
         # beta' . rho_III == rho . beta, on the subcomplex C'
         b2r = viro_beta(data.triple2).compose(data.rho_III)
         rb = data.rho.compose(viro_beta(data.triple))
+        outside = 0
         for key in data.triple.cp.buckets:
-            cols = c_prime_columns(data, key)
+            cols = dense_matrix(c_prime_columns(data, key), data.triple.cp.dim(key))
             assert mats_equal(_mat_mul(b2r.block(key), cols),
                               _mat_mul(rb.block(key), cols))
             # C' is a subcomplex and rho_III is a chain map on it
             img = _mat_mul(data.triple.cp.differential(key), cols)
             low = (key[0] - 2, key[1], key[2])
             for c in range(len(img[0]) if img else 0):
-                assert membership_in_c_prime(data, low, [row[c] for row in img])
+                assert membership_in_c_prime(
+                    data, low, [(r, row[c]) for r, row in enumerate(img) if row[c]])
             lhs2 = _mat_mul(data.triple2.cp.differential(key),
                             _mat_mul(data.rho_III.block(key), cols))
             assert mats_equal(lhs2, _mat_mul(data.rho_III.block(low), img))
+            # A state with a positive marker at p outside the undone
+            # (v:-1, w:+1) pattern is not in C'.
+            for n, state in enumerate(data.triple.cp.buckets[key]):
+                if state.markers[0] > 0 and state.markers[1:3] != (-1, 1):
+                    outside += 1
+                    assert not membership_in_c_prime(data, key, [(n, 1)])
+        assert outside
         # f . gamma_hat == gamma_hat' . rho on the image subcomplex
         fg = data.f_inf.compose(viro_gamma_hat(data.triple))
         gr = viro_gamma_hat(data.triple2).compose(data.rho)

@@ -6,7 +6,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bandkh import cli
+from bandkh import cli, state_complex
 from bandkh.chainmaps import ChainMapError
 from bandkh.cli import (
     ParseError,
@@ -126,6 +126,25 @@ def test_cli_verify_all_passes(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS d2" in out and "PASS les" in out and "PASS duality" in out
+
+
+def test_verify_all_computes_d_squared_once_per_complex(tmp_path, capsys,
+                                                      monkeypatch):
+    """The d o d products run once per complex, however many suites read
+    the verdict: each stored block of d is the right factor of at most one
+    state_complex._mat_mul call under verify --suite=all."""
+    factors = []
+    real = state_complex._mat_mul
+
+    def mat_mul(a, b):
+        factors.append(b)  # kept alive, so ids are not reused
+        return real(a, b)
+
+    monkeypatch.setattr(state_complex, "_mat_mul", mat_mul)
+    assert run_cli(tmp_path, TWO_CROSSING, "verify", "--suite=all") == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert factors
+    assert len(factors) == len({id(b) for b in factors})
 
 
 def test_cli_verify_catches_non_embeddable_input(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
+from dense_oracle import _mat_mul
 from bandkh.chainmaps import skein_triple
 from bandkh.diagram import reorder_crossings
 from bandkh.homology import (
@@ -22,7 +23,7 @@ from bandkh.homology import (
     smith_normal_form,
     table_isomorphic,
 )
-from bandkh.state_complex import GradedComplex, _mat_mul
+from bandkh.state_complex import GradedComplex
 from bandkh.surface import grading_flip
 
 from helpers import (

@@ -11,7 +11,8 @@ from bandkh.homology import homology
 from bandkh.state_complex import (
     ComplexError,
     GradedComplex,
-    incidence_number,
+    _mat_mul,
+    _transpose,
 )
 from bandkh.surface import CurveKind, parse_word
 
@@ -25,11 +26,14 @@ from helpers import (
     clasp,
     chain3,
     crosscap_shadow,
+    incidence_number,
     loops_diagram,
     random_diagram,
     self_fold,
     spiral3,
+    state_text,
     surface_words,
+    t_count,
     TORUS_HOLE,
     twist_pair,
     twist_params,
@@ -172,7 +176,7 @@ def test_incidence_number_symbols():
     s_to = cx.make_state((-1,), (1,))
     assert incidence_number(cx, s_from, s_to, 0) == 1
     assert incidence_number(cx, s_from, cx.make_state((-1,), (-1,)), 0) == 0
-    assert cx.t_count(cx.make_state((1,), (1, 1)), 0) == 0
+    assert t_count(cx, cx.make_state((1,), (1, 1)), 0) == 0
 
 
 def _check_flip_rules(cx):
@@ -361,17 +365,59 @@ def test_gradings_constant_along_differential():
                     assert cx.locate(*target)[0] == (i - 2, j, s)
 
 
+@st.composite
+def dense_pair(draw):
+    """Integer a (m x k) and b (k x n) with small entries, so that sums
+    cancel often; any of m, k and n may be 0."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.integers(-2, 2)
+    a = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return a, b, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_pair())
+@example(([[1, 1]], [[1], [-1]], 1))  # the one entry cancels to zero
+@example(([[1, 2]], [[], []], 0))  # no columns
+@example(([], [[1, 0], [0, 1]], 2))  # no rows
+@example(([[], []], [], 3))  # an empty inner dimension
+def test_sparse_product_and_transpose_match_dense(case):
+    a, b, n = case
+    m, k = len(a), len(b)
+    sa, sb = dense_oracle.sparse_columns(a, k), dense_oracle.sparse_columns(b, n)
+    prod = _mat_mul(sa, sb)
+    assert len(prod) == n
+    for column in prod:
+        assert all(v for _r, v in column)
+        assert len({r for r, _v in column}) == len(column)
+    dense = dense_oracle.dense_matrix(prod, m)
+    assert dense_oracle.mats_equal(dense, dense_oracle._mat_mul(a, b))
+    assert dense == [[sum(a[r][t] * b[t][c] for t in range(k)) for c in range(n)]
+                     for r in range(m)]
+    at = _transpose(sa, m)
+    assert len(at) == m
+    assert dense_oracle.dense_matrix(at, k) == [[a[r][c] for r in range(m)]
+                                                for c in range(k)]
+    assert _transpose(at, k) == sa
+
+
 def test_dual_matrices_are_transposes():
     d = twist_pair(DISK, "", 2)
     cx = GradedComplex(d)
     duals = cx.dual_matrices()
-    for (i, j, s), block in duals.items():
-        orig = cx.differential((i + 2, j, s))
-        assert len(block) == cx.dim((i + 2, j, s))
+    for (i, j, s), columns in duals.items():
+        up = (i + 2, j, s)
+        orig = cx.differential(up)
+        assert len(columns) == cx.dim((i, j, s))
+        block = dense_oracle.dense_matrix(columns, cx.dim(up))
+        assert len(block) == cx.dim(up)
         for r in range(len(orig)):
             for c in range(len(orig[r]) if orig else 0):
                 assert orig[r][c] == block[c][r]
         # double transpose returns the original
+        assert [sorted(col) for col in _transpose(columns, cx.dim(up))] == \
+            [sorted(col) for col in cx.columns(up)]
     # rank equality is checked in homology tests
 
 
@@ -379,7 +425,7 @@ def test_state_serialization():
     d = apply_r1_neg(loops_diagram(ANNULUS, "a"), ("loop", 0))
     cx = GradedComplex(d)
     state = cx.make_state((-1,), (1, -1))
-    text = cx.state_text(state)
+    text = state_text(cx, state)
     assert text.startswith("-")
     assert "(a:+0)" in text or "(a:-0)" in text
     assert "(triv:+)" in text or "(triv:-)" in text
