@@ -112,7 +112,7 @@ class ChainMap:
 
     def commutes(self, sign: int = 1) -> bool:
         """d_target . M == sign * M . d_source on every block."""
-        for key in set(self.source.buckets) | set(self.blocks):
+        for key in set(self.source.sizes) | set(self.blocks):
             i, j, s = key
             ti, tj, ts = self.grading(key)
             if self.grading((i - 2, j, s)) != (ti - 2, tj, ts):
@@ -129,7 +129,7 @@ class ChainMap:
             raise ChainMapError("composition target/source mismatch")
         grading = lambda key, g1=inner.grading, g2=self.grading: g2(g1(key))
         blocks = {key: _mat_mul(self.columns(inner.grading(key)), inner.columns(key))
-                  for key in inner.source.buckets}
+                  for key in inner.source.sizes}
         return ChainMap(inner.source, self.target, grading, blocks,
                         name or f"{self.name}.{inner.name}")
 
@@ -214,7 +214,7 @@ def g_map(cx: GradedComplex) -> ChainMap:
 def g_conjugates_differentials(cx: GradedComplex) -> bool:
     """Check g . d == d+ . g on every block."""
     g = g_map(cx)
-    for key in cx.buckets:
+    for key in cx.sizes:
         i, j, s = key
         lhs = _mat_mul(g.columns((i - 2, j, s)), cx.columns(key))
         rhs = _mat_mul(cx.columns(key, 1), g.columns(key))
@@ -259,7 +259,7 @@ def mirror_map(diagram: Diagram) -> tuple[ChainMap, GradedComplex, GradedComplex
 def mirror_intertwines(diagram: Diagram) -> bool:
     """Check mirror_map . d~ == d+ . mirror_map, with d~ the transposed d."""
     phi, cx, cxm = mirror_map(diagram)
-    for key in cx.buckets:
+    for key in cx.sizes:
         i, j, s = key
         up = (i + 2, j, s)
         d_tilde = _transpose(cx.columns(up), cx.dim(key))
@@ -340,13 +340,17 @@ class SkeinTriple:
 
 
 def skein_triple(diagram: Diagram, p: int,
-                 extra_frozen: dict[int, int] | None = None) -> SkeinTriple:
-    base = dict(extra_frozen or {})
-    if p in base or not 0 <= p < diagram.n_crossings:
+                 cp: GradedComplex | None = None) -> SkeinTriple:
+    """The triple at crossing ``p``; ``cp``, the unfrozen complex of
+    ``diagram``, is built unless the caller passes the one it holds."""
+    if not 0 <= p < diagram.n_crossings:
         raise ChainMapError(f"bad distinguished crossing {p}")
-    cp = GradedComplex(diagram, base)
-    c0 = GradedComplex(diagram, {**base, p: 1})
-    cinf = GradedComplex(diagram, {**base, p: -1})
+    if cp is None:
+        cp = GradedComplex(diagram)
+    elif cp.frozen or cp.diagram != diagram:
+        raise ChainMapError("cp must be the unfrozen complex of the diagram")
+    c0 = GradedComplex(diagram, {p: 1})
+    cinf = GradedComplex(diagram, {p: -1})
     return SkeinTriple(diagram, p, cp, c0, cinf,
                        smooth_crossing(diagram, p, 1),
                        smooth_crossing(diagram, p, -1))
@@ -496,7 +500,7 @@ def long_exact_sequence_check(t: SkeinTriple,
         candidates: set[GradingKey] = set()
         for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
                              (t.c0, (2, 2)), (t.cinf, (2, 0))):
-            for (i, j, s) in cx.buckets:
+            for (i, j, s) in cx.sizes:
                 candidates.add((i + di, j + dj, s))
 
         done: set = set()

@@ -316,7 +316,7 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
             out.write("SKIP r3 (no valid triangle site found)\n")
     if "les" in suites:
         for p in range(diagram.n_crossings):
-            result = long_exact_sequence_check(skein_triple(diagram, p))
+            result = long_exact_sequence_check(skein_triple(diagram, p, cx))
             report(result.ok, f"les (crossing={diagram.crossings[p]})")
             for failure in result.failures:
                 out.write(f"  {failure}\n")

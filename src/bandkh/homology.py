@@ -360,7 +360,7 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
     cx.check_d_squared()
     # Invariant factors of d out of each key; over a field each is a unit, 1.
     factors: dict[GradingKey, tuple[int, ...]] = {}
-    for key in cx.buckets:
+    for key in cx.sizes:
         i, j, s = key
         units, residue = eliminate_units(cx.columns(key), cx.dim((i - 2, j, s)))
         if coefficients == "Z":
@@ -406,7 +406,7 @@ def table_isomorphic(t1: HomologyTable, t2: HomologyTable,
 def euler_characteristic_consistent(cx: GradedComplex, table: HomologyTable) -> bool:
     """Alternating block dimensions match alternating homology ranks per (j, s)."""
     sums: dict[tuple[int, GradingS], int] = {}
-    for (i, j, s) in cx.buckets:
+    for (i, j, s) in cx.sizes:
         sign = -1 if ((j - i) // 2) % 2 else 1
         sums[(j, s)] = sums.get((j, s), 0) + sign * cx.dim((i, j, s))
     for (i, j, s), g in table.groups.items():

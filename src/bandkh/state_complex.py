@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
 from .surface import CurveClass, CurveKind, GradingS
@@ -81,7 +82,7 @@ class EnhancedState:
 
 class StateKey(NamedTuple):
     """A state named by its markers and labels, the key of ``GradedComplex.index``;
-    only enumeration builds the graded :class:`EnhancedState` objects."""
+    only ``GradedComplex.buckets`` builds graded :class:`EnhancedState` objects."""
 
     markers: MarkerVector
     labels: tuple[int, ...]
@@ -157,16 +158,17 @@ class GradedComplex:
                           if k not in self.frozen)
         self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
-        self.buckets: dict[GradingKey, list[EnhancedState]] = {}
-        self.index: dict[StateKey, tuple[GradingKey, int]] = {}
-        # Block ids number the buckets in order; ``_rows[markers][code]`` is
-        # the (block id, row) of a state, ``_below[bid]`` the block id of
-        # (i-2, j, s) or -1, and ``_blocks[counted]`` the sparse blocks of
-        # d (counted -1) or d+ (counted +1) by block id.
-        self._bids: dict[GradingKey, int] = {}
+        # Block ids number the blocks in order: ``_keys[bid]`` is a block's
+        # key, ``sizes[key]`` its size; ``_rows[markers][code]`` is the
+        # (block id, row) of a state, ``_below[bid]`` the block id of
+        # (i-2, j, s) or -1, ``_blocks[counted]`` d (-1) or d+ (+1) by key.
+        self._keys: list[GradingKey] = []
+        self.sizes: dict[GradingKey, int] = {}
         self._rows: dict[MarkerVector, list[tuple[int, int]]] = {}
         self._below: list[int] = []
-        self._blocks: dict[int, list[Columns]] = {}
+        self._blocks: dict[int, dict[GradingKey, Columns]] = {}
+        self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
+        self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._d2: dict[tuple[int, GradingS], bool] | None = None
@@ -204,52 +206,88 @@ class GradedComplex:
         return self.buckets[key][n]
 
     def _enumerate(self) -> None:
-        """Fill the buckets, the index and the row tables.  ``i`` and
-        ``m_neg`` are computed once per smoothing, each ``s`` once per
-        (smoothing, unbounding-label pattern) and each grading key once per
-        (smoothing, tau, unbounding-label pattern); per state only label-code
-        bits are counted."""
-        bids = self._bids
+        """Fill the row tables and the block sizes.  Per state one group of
+        label-code bits is looked up; ``tau`` and the signed class-id sums
+        naming ``s`` are counted once per (smoothing, group), a ``GradingS``
+        is built once per value and a grading key once per block."""
+        bids: dict[tuple, int] = {}  # (i, tau, sorted signed class-id sums)
+        s_values: dict[tuple, GradingS] = {}
+        counts: list[int] = []
         for free_markers in itertools.product((1, -1), repeat=len(self.free)):
             markers = self._full_markers(free_markers)
             data = self.smoothing(markers)
-            i = sum(free_markers)
-            m_neg = free_markers.count(-1)
-            width = len(data.circles)
+            i, width = sum(free_markers), len(data.circles)
             triv = _mask(data.trivial, width)
-            unb = _mask([k for k, _ in data.unbounding], width)
-            s_of: dict[int, GradingS] = {}
-            graded: dict[tuple[int, int], tuple] = {}
+            unb = [(1 << width - 1 - k, data.cids[k], cls) for k, cls in data.unbounding]
+            unb_bits = sum(bit for bit, _, _ in unb)
+            groups: dict[int, int] = {}
             rows = self._rows[markers] = []
-            for code, labels in enumerate(itertools.product((1, -1), repeat=width)):
-                group = ((code & triv).bit_count(), code & unb)
-                found = graded.get(group)
-                if found is None:
-                    s = s_of.get(group[1])
-                    if s is None:
-                        s = s_of[group[1]] = GradingS.from_pairs(
-                            (cls, labels[k]) for k, cls in data.unbounding)
-                    tau = len(data.trivial) - 2 * group[0]
-                    key = (i, i + 2 * tau, s)
-                    found = graded[group] = (key, bids.setdefault(key, len(bids)),
-                                             self.buckets.setdefault(key, []), tau)
-                key, bid, bucket, tau = found
-                self.index[StateKey(markers, labels)] = (key, len(bucket))
-                rows.append((bid, len(bucket)))
-                bucket.append(EnhancedState(markers, labels, i, tau, key[1], key[2],
-                                            m_neg))
-        self._below = [bids.get((i - 2, j, s), -1) for (i, j, s) in self.buckets]
+            for code in range(1 << width):
+                group = (code & triv).bit_count() << width | code & unb_bits
+                bid = groups.get(group)
+                if bid is None:
+                    sums: dict[int, int] = {}
+                    for bit, cid, _ in unb:
+                        sums[cid] = sums.get(cid, 0) + (-1 if code & bit else 1)
+                    block = (i, len(data.trivial) - 2 * (group >> width),
+                             tuple(sorted((c, x) for c, x in sums.items() if x)))
+                    bid = groups[group] = bids.setdefault(block, len(counts))
+                    if bid == len(counts):
+                        if block[2] not in s_values:
+                            s_values[block[2]] = GradingS.from_pairs(
+                                (cls, -1 if code & bit else 1) for bit, _, cls in unb)
+                        self._keys.append((i, i + 2 * block[1], s_values[block[2]]))
+                        counts.append(0)
+                rows.append((bid, counts[bid]))
+                counts[bid] += 1
+        self.sizes = dict(zip(self._keys, counts))
+        self._below = [bids.get((i - 2, tau + 1, s), -1) for (i, tau, s) in bids]
+
+    @property
+    def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
+        """The enumerated states by grading key, each list in row order:
+        decoded from the row tables on first read.  Read only."""
+        if self._buckets is None:
+            buckets: list[list] = [[None] * n for n in self.sizes.values()]
+            for markers, labels, bid, row in self._states():
+                i, j, s = self._keys[bid]
+                buckets[bid][row] = EnhancedState(markers, labels, i, (j - i) // 2, j, s,
+                                                  sum(markers[p] < 0 for p in self.free))
+            self._buckets = MappingProxyType(dict(zip(self._keys, buckets)))
+        return self._buckets
+
+    @property
+    def index(self) -> Mapping[StateKey, tuple[GradingKey, int]]:
+        """The grading key and row of every state, in enumeration order:
+        decoded from the row tables on first read.  Read only."""
+        if self._index is None:
+            self._index = MappingProxyType({StateKey(m, labels): (self._keys[bid], row)
+                                            for m, labels, bid, row in self._states()})
+        return self._index
+
+    def _states(self) -> Iterator[tuple[MarkerVector, tuple[int, ...], int, int]]:
+        """(markers, labels, block id, row) of every state, in enumeration order."""
+        for markers, rows in self._rows.items():
+            width = len(self.smoothing(markers).circles)
+            for code, (bid, row) in enumerate(rows):
+                yield markers, _labels(code, width), bid, row
 
     # -- queries ----------------------------------------------------------
 
     def dim(self, key: GradingKey) -> int:
-        return len(self.buckets.get(key, ()))
+        return self.sizes.get(key, 0)
 
     def gradings(self) -> list[GradingKey]:
-        return sorted(self.buckets, key=lambda k: (k[1], k[2].sort_key, k[0]))
+        return sorted(self.sizes, key=lambda k: (k[1], k[2].sort_key, k[0]))
 
     def locate(self, markers: MarkerVector, labels: Sequence[int]) -> tuple[GradingKey, int]:
-        return self.index[(markers, tuple(labels))]
+        """The grading key and row of an enumerated state; ``KeyError`` for
+        any other markers and labels."""
+        rows = self._rows[markers]
+        if len(rows) != 1 << len(labels) or not set(labels) <= {1, -1}:
+            raise KeyError((markers, tuple(labels)))
+        bid, row = rows[_code(labels)]
+        return self._keys[bid], row
 
     # -- the differential ---------------------------------------------------
 
@@ -344,7 +382,7 @@ class GradedComplex:
         ``(-1)^t``, ``t`` counting the free markers equal to ``counted``
         after the flipped crossing: one pass over (marker vector, free +1
         crossing), each entry checked to land in the block at (i-2, j, s)."""
-        blocks = [[[] for _ in bucket] for bucket in self.buckets.values()]
+        blocks: list[Columns] = [[[] for _ in range(n)] for n in self.sizes.values()]
         below = self._below
         for markers, rows in self._rows.items():
             for pos in self.free:
@@ -367,14 +405,14 @@ class GradedComplex:
                             got, row = targets[tgt | new]
                             if got != want:
                                 raise AssertionError("differential leaves the grading "
-                                                     f"{list(self.buckets)[bid]}")
+                                                     f"{self._keys[bid]}")
                             column.append((row, sign))
         return blocks
 
     def _dense(self, key: GradingKey, counted: int) -> Matrix:
         """Dense view of a block of the sweep for ``counted``, run once."""
         if counted not in self._blocks:
-            self._blocks[counted] = self._sweep(counted)
+            self._blocks[counted] = dict(zip(self._keys, self._sweep(counted)))
         i, j, s = key
         return _dense_view(self.columns(key, counted), self.dim((i - 2, j, s)))
 
@@ -394,10 +432,8 @@ class GradedComplex:
         copied: read it only.  The blocks are assembled on first use through
         :meth:`differential` or :meth:`d_plus`, the assembly's one entry."""
         if counted not in self._blocks:
-            (self.differential if counted < 0 else self.d_plus)(
-                next(iter(self.buckets)))
-        bid = self._bids.get(key)
-        return self._blocks[counted][bid] if bid is not None else []
+            (self.differential if counted < 0 else self.d_plus)(next(iter(self.sizes)))
+        return self._blocks[counted].get(key, [])
 
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
@@ -433,7 +469,7 @@ class GradedComplex:
         """
         return {key: _transpose(self.columns((key[0] + 2, key[1], key[2])),
                                 self.dim(key))
-                for key in self.buckets}
+                for key in self.sizes}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ path the library used before its one-sweep sparse assembly.
 :func:`mat_add` are the dense matrix helpers the library used before its
 differentials and chain maps became sparse columns.
 
+:func:`enumerate_states` is the eager enumeration that built every
+``EnhancedState`` and ``index`` entry before the library kept only row
+tables and block sizes and decoded its ``buckets`` and ``index`` on first
+read.
+
 :func:`block_homology` is the per-block dense reduction that
 :func:`bandkh.homology.homology` ran before it eliminated unit pivots on the
 sparse blocks.
@@ -39,8 +44,8 @@ from bandkh.homology import (
     divisor_chain,
     smith_normal_form,
 )
-from bandkh.state_complex import StateKey
-from bandkh.surface import CurveKind
+from bandkh.state_complex import EnhancedState, StateKey
+from bandkh.surface import CurveKind, GradingS
 
 
 def _states(diagram: Diagram):
@@ -56,6 +61,33 @@ def _states(diagram: Diagram):
                       if c.kind is CurveKind.TRIVIAL)
             out.append((markers, tuple(labels), i, i + 2 * tau))
     return out, circ_cache
+
+
+def enumerate_states(complex_):
+    """(buckets, index) of ``complex_``, built eagerly state by state: the
+    enumeration the library ran before it kept only row tables and block
+    sizes.  Free markers in binary order (+1 first), then labels; each
+    bucket in enumeration order, ``index`` mapping a ``StateKey`` to its
+    (grading key, row)."""
+    buckets: dict = {}
+    index: dict = {}
+    for free_markers in itertools.product((1, -1), repeat=len(complex_.free)):
+        full = dict(complex_.frozen)
+        full.update(zip(complex_.free, free_markers))
+        markers = tuple(full[pos] for pos in range(complex_.diagram.n_crossings))
+        circles = smooth(complex_.diagram, markers)
+        i = sum(free_markers)
+        for labels in itertools.product((1, -1), repeat=len(circles)):
+            tau = sum(lab for c, lab in zip(circles, labels)
+                      if c.kind is CurveKind.TRIVIAL)
+            s = GradingS.from_pairs((c.cls, lab) for c, lab in zip(circles, labels)
+                                    if c.kind is CurveKind.UNBOUNDING)
+            key = (i, i + 2 * tau, s)
+            bucket = buckets.setdefault(key, [])
+            index[StateKey(markers, labels)] = (key, len(bucket))
+            bucket.append(EnhancedState(markers, labels, i, tau, i + 2 * tau, s,
+                                        free_markers.count(-1)))
+    return buckets, index
 
 
 def _incident(diagram, circ_cache, s_from, s_to):

@@ -195,6 +195,17 @@ def test_les_check_rejects_unknown_field():
         long_exact_sequence_check(skein_triple(trefoil(), 0), ("Q", "R"))
 
 
+def test_skein_triple_reuses_only_the_unfrozen_complex_of_its_diagram():
+    d = trefoil()
+    cx = GradedComplex(d)
+    assert skein_triple(d, 1, cx).cp is cx
+    for wrong in (GradedComplex(d, {0: 1}), GradedComplex(twist_pair(DISK, "", 2))):
+        with pytest.raises(ChainMapError, match="unfrozen complex"):
+            skein_triple(d, 1, wrong)
+    with pytest.raises(ChainMapError, match="bad distinguished crossing"):
+        skein_triple(d, 3, cx)
+
+
 #: Small complexes for random chain maps; under the shifted gradings some
 #: target blocks are empty, so 0-row blocks occur.
 _SMALL = (GradedComplex(twist_pair(DISK, "", 2)), GradedComplex(trefoil()))

@@ -22,7 +22,14 @@ from bandkh.skein import SkeinError
 from bandkh.state_complex import GradedComplex
 from bandkh.surface import UnsupportedSurfaceError
 
-from helpers import ALL_SURFACES, DISK, random_diagram, triangle_closure
+from helpers import (
+    ALL_SURFACES,
+    DISK,
+    PANTS,
+    random_diagram,
+    triangle_closure,
+    twist_pair,
+)
 
 LOOP_A = """\
 surface planar_holes 1
@@ -145,6 +152,26 @@ def test_verify_all_computes_d_squared_once_per_complex(tmp_path, capsys,
     assert "FAIL" not in capsys.readouterr().out
     assert factors
     assert len(factors) == len({id(b) for b in factors})
+
+
+def test_verify_les_builds_the_unfrozen_complex_once(tmp_path, capsys,
+                                                    monkeypatch):
+    """verify --suite=les hands the diagram's complex to every crossing's
+    skein triple: a 4-crossing diagram builds it once and two frozen
+    complexes per crossing, 9 in all."""
+    built = []
+    real = GradedComplex.__init__
+
+    def init(self, diagram, frozen=None):
+        built.append(dict(frozen or {}))
+        real(self, diagram, frozen)
+
+    monkeypatch.setattr(GradedComplex, "__init__", init)
+    path = tmp_path / "d.txt"
+    path.write_text(emit_diagram(twist_pair(PANTS, "a", 4)))
+    assert main(["verify", "--suite=les", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(built) == 9 and built.count({}) == 1
 
 
 def test_cli_verify_catches_non_embeddable_input(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import dense_oracle
 from bandkh.chainmaps import r2_pair, skein_triple
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2
-from bandkh.homology import homology
+from bandkh import state_complex
+from bandkh.homology import euler_characteristic_consistent, homology
 from bandkh.state_complex import (
     ComplexError,
     GradedComplex,
@@ -210,13 +212,9 @@ def _check_blocks(cx):
         list(dense_oracle.d_squared_blocks(cx).items())
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1))
-@example(0, 4)
-def test_differential_matches_dense_oracle(seed, surface):
-    """The one-sweep sparse blocks, their d o d verdicts and the bit-coded
-    resmoothings against the per-state oracle, on the unfrozen complex, a
-    skein triple's frozen ones, an R2 pair's and a non-embeddable diagram."""
+def _oracle_complexes(seed, surface):
+    """The unfrozen complex of a random diagram, a skein triple's frozen
+    ones, an R2 pair's and a non-embeddable diagram's."""
     rng = random.Random(seed)
     d = random_diagram(ALL_SURFACES[surface], rng, max_crossings=4)
     complexes = [GradedComplex(d), GradedComplex(crosscap_shadow())]
@@ -230,9 +228,75 @@ def test_differential_matches_dense_oracle(seed, surface):
         pair = r2_pair(apply_r2(with_loop, ("loop", len(d.loops)),
                                 rng.choice(sites)), 0, 1)
         complexes += [pair.small, pair.tilde]
-    for cx in complexes:
+    return complexes
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1))
+@example(0, 4)
+def test_differential_matches_dense_oracle(seed, surface):
+    """The one-sweep sparse blocks, their d o d verdicts and the bit-coded
+    resmoothings against the per-state oracle."""
+    for cx in _oracle_complexes(seed, surface):
         _check_flip_rules(cx)
         _check_blocks(cx)
+
+
+def _fields(state):
+    return tuple(getattr(state, f.name) for f in dataclasses.fields(state))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1))
+@example(0, 4)
+def test_decoded_states_match_eager_enumeration(seed, surface):
+    """The decoded buckets (order, rows and every field) and index, the
+    block sizes, locate and make_state against the eager enumeration; locate
+    and make_state refuse states that were not enumerated."""
+    for cx in _oracle_complexes(seed, surface):
+        buckets, index = dense_oracle.enumerate_states(cx)
+        assert list(cx.buckets) == list(buckets)
+        assert {key: [_fields(s) for s in bucket] for key, bucket in cx.buckets.items()} \
+            == {key: [_fields(s) for s in bucket] for key, bucket in buckets.items()}
+        assert list(cx.index.items()) == list(index.items())
+        assert cx.sizes == {key: len(bucket) for key, bucket in buckets.items()}
+        for (markers, labels), (key, row) in index.items():
+            assert cx.locate(markers, labels) == (key, row)
+            assert _fields(cx.make_state(markers, list(labels))) == \
+                _fields(buckets[key][row])
+        markers, labels = next(reversed(index))
+        bad = [(markers + (1,), labels), (markers, labels + (1,))]
+        if labels:
+            bad += [(markers, labels[1:]), (markers, (0,) + labels[1:]),
+                    (markers, labels[:-1] + (2,))]
+        if cx.frozen:
+            pos, mark = next(iter(cx.frozen.items()))
+            bad.append((markers[:pos] + (-mark,) + markers[pos + 1:], labels))
+        for args in bad:
+            with pytest.raises(KeyError):
+                cx.locate(*args)
+            with pytest.raises(KeyError):
+                cx.make_state(*args)
+
+
+def test_homology_path_builds_no_state_objects(monkeypatch):
+    """homology over Z, Q and Z/2, the d o d check and the block queries
+    read the block sizes and row tables only: no EnhancedState or StateKey
+    is built until buckets or index is first read."""
+    built = []
+    for name in ("EnhancedState", "StateKey"):
+        cls = getattr(state_complex, name)
+        monkeypatch.setattr(state_complex, name,
+                            lambda *args, cls=cls: built.append(cls) or cls(*args))
+    cx = GradedComplex(twist_pair(PANTS, "a", 4))
+    for coefficients in ("Z", "Q", "Z2"):
+        assert euler_characteristic_consistent(cx, homology(cx, coefficients))
+    cx.check_d_squared()
+    assert cx.dual_matrices() and cx.gradings()
+    assert built == []
+    states = sum(cx.dim(key) for key in cx.gradings())
+    assert sum(len(bucket) for bucket in cx.buckets.values()) == states
+    assert len(cx.index) == states and len(built) == 2 * states
 
 
 def test_flip_rule_derived_once_per_markers_and_crossing(monkeypatch):
