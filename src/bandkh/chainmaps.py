@@ -33,7 +33,7 @@ from .diagram import (
     smooth_crossing,
     validate_r3_site,
 )
-from .homology import FIELD_RANKS, eliminate_units, homology
+from .homology import homology, invariant_factors, rank_over
 from .state_complex import (
     Columns,
     EnhancedState,
@@ -409,10 +409,10 @@ def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 def _block_rank(f: Columns, a: Columns, b: Columns, f_rows: int,
-                a_rows: int) -> tuple[int, Matrix]:
-    """The block matrix [[f, b], [a, 0]] reduced by :func:`eliminate_units`.
+                a_rows: int) -> tuple[int, ...]:
+    """The invariant factors of the block matrix [[f, b], [a, 0]].
 
-    Its rank over any field is the unit count plus the residue's rank.  With
+    Its rank over a field is read off them (:func:`rank_over`).  With
     ``a`` the differential out of f's source and ``b`` the differential into
     f's target, that rank is rank a + rank b + the rank that f induces on
     homology (Marsaglia and Styan's rank identity), so no kernel basis is
@@ -422,7 +422,7 @@ def _block_rank(f: Columns, a: Columns, b: Columns, f_rows: int,
     """
     stacked = [[(f_rows + r, v) for r, v in a_col] + f_col
                for a_col, f_col in zip(a, f)]
-    return eliminate_units(stacked + b, f_rows + a_rows)
+    return invariant_factors(stacked + b, f_rows + a_rows)
 
 
 @dataclass
@@ -440,85 +440,70 @@ def long_exact_sequence_check(t: SkeinTriple,
     of the outgoing one must equal the homology dimension.  The connecting
     map is gamma_hat restricted to cycles.
     """
+    fields = tuple(fields)
+    for ftag in fields:
+        if ftag not in ("Q", "Z2"):
+            raise ChainMapError(f"unknown field {ftag!r}")
     alpha = viro_alpha(t)
     beta = viro_beta(t)
     gamma_hat = viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
-    # Each d block and each block matrix is eliminated once for every
-    # field; only the residue's rank is taken per field.
-    d_reduced: dict[tuple[GradedComplex, GradingKey], tuple[int, Matrix]] = {}
-    map_reduced: dict[tuple[str, GradingKey], tuple[int, Matrix]] = {}
+    # Each d block and each block matrix is reduced once, and its ranks over
+    # every field are stored then: a d block's under (complex, key), the
+    # rank a map induces on homology under (map name, key).
+    ranks: dict[tuple[object, GradingKey], tuple[int, ...]] = {}
 
-    def reduce_d(cx: GradedComplex, key: GradingKey) -> tuple[int, Matrix]:
-        if (cx, key) not in d_reduced:
+    def d_rank(cx: GradedComplex, key: GradingKey) -> tuple[int, ...]:
+        """Ranks of the differential out of ``key``, one per field."""
+        got = ranks.get((cx, key))
+        if got is None:
             i, j, s = key
-            d_reduced[(cx, key)] = eliminate_units(cx.columns(key),
-                                                   cx.dim((i - 2, j, s)))
-        return d_reduced[(cx, key)]
+            factors = invariant_factors(cx.columns(key), cx.dim((i - 2, j, s)))
+            got = ranks[(cx, key)] = tuple(rank_over(factors, f) for f in fields)
+        return got
 
-    def reduce_map(chmap: ChainMap, key: GradingKey) -> tuple[int, Matrix]:
-        """The map out of one position is the map into the next."""
-        if (chmap.name, key) not in map_reduced:
+    def induced_rank(chmap: ChainMap, key: GradingKey) -> tuple[int, ...]:
+        """Ranks induced on homology, one per field; the map out of one
+        position is the map into the next."""
+        got = ranks.get((chmap.name, key))
+        if got is None:
             i, j, s = key
             ti, tj, ts = chmap.grading(key)
-            map_reduced[(chmap.name, key)] = _block_rank(
+            b_key = (ti + 2, tj, ts)
+            factors = _block_rank(
                 chmap.columns(key), chmap.source.columns(key),
-                chmap.target.columns((ti + 2, tj, ts)),
-                chmap.target.dim((ti, tj, ts)), chmap.source.dim((i - 2, j, s)))
-        return map_reduced[(chmap.name, key)]
+                chmap.target.columns(b_key), chmap.target.dim((ti, tj, ts)),
+                chmap.source.dim((i - 2, j, s)))
+            got = ranks[(chmap.name, key)] = tuple(
+                rank_over(factors, f) - a - b for f, a, b in zip(
+                    fields, d_rank(chmap.source, key), d_rank(chmap.target, b_key)))
+        return got
 
-    for ftag in fields:
-        rank = FIELD_RANKS.get(ftag)
-        if rank is None:
-            raise ChainMapError(f"unknown field {ftag!r}")
-        d_ranks: dict[tuple[GradedComplex, GradingKey], int] = {}
+    def h_dims(cx: GradedComplex, key: GradingKey) -> Iterable[int]:
+        i, j, s = key
+        return (cx.dim(key) - a - b for a, b in zip(d_rank(cx, key),
+                                                     d_rank(cx, (i + 2, j, s))))
 
-        def d_rank(cx: GradedComplex, key: GradingKey) -> int:
-            """Rank of the differential out of ``key``, once per field."""
-            if (cx, key) not in d_ranks:
-                units, residue = reduce_d(cx, key)
-                d_ranks[(cx, key)] = units + rank(residue)
-            return d_ranks[(cx, key)]
+    candidates = {(i + di, j + dj, s)
+                  for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
+                                       (t.c0, (2, 2)), (t.cinf, (2, 0)))
+                  for (i, j, s) in cx.sizes}
 
-        def h_dim(cx: GradedComplex, key: GradingKey) -> int:
-            i, j, s = key
-            return cx.dim(key) - d_rank(cx, key) - d_rank(cx, (i + 2, j, s))
-
-        induced: dict[tuple[str, GradingKey], int] = {}
-
-        def induced_rank(chmap: ChainMap, key: GradingKey) -> int:
-            """Rank induced on homology, once per field."""
-            if (chmap.name, key) not in induced:
-                ti, tj, ts = chmap.grading(key)
-                units, residue = reduce_map(chmap, key)
-                induced[(chmap.name, key)] = (units + rank(residue)
-                                              - d_rank(chmap.source, key)
-                                              - d_rank(chmap.target, (ti + 2, tj, ts)))
-            return induced[(chmap.name, key)]
-
-        candidates: set[GradingKey] = set()
-        for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
-                             (t.c0, (2, 2)), (t.cinf, (2, 0))):
-            for (i, j, s) in cx.sizes:
-                candidates.add((i + di, j + dj, s))
-
-        done: set = set()
-        for (i, j, s) in candidates:
-            key_inf, key_p, key_0 = (i, j, s), (i - 1, j - 1, s), (i - 2, j - 2, s)
-            key_inf2 = (i - 2, j, s)
-            # (position, its complex and key, incoming map and its source
-            # key, outgoing map); the outgoing map starts at the position.
-            for name, cx, key, into, src_key, out_of in (
-                    ("D_p", t.cp, key_p, alpha, key_inf, beta),
-                    ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
-                    ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
-                if (name, key) in done:
-                    continue
-                done.add((name, key))
+    for (i, j, s) in candidates:
+        key_inf, key_p, key_0 = (i, j, s), (i - 1, j - 1, s), (i - 2, j - 2, s)
+        key_inf2 = (i - 2, j, s)
+        # (position, its complex and key, incoming map and its source key,
+        # outgoing map); the outgoing map starts at the position.
+        for name, cx, key, into, src_key, out_of in (
+                ("D_p", t.cp, key_p, alpha, key_inf, beta),
+                ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
+                ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
+            for ftag, r_in, r_out, h in zip(fields, induced_rank(into, src_key),
+                                            induced_rank(out_of, key),
+                                            h_dims(cx, key)):
                 checked += 1
-                r_in = induced_rank(into, src_key)
-                if r_in + induced_rank(out_of, key) != h_dim(cx, key):
+                if r_in + r_out != h:
                     failures.append(f"{ftag}: not exact at {name} {key}")
     return LESReport(not failures, sorted(set(failures)), checked)
 

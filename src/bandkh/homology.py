@@ -1,14 +1,15 @@
 """Exact homology of the graded integer complexes.
 
-Each block of the differential is reduced in two steps, both exact over
-Z, Q and Z/2 alike.  :func:`eliminate_units` first eliminates +-1 pivots
-on the sparse columns that :class:`~bandkh.state_complex.GradedComplex`
-stores: each step is a unimodular row-and-column operation (a Schur
-complement on a unit pivot), so each pivot is one invariant factor 1 and
-one unit of rank over every field.  What survives is a small dense
-residue, reduced by :func:`smith_normal_form` over Z, or by
-:func:`rank_rational` (exact rational Bareiss) or :func:`rank_mod2` over a
-field.  No modular shortcuts.
+Each block of the differential is reduced once, over Z, to its invariant
+factors (:func:`invariant_factors`).  :func:`eliminate_units` first
+eliminates +-1 pivots on the sparse columns that
+:class:`~bandkh.state_complex.GradedComplex` stores: each step is a
+unimodular row-and-column operation (a Schur complement on a unit pivot),
+so each pivot is one invariant factor 1.  What survives is a small dense
+residue, reduced by :func:`smith_normal_form`.  Every ring reads its answer
+off the factors (:func:`rank_over`): Z its rank and torsion, Q their count
+and Z/2 the count of odd ones.  Exact integer arithmetic; no modular
+shortcuts.
 """
 
 from __future__ import annotations
@@ -191,55 +192,26 @@ def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
     return tuple(invariants)
 
 
-def rank_rational(matrix: Matrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        p = m[rank][c]
-        for r in range(rank + 1, rows):
-            for cc in range(c + 1, cols):
-                m[r][cc] = (p * m[r][cc] - m[r][c] * m[rank][cc]) // prev
-            m[r][c] = 0
-        prev = p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def invariant_factors(columns: Columns, rows: int) -> tuple[int, ...]:
+    """Invariant factors of a sparse integer matrix, as in
+    :func:`eliminate_units`: its unit pivots, then the residue's.
+
+    >>> invariant_factors([[(0, 1), (1, 2)], [(0, 1), (1, 4)]], 2)
+    (1, 2)
+    """
+    units, residue = eliminate_units(columns, rows)
+    return (1,) * units + smith_normal_form(residue)
 
 
-def rank_mod2(matrix: Matrix) -> int:
-    """Rank over GF(2); rows packed into Python ints."""
-    packed = []
-    for row in matrix:
-        bits = 0
-        for c, v in enumerate(row):
-            if v & 1:
-                bits |= 1 << c
-        if bits:
-            packed.append(bits)
-    rank = 0
-    for _ in range(len(packed)):
-        packed = [b for b in packed if b]
-        if not packed:
-            break
-        pivot = min(packed, key=lambda b: b & -b)
-        packed.remove(pivot)
-        low = pivot & -pivot
-        packed = [b ^ pivot if b & low else b for b in packed]
-        rank += 1
-    return rank
+def rank_over(factors: tuple[int, ...], ring: str) -> int:
+    """Rank over ``ring`` ("Z", "Q" or "Z2") of a matrix with these invariant
+    factors: U and V in U A V = diag stay invertible over Q and mod 2, so Z
+    and Q count every factor and Z/2 the odd ones.
+
+    >>> rank_over((1, 2, 6), "Q"), rank_over((1, 2, 6), "Z2")
+    (3, 1)
+    """
+    return sum(d & 1 for d in factors) if ring == "Z2" else len(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +311,31 @@ class HomologyTable:
 
 COEFFICIENTS = ("Z", "Q", "Z2")
 
-#: Exact rank over each field: the one table that :func:`homology` and the
-#: long-exact-sequence check share.
-FIELD_RANKS: dict[str, Callable[[Matrix], int]] = {"Q": rank_rational,
-                                                    "Z2": rank_mod2}
-
 
 def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
     """Homology of every (i, j, s) block.
 
     Over Z the result is rank plus torsion divisor chain; over Q and Z/2 the
     rank field holds the dimension and torsion is empty.  Each differential
-    block is reduced once, from its stored sparse columns: it is d_out of its
-    own key and d_in of the key two steps below.  Its unit pivots are
-    eliminated first; the residue routine then runs once per block, on the
-    residue, even when that is empty.
+    block is reduced once, from its stored sparse columns, to its invariant
+    factors over Z: it is d_out of its own key and d_in of the key two steps
+    below.  Every ring reads its ranks off those factors.
     """
     if coefficients not in COEFFICIENTS:
         raise HomologyError(f"unknown coefficients {coefficients!r}")
     cx.check_d_squared()
-    # Invariant factors of d out of each key; over a field each is a unit, 1.
-    factors: dict[GradingKey, tuple[int, ...]] = {}
-    for key in cx.sizes:
-        i, j, s = key
-        units, residue = eliminate_units(cx.columns(key), cx.dim((i - 2, j, s)))
-        if coefficients == "Z":
-            factors[key] = (1,) * units + smith_normal_form(residue)
-        else:
-            factors[key] = (1,) * (units + FIELD_RANKS[coefficients](residue))
+    # Invariant factors of d out of each key.
+    factors = {(i, j, s): invariant_factors(cx.columns((i, j, s)),
+                                            cx.dim((i - 2, j, s)))
+               for (i, j, s) in cx.sizes}
     groups: dict[GradingKey, AbelianGroup] = {}
     for (i, j, s), out in factors.items():
         # No bucket at i + 2 means d_in has no columns.
         into = factors.get((i + 2, j, s), ())
-        rank = cx.dim((i, j, s)) - len(out) - len(into)
-        torsion = divisor_chain(t for t in into if t > 1)
+        rank = (cx.dim((i, j, s)) - rank_over(out, coefficients)
+                - rank_over(into, coefficients))
+        torsion = (divisor_chain(t for t in into if t > 1)
+                   if coefficients == "Z" else ())
         if rank or torsion:
             groups[(i, j, s)] = AbelianGroup(rank, torsion)
     return HomologyTable(groups, coefficients)

@@ -28,7 +28,9 @@ sparse blocks.
 
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
-Z/2) row reduction, its image, and the rank modulo the boundaries.
+Z/2) row reduction, its image, and the rank modulo the boundaries.  The
+same row reduction gives :func:`rank` over Q and Z/2, the oracle for the
+ranks that the library reads off invariant factors over Z.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from fractions import Fraction
 
 from bandkh.diagram import Diagram, smooth
 from bandkh.homology import (
-    FIELD_RANKS,
     AbelianGroup,
     HomologyTable,
     divisor_chain,
@@ -328,7 +329,7 @@ def dense_homology_by_ij(diagram: Diagram):
 def block_homology(complex_, coefficients="Z"):
     """The homology table by the per-block path the library used before
     unit-pivot elimination: a dense view of every block of d, reduced whole
-    by ``smith_normal_form`` over Z or by the field's dense rank."""
+    by ``smith_normal_form`` over Z or by row reduction over the field."""
     complex_.check_d_squared()
     factors = {}
     for key in complex_.buckets:
@@ -336,20 +337,28 @@ def block_homology(complex_, coefficients="Z"):
         if coefficients == "Z":
             factors[key] = smith_normal_form(d_out)
         else:
-            factors[key] = (1,) * FIELD_RANKS[coefficients](d_out)
+            factors[key] = (1,) * rank(d_out, coefficients)
     groups = {}
     for (i, j, s), out in factors.items():
         into = factors.get((i + 2, j, s), ())
-        rank = complex_.dim((i, j, s)) - len(out) - len(into)
+        free = complex_.dim((i, j, s)) - len(out) - len(into)
         torsion = divisor_chain(t for t in into if t > 1)
-        if rank or torsion:
-            groups[(i, j, s)] = AbelianGroup(rank, torsion)
+        if free or torsion:
+            groups[(i, j, s)] = AbelianGroup(free, torsion)
     return HomologyTable(groups, coefficients)
 
 
 # ---------------------------------------------------------------------------
-# Induced rank on homology over Q or Z/2, through an explicit kernel basis
+# Ranks over Q or Z/2, and the induced rank on homology through an explicit
+# kernel basis
 # ---------------------------------------------------------------------------
+
+def _lift(mat, field):
+    """An integer matrix over Q (as Fractions) or over Z/2."""
+    if field == "Q":
+        return [[Fraction(v) for v in row] for row in mat]
+    return [[v & 1 for v in row] for row in mat]
+
 
 def _rref(m, field):
     """Reduced row echelon form over Q (Fractions) or Z/2; (rows, pivots)."""
@@ -379,6 +388,11 @@ def _rref(m, field):
     return m, pivots
 
 
+def rank(m, field):
+    """Rank of an integer matrix over ``field``, "Q" or "Z2"."""
+    return len(_rref(_lift(m, field), field)[1])
+
+
 def induced_rank(f, a, b, cols: int, field: str) -> int:
     """Rank of the map ``f`` induces from ker ``a`` to coker ``b``.
 
@@ -386,14 +400,9 @@ def induced_rank(f, a, b, cols: int, field: str) -> int:
     of it and ``b`` the differential into f's target.  ``field`` is "Q" or
     "Z2".
     """
-    def lift(mat):
-        if field == "Q":
-            return [[Fraction(v) for v in row] for row in mat]
-        return [[v & 1 for v in row] for row in mat]
-
     if cols == 0:
         return 0
-    red, pivots = _rref(lift(a if a else [[0] * cols]), field)
+    red, pivots = _rref(_lift(a if a else [[0] * cols], field), field)
     kernel = []
     for fc in (c for c in range(cols) if c not in pivots):
         vec = [0] * cols
@@ -403,8 +412,8 @@ def induced_rank(f, a, b, cols: int, field: str) -> int:
         kernel.append(vec)
     # Images of the kernel vectors, one column each, beside the columns of b.
     fz = [[sum(x * v for x, v in zip(row, vec)) for vec in kernel]
-          for row in lift(f)]
-    bf = lift(b)
+          for row in _lift(f, field)]
+    bf = _lift(b, field)
     aug = [fr + br for fr, br in zip(fz, bf)] if bf else fz
     if field == "Z2":
         aug = [[v & 1 for v in row] for row in aug]

@@ -1,16 +1,19 @@
-"""Smoke test of the benchmark's layer tracer against the current program.
+"""Smoke tests of the benchmark against the current program.
 
 The traced benchmark wraps functions of every layer by name (``bench/spans.py``)
 and counts block sizes through ``GradedComplex`` (``bench/counters.py``).
 Renaming or re-binding one of those names must fail here, not only in a
-traced benchmark run.
+traced benchmark run.  One short traced run of ``bench/run.py`` checks that
+the harness itself still runs and that its outputs still match the reference.
 """
 
+import json
 import os
+import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import counters  # noqa: E402
 import spans  # noqa: E402
@@ -58,3 +61,13 @@ def test_d_squared_blocks_alone_records_the_d2_span():
         tracer.uninstall()
     calls, self_s = tracer.totals()["state_complex.d2"]
     assert calls > 0 and self_s > 0
+
+
+def test_bench_runs_one_traced_les_pass():
+    """Outputs match ``bench/reference.json`` and every expected span fires."""
+    run = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "les",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

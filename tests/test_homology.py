@@ -7,24 +7,23 @@ from hypothesis import example, given, settings, strategies as st
 import dense_oracle
 from dense_oracle import _mat_mul
 from bandkh.chainmaps import skein_triple
-from bandkh.diagram import reorder_crossings
+from bandkh.diagram import mirror, reorder_crossings
 from bandkh.homology import (
     COEFFICIENTS,
-    FIELD_RANKS,
     AbelianGroup,
     HomologyError,
     aggregate_handlebody,
     divisor_chain,
     eliminate_units,
     euler_characteristic_consistent,
+    rank_over,
     homology,
-    rank_mod2,
-    rank_rational,
+    invariant_factors,
     smith_normal_form,
     table_isomorphic,
 )
 from bandkh.state_complex import GradedComplex
-from bandkh.surface import grading_flip
+from bandkh.surface import grading_flip, grading_negate
 
 from helpers import (
     ALL_SURFACES,
@@ -65,8 +64,8 @@ def test_snf_random_properties():
         inv = smith_normal_form(m)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
-        assert len(inv) == rank_rational(m)
-        assert rank_mod2(m) == len([d for d in inv if d % 2])
+        for field in ("Q", "Z2"):
+            assert rank_over(inv, field) == dense_oracle.rank(m, field)
 
 
 @st.composite
@@ -115,7 +114,7 @@ def test_snf_finds_planted_torsion(units, extra_rows, extra_cols, planted, rng):
 
 
 def _check_elimination(m, cols):
-    """Unit elimination plus the dense routine on its residue agrees with
+    """Unit elimination plus Smith normal form on its residue agrees with
     the dense routines on the whole matrix, over Z, Q and Z/2."""
     columns = dense_oracle.sparse_columns(m, cols)
     before = [list(col) for col in columns]
@@ -126,8 +125,11 @@ def _check_elimination(m, cols):
     assert all(any(col) for col in zip(*residue))
     assert (1,) * units + smith_normal_form(residue) == smith_normal_form(m) \
         == tuple(dense_oracle._snf_diagonal(m))
-    assert units + rank_rational(residue) == rank_rational(m)
-    assert units + rank_mod2(residue) == rank_mod2(m)
+    factors = invariant_factors(columns, len(m))
+    assert factors == smith_normal_form(m)
+    for field in ("Q", "Z2"):
+        assert units + dense_oracle.rank(residue, field) \
+            == rank_over(factors, field) == dense_oracle.rank(m, field)
     return units, residue
 
 
@@ -280,6 +282,29 @@ def test_reorder_invariance():
             assert table.groups == table2.groups
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES))
+def test_tables_survive_reorder_and_mirror(seed, surface):
+    """Every ring's table is unchanged by a crossing reorder; over a field
+    the mirror's table is the table at (-i, -j, -s), and mirroring twice
+    gives the table over Z back."""
+    rng = random.Random(seed)
+    d = random_diagram(surface, rng, max_crossings=4)
+    perm = list(range(d.n_crossings))
+    rng.shuffle(perm)
+    cx, cx_m = GradedComplex(d), GradedComplex(mirror(d))
+    cx_r = GradedComplex(reorder_crossings(d, perm))
+    for coefficients in COEFFICIENTS:
+        table = homology(cx, coefficients)
+        assert homology(cx_r, coefficients).groups == table.groups
+        if coefficients != "Z":
+            dual = {(-i, -j, grading_negate(s)): g
+                    for (i, j, s), g in table.groups.items()}
+            assert homology(cx_m, coefficients).groups == dual
+    assert homology(GradedComplex(mirror(mirror(d)))).groups \
+        == homology(cx).groups
+
+
 def test_tsv_output_shape():
     table = homology(GradedComplex(loops_diagram(ANNULUS, "a")))
     lines = table.to_tsv().splitlines()
@@ -299,8 +324,6 @@ def test_homology_reduces_each_block_once(monkeypatch):
     module = importlib.import_module("bandkh.homology")
     monkeypatch.setattr(module, "smith_normal_form",
                         counted(smith_normal_form))
-    for ftag, rank in list(FIELD_RANKS.items()):
-        monkeypatch.setitem(FIELD_RANKS, ftag, counted(rank))
     rng = random.Random(12)
     for cx in [GradedComplex(trefoil())] + [
             GradedComplex(random_diagram(surface, rng, max_crossings=4))
