@@ -48,7 +48,7 @@ from .skein import (
     phi_expand,
     recover_p,
 )
-from .cli import emit_diagram, parse_diagram
+from .textformat import emit_diagram, parse_diagram
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

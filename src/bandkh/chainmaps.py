@@ -30,21 +30,20 @@ from .diagram import (
     mirror,
     r1_neg_small_circle_slots,
     reorder_crossings,
-    smooth_crossing,
     validate_r3_site,
 )
-from .homology import homology, invariant_factors, rank_over
-from .state_complex import (
+from .homology import homology
+from .linalg import (
     Columns,
-    EnhancedState,
-    GradedComplex,
-    GradingKey,
     Matrix,
-    StateKey,
     _dense_view,
     _mat_mul,
+    _same,
     _transpose,
+    invariant_factors,
+    rank_over,
 )
+from .state_complex import EnhancedState, GradedComplex, GradingKey, StateKey
 from .surface import grading_negate
 
 
@@ -59,12 +58,6 @@ class ChainMapError(ValueError):
 #: A source state's (coefficient, target state) pairs; a target state is
 #: named by its markers and labels, an EnhancedState or a StateKey.
 EntriesFn = Callable[[EnhancedState], list]
-
-
-def _same(a: Columns, b: Columns, sign: int = 1) -> bool:
-    """Whether ``a == sign * b``, both with zero entries dropped."""
-    return len(a) == len(b) and all(
-        sorted(x) == sorted((r, sign * v) for r, v in y) for x, y in zip(a, b))
 
 
 @dataclass
@@ -326,8 +319,7 @@ class SkeinTriple:
     """A diagram with a distinguished crossing and its two smoothings.
 
     ``c0``/``cinf`` are the complexes of the +1/-1 smoothings, realised as
-    the full diagram with that crossing frozen; ``d0``/``dinf`` are the
-    actual smoothed diagrams (crossing orders inherited).
+    the full diagram with that crossing frozen.
     """
 
     diagram: Diagram
@@ -335,8 +327,6 @@ class SkeinTriple:
     cp: GradedComplex
     c0: GradedComplex
     cinf: GradedComplex
-    d0: Diagram
-    dinf: Diagram
 
 
 def skein_triple(diagram: Diagram, p: int,
@@ -349,11 +339,8 @@ def skein_triple(diagram: Diagram, p: int,
         cp = GradedComplex(diagram)
     elif cp.frozen or cp.diagram != diagram:
         raise ChainMapError("cp must be the unfrozen complex of the diagram")
-    c0 = GradedComplex(diagram, {p: 1})
-    cinf = GradedComplex(diagram, {p: -1})
-    return SkeinTriple(diagram, p, cp, c0, cinf,
-                       smooth_crossing(diagram, p, 1),
-                       smooth_crossing(diagram, p, -1))
+    return SkeinTriple(diagram, p, cp, GradedComplex(diagram, {p: 1}),
+                       GradedComplex(diagram, {p: -1}))
 
 
 def _t_before(t: SkeinTriple, state: EnhancedState) -> int:
@@ -449,19 +436,15 @@ def long_exact_sequence_check(t: SkeinTriple,
     gamma_hat = viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
-    # Each d block and each block matrix is reduced once, and its ranks over
-    # every field are stored then: a d block's under (complex, key), the
-    # rank a map induces on homology under (map name, key).
-    ranks: dict[tuple[object, GradingKey], tuple[int, ...]] = {}
+    # The d blocks are reduced once per complex (``cx.factors()``).  Each
+    # block matrix is reduced once, and the ranks a map induces on homology
+    # over every field are stored then, under (map name, key).
+    ranks: dict[tuple[str, GradingKey], tuple[int, ...]] = {}
 
     def d_rank(cx: GradedComplex, key: GradingKey) -> tuple[int, ...]:
         """Ranks of the differential out of ``key``, one per field."""
-        got = ranks.get((cx, key))
-        if got is None:
-            i, j, s = key
-            factors = invariant_factors(cx.columns(key), cx.dim((i - 2, j, s)))
-            got = ranks[(cx, key)] = tuple(rank_over(factors, f) for f in fields)
-        return got
+        factors = cx.factors().get(key, ())
+        return tuple(rank_over(factors, f) for f in fields)
 
     def induced_rank(chmap: ChainMap, key: GradingKey) -> tuple[int, ...]:
         """Ranks induced on homology, one per field; the map out of one

@@ -325,27 +325,18 @@ def r1_neg_small_circle_slots(kink_id: str, side: str = "left") -> frozenset[Slo
 
 
 def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
-    """Positive-kink companion of :func:`apply_r1_neg` (bracket factor -A^3)."""
-    kind, idx = _take_site(diagram, site)
-    if side not in ("left", "right"):
-        raise SiteError("side must be 'left' or 'right'")
-    (x,) = _fresh_ids(diagram, 1)
-    edges = list(diagram.edges)
-    loops = list(diagram.loops)
-    if kind == "edge":
-        e = edges.pop(idx)
-        if side == "left":
-            new = [Edge(e.a, (x, 2), e.word), Edge((x, 3), e.b), Edge((x, 0), (x, 1))]
-        else:
-            new = [Edge(e.a, (x, 0), e.word), Edge((x, 1), e.b), Edge((x, 2), (x, 3))]
-    else:
-        u = loops.pop(idx)
-        if side == "left":
-            new = [Edge((x, 3), (x, 2), u), Edge((x, 0), (x, 1))]
-        else:
-            new = [Edge((x, 1), (x, 0), u), Edge((x, 2), (x, 3))]
-    return Diagram(diagram.surface, (x,) + diagram.crossings,
-                   tuple(edges) + tuple(new), tuple(loops))
+    """Positive-kink companion of :func:`apply_r1_neg` (bracket factor -A^3):
+    the negative kink on the other side, with its crossing switched (each
+    of its slots rotated by one)."""
+    other = {"left": "right", "right": "left"}.get(side, side)
+    kinked = apply_r1_neg(diagram, site, other)
+    x = kinked.crossings[0]
+
+    def turn(slot: Slot) -> Slot:
+        return (x, (slot[1] + 1) % 4) if slot[0] == x else slot
+
+    return replace(kinked, edges=tuple(Edge(turn(e.a), turn(e.b), e.word)
+                                       for e in kinked.edges))
 
 
 def apply_r2(diagram: Diagram, site_x: Site, site_y: Site) -> Diagram:

@@ -47,12 +47,10 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
+from .linalg import Columns, Matrix, _dense_view, _mat_mul, _transpose, invariant_factors
 from .surface import CurveClass, CurveKind, GradingS
 
-Matrix = list[list[int]]
 GradingKey = tuple[int, int, GradingS]
-#: A sparse block: for each source column, its (row, entry) pairs.
-Columns = list[list[tuple[int, int]]]
 
 
 class ComplexError(ValueError):
@@ -172,6 +170,7 @@ class GradedComplex:
         self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._d2: dict[tuple[int, GradingS], bool] | None = None
+        self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._enumerate()
 
     # -- construction ---------------------------------------------------
@@ -459,6 +458,19 @@ class GradedComplex:
                     f"(j={j},s={s.text}); the diagram is not drawable on the "
                     "declared surface")
 
+    def factors(self) -> dict[GradingKey, tuple[int, ...]]:
+        """The invariant factors over Z of d out of each key of ``sizes``
+        (:func:`~bandkh.linalg.invariant_factors`), in the order of
+        ``sizes``.  Computed on the first call and stored: read the result
+        only.
+        """
+        if self._factors is None:
+            self._factors = {
+                (i, j, s): invariant_factors(self.columns((i, j, s)),
+                                             self.dim((i - 2, j, s)))
+                for (i, j, s) in self.sizes}
+        return self._factors
+
     def dual_matrices(self) -> dict[GradingKey, Columns]:
         """Cochain blocks as sparse columns: the map out of (i, j, s) raising
         i by 2.
@@ -470,41 +482,3 @@ class GradedComplex:
         return {key: _transpose(self.columns((key[0] + 2, key[1], key[2])),
                                 self.dim(key))
                 for key in self.sizes}
-
-
-# ---------------------------------------------------------------------------
-# Sparse integer matrices: for each column, its (row, entry) pairs
-# ---------------------------------------------------------------------------
-
-def _mat_mul(a: Columns, b: Columns) -> Columns:
-    """The product a . b: column c is ``a`` applied to column c of ``b``.
-    Entries that cancel are dropped; rows come in no fixed order."""
-    out = []
-    for column in b:
-        acc: dict[int, int] = {}
-        for r, v in column:
-            for r2, w in a[r]:
-                acc[r2] = acc.get(r2, 0) + v * w
-        # In the d o d check nearly every column cancels: the scan keeps
-        # the product as fast as testing for zero alone.
-        out.append([(r, v) for r, v in acc.items() if v]
-                   if any(acc.values()) else [])
-    return out
-
-
-def _transpose(mat: Columns, rows: int) -> Columns:
-    """The transpose of ``mat``, which has ``rows`` rows."""
-    out: Columns = [[] for _ in range(rows)]
-    for c, column in enumerate(mat):
-        for r, v in column:
-            out[r].append((c, v))
-    return out
-
-
-def _dense_view(mat: Columns, rows: int) -> Matrix:
-    """A new dense ``rows`` x ``len(mat)`` copy of ``mat``."""
-    out = [[0] * len(mat) for _ in range(rows)]
-    for c, column in enumerate(mat):
-        for r, v in column:
-            out[r][c] = v
-    return out

@@ -31,6 +31,9 @@ used before it moved to block ranks: a kernel basis by ``Fraction`` (or
 Z/2) row reduction, its image, and the rank modulo the boundaries.  The
 same row reduction gives :func:`rank` over Q and Z/2, the oracle for the
 ranks that the library reads off invariant factors over Z.
+
+:func:`apply_r1_pos` spells out the edges of a positive kink, as the
+library did before it built one as a switched negative kink.
 """
 
 from __future__ import annotations
@@ -38,13 +41,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bandkh.diagram import Diagram, smooth
-from bandkh.homology import (
-    AbelianGroup,
-    HomologyTable,
-    divisor_chain,
-    smith_normal_form,
-)
+from bandkh.diagram import Diagram, Edge, Site, SiteError, _fresh_ids, _take_site, smooth
+from bandkh.homology import AbelianGroup, HomologyTable, divisor_chain
+from bandkh.linalg import smith_normal_form
 from bandkh.state_complex import EnhancedState, StateKey
 from bandkh.surface import CurveKind, GradingS
 
@@ -418,3 +417,31 @@ def induced_rank(f, a, b, cols: int, field: str) -> int:
     if field == "Z2":
         aug = [[v & 1 for v in row] for row in aug]
     return len(_rref(aug, field)[1]) - len(_rref(bf, field)[1])
+
+
+# ---------------------------------------------------------------------------
+# The positive kink, edge by edge
+# ---------------------------------------------------------------------------
+
+def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
+    """A positive kink on an edge or free loop, its edges written out."""
+    kind, idx = _take_site(diagram, site)
+    if side not in ("left", "right"):
+        raise SiteError("side must be 'left' or 'right'")
+    (x,) = _fresh_ids(diagram, 1)
+    edges = list(diagram.edges)
+    loops = list(diagram.loops)
+    if kind == "edge":
+        e = edges.pop(idx)
+        if side == "left":
+            new = [Edge(e.a, (x, 2), e.word), Edge((x, 3), e.b), Edge((x, 0), (x, 1))]
+        else:
+            new = [Edge(e.a, (x, 0), e.word), Edge((x, 1), e.b), Edge((x, 2), (x, 3))]
+    else:
+        u = loops.pop(idx)
+        if side == "left":
+            new = [Edge((x, 3), (x, 2), u), Edge((x, 0), (x, 1))]
+        else:
+            new = [Edge((x, 1), (x, 0), u), Edge((x, 2), (x, 3))]
+    return Diagram(diagram.surface, (x,) + diagram.crossings,
+                   tuple(edges) + tuple(new), tuple(loops))

@@ -1,13 +1,13 @@
-import importlib
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandkh import chainmaps
+from bandkh import chainmaps, linalg
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
-from bandkh.homology import homology, rank_over, table_isomorphic
+from bandkh.homology import COEFFICIENTS, homology, table_isomorphic
+from bandkh.linalg import rank_over
 from bandkh.chainmaps import (
     _block_rank,
     ChainMap,
@@ -174,26 +174,52 @@ def test_les_check_builds_each_induced_block_once(monkeypatch):
 
 def test_les_check_reduces_each_block_once_for_every_field(monkeypatch):
     """A second field adds no reduction: every block's ranks over Q and Z/2
-    are read off one Smith normal form of its residue."""
+    are read off one Smith normal form of its residue.  The d blocks are
+    reduced once per complex, so a second check on the same triple reduces
+    only its block matrices."""
     calls = []
-    # bandkh re-exports the homology function under the module's name.
-    module = importlib.import_module("bandkh.homology")
-    real = module.smith_normal_form
+    real = linalg.smith_normal_form
 
     def smith_normal_form(matrix):
         calls.append(matrix)
         return real(matrix)
 
-    monkeypatch.setattr(module, "smith_normal_form", smith_normal_form)
+    monkeypatch.setattr(linalg, "smith_normal_form", smith_normal_form)
     d = twist_pair(PANTS, "a", 4)
     for p in range(d.n_crossings):
-        t = skein_triple(d, p)
         counts = []
         for fields in (("Q",), ("Z2",), ("Q", "Z2")):
+            t = skein_triple(d, p)
             calls.clear()
             assert long_exact_sequence_check(t, fields).ok
             counts.append(len(calls))
         assert counts[0] > 0 and len(set(counts)) == 1
+        calls.clear()
+        assert long_exact_sequence_check(t).ok
+        assert len(calls) == counts[-1] - (
+            len(t.cp.sizes) + len(t.c0.sizes) + len(t.cinf.sizes))
+
+
+def test_homology_and_les_check_reduce_each_block_of_the_complex_once(monkeypatch):
+    """``homology`` over Z, Q and Z/2 and the LES check at every crossing of
+    triples built on one complex share one reduction of each block of d."""
+    reduced = []
+    real = linalg.eliminate_units
+
+    def eliminate_units(columns, rows):
+        reduced.append(columns)
+        return real(columns, rows)
+
+    monkeypatch.setattr(linalg, "eliminate_units", eliminate_units)
+    d = twist_pair(PANTS, "a", 3)
+    cx = GradedComplex(d)
+    for coefficients in COEFFICIENTS:
+        homology(cx, coefficients)
+    for p in range(d.n_crossings):
+        assert long_exact_sequence_check(skein_triple(d, p, cx)).ok
+    # A stored block is reduced as itself; block matrices are new lists.
+    assert [sum(m is cx.columns(key) for m in reduced) for key in cx.sizes] \
+        == [1] * len(cx.sizes)
 
 
 def test_les_check_builds_no_dense_differential(monkeypatch):

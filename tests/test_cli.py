@@ -1,26 +1,23 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bandkh
 from bandkh import cli, state_complex
 from bandkh.chainmaps import ChainMapError
-from bandkh.cli import (
-    ParseError,
-    _find_r3_sites,
-    emit_diagram,
-    load_diagram,
-    main,
-    parse_diagram,
-)
+from bandkh.cli import _find_r3_sites, main
 from bandkh.diagram import R3Site, SiteError, apply_r3, mirror, validate_r3_site
 from bandkh.homology import HomologyError, homology, table_isomorphic
 from bandkh.skein import SkeinError
 from bandkh.state_complex import GradedComplex
 from bandkh.surface import UnsupportedSurfaceError
+from bandkh.textformat import ParseError, emit_diagram, load_diagram, parse_diagram
 
 from helpers import (
     ALL_SURFACES,
@@ -125,6 +122,25 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
         assert run_cli(tmp_path, TWO_CROSSING, "homology", "--coefficients=Q") == 0
         outs.append(capsys.readouterr().out.encode())
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    """``import bandkh`` loads neither argparse, the CLI nor the chain maps,
+    so ``python -m bandkh.cli`` runs without runpy's RuntimeWarning about a
+    module found in sys.modules before its execution."""
+    src = os.path.dirname(os.path.dirname(bandkh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, bandkh; print(sorted(m for m in sys.modules if m in "
+             "('argparse', 'bandkh.cli', 'bandkh.chainmaps')))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "bandkh.cli", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: bandkh") and not run.stderr
 
 
 def test_cli_verify_all_passes(tmp_path, capsys):

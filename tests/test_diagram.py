@@ -1,11 +1,14 @@
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bandkh.diagram import (
     Diagram,
     DiagramError,
     Edge,
+    SiteError,
     apply_r1_neg,
     apply_r1_pos,
     apply_r2,
@@ -18,6 +21,7 @@ from bandkh.diagram import (
 )
 from bandkh.surface import CurveKind, SurfaceModel, parse_word
 
+import dense_oracle
 from helpers import (
     ALL_SURFACES,
     DISK,
@@ -131,6 +135,28 @@ def test_r1_pos_smoothing_convention():
         k = apply_r1_pos(d, ("loop", 0), side)
         assert len(smooth(k, (1,))) == 2
         assert len(smooth(k, (-1,))) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES), st.integers(0, 7),
+       st.sampled_from(("left", "right")))
+@example(0, DISK, 0, "up")
+@example(0, DISK, 99, "left")
+def test_r1_pos_matches_edge_by_edge_oracle(seed, surface, k, side):
+    """A switched negative kink on the other side is the positive kink the
+    old edge-by-edge construction built, down to the edge order; bad sites
+    and sides raise the same errors."""
+    d = random_diagram(surface, random.Random(seed), max_crossings=3)
+    sites = [("edge", n) for n in range(len(d.edges))] + \
+        [("loop", n) for n in range(len(d.loops))]
+    site = sites[k % len(sites)] if k < 99 else ("edge", k)
+    try:
+        want = dense_oracle.apply_r1_pos(d, site, side)
+    except SiteError as exc:
+        with pytest.raises(SiteError, match=re.escape(str(exc))):
+            apply_r1_pos(d, site, side)
+    else:
+        assert apply_r1_pos(d, site, side) == want
 
 
 def test_r2_parallel_resolution_restores_strands():

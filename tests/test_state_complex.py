@@ -10,12 +10,8 @@ from bandkh.chainmaps import r2_pair, skein_triple
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2
 from bandkh import state_complex
 from bandkh.homology import euler_characteristic_consistent, homology
-from bandkh.state_complex import (
-    ComplexError,
-    GradedComplex,
-    _mat_mul,
-    _transpose,
-)
+from bandkh.linalg import _mat_mul, _transpose
+from bandkh.state_complex import ComplexError, GradedComplex
 from bandkh.surface import CurveKind, parse_word
 
 from helpers import (
