@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .diagram import (
     Diagram,
+    MarkerVector,
     R3Site,
     apply_r1_neg,
     apply_r3,
@@ -131,9 +132,10 @@ class ChainMap:
                 and _compatible(other.target, self.target)):
             raise ChainMapError("sum needs identical source and target")
         blocks = {}
-        for key in set(self.blocks) | set(other.blocks):
+        for key in {**self.blocks, **other.blocks}:
+            empty = [[]] * self.source.dim(key)  # a block that one side lacks
             columns = []
-            for x, y in zip(self.columns(key), other.columns(key)):
+            for x, y in zip(self.columns(key) or empty, other.columns(key) or empty):
                 acc = dict(x)
                 for r, v in y:
                     acc[r] = acc.get(r, 0) + v
@@ -168,14 +170,55 @@ def identity_grading(key: GradingKey) -> GradingKey:
 
 def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
                src_key_of, tgt_key_of, marker_map):
-    """State transport between two diagrams via circle-key translation."""
+    """State transport between two diagrams via circle-key translation; a
+    target circle keyed None is new, labelled -1."""
     def move(s: EnhancedState) -> StateKey:
         markers2 = marker_map(s.markers)
         src = src_cx.smoothing(s.markers)
         by_key = {src_key_of(c): lab for c, lab in zip(src.circles, s.labels)}
+        by_key[None] = -1
         tgt = tgt_cx.smoothing(markers2)
         return StateKey(markers2, tuple(by_key[tgt_key_of(c)] for c in tgt.circles))
     return move
+
+
+def _row_map(source: GradedComplex, target: GradedComplex,
+             grading: Callable[[GradingKey], GradingKey], name: str,
+             step: Callable) -> ChainMap:
+    """A map built in one walk over the source's row tables: ``step(markers)``
+    is None where the map vanishes, else (sign, target markers, label-code
+    map or None for the identity on codes).  Every entry must land in the
+    target block at ``grading(key)``."""
+    blocks = {key: [[] for _ in range(n)] for key, n in source.sizes.items()}
+    columns = list(blocks.values())
+    tbids = {key: bid for bid, key in enumerate(target._keys)}
+    want = [tbids.get(grading(key), -1) for key in source._keys]
+    for markers, rows in source._rows.items():
+        if (part := step(markers)) is None:
+            continue
+        sign, tmarkers, codes = part
+        trows = target._rows[tmarkers]
+        for code, (bid, col) in enumerate(rows):
+            for got, row in (trows[c] for c in (codes(code) if codes else (code,))):
+                if got != want[bid]:
+                    raise ChainMapError(f"{name}: state lands in {target._keys[got]}, "
+                                        f"expected {grading(source._keys[bid])}")
+                columns[bid][col].append((row, sign))
+    return ChainMap(source, target, grading, blocks, name)
+
+
+def _sign(markers: MarkerVector) -> int:
+    return (-1) ** sum(m < 0 for m in markers)
+
+
+def _resmooth(cx: GradedComplex, pos: int,
+              sign: Callable[[MarkerVector], int]) -> Callable:
+    """Turn the +1 marker at ``pos`` into -1, signing the states over ``m``
+    by ``sign(m)``: a step of :func:`_row_map`."""
+    def step(m: MarkerVector):
+        rule = cx._flip(m, pos)
+        return sign(m), rule.target, rule.targets
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +227,8 @@ def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
 
 def eta(cx: GradedComplex) -> ChainMap:
     """S -> (-1)^{m(S)} S with m the number of negative markers; d eta = -eta d."""
-    return ChainMap.build(cx, cx, identity_grading,
-                          lambda s: [((-1) ** s.m_neg, s)], "eta")
+    return _row_map(cx, cx, identity_grading, "eta",
+                    lambda m: (_sign([m[q] for q in cx.free]), m, None))
 
 
 def g_map(cx: GradedComplex) -> ChainMap:
@@ -194,14 +237,9 @@ def g_map(cx: GradedComplex) -> ChainMap:
     u(S) counts positively marked free crossings whose 0-based position rank
     has the same parity as the total crossing count; then g . d = d+ . g.
     """
-    n = len(cx.free)
-
-    def entries(s: EnhancedState):
-        u = sum(1 for rank, pos in enumerate(cx.free)
-                if s.markers[pos] > 0 and rank % 2 == n % 2)
-        return [((-1) ** u, s)]
-
-    return ChainMap.build(cx, cx, identity_grading, entries, "g")
+    counted = [pos for rank, pos in enumerate(cx.free) if rank % 2 == len(cx.free) % 2]
+    return _row_map(cx, cx, identity_grading, "g",
+                    lambda m: (_sign([-m[q] for q in counted]), m, None))
 
 
 def g_conjugates_differentials(cx: GradedComplex) -> bool:
@@ -319,7 +357,8 @@ class SkeinTriple:
     """A diagram with a distinguished crossing and its two smoothings.
 
     ``c0``/``cinf`` are the complexes of the +1/-1 smoothings, realised as
-    the full diagram with that crossing frozen.
+    the full diagram with that crossing frozen; all three complexes share
+    ``cp``'s smoothings.
     """
 
     diagram: Diagram
@@ -339,56 +378,40 @@ def skein_triple(diagram: Diagram, p: int,
         cp = GradedComplex(diagram)
     elif cp.frozen or cp.diagram != diagram:
         raise ChainMapError("cp must be the unfrozen complex of the diagram")
-    return SkeinTriple(diagram, p, cp, GradedComplex(diagram, {p: 1}),
-                       GradedComplex(diagram, {p: -1}))
-
-
-def _t_before(t: SkeinTriple, state: EnhancedState) -> int:
-    return sum(1 for q in range(t.p) if q in t.cp.free and state.markers[q] < 0)
+    return SkeinTriple(diagram, p, cp, GradedComplex(diagram, {p: 1}, share=cp),
+                       GradedComplex(diagram, {p: -1}, share=cp))
 
 
 def viro_alpha(t: SkeinTriple) -> ChainMap:
     """Embedding of the infinity smoothing with a negative marker at p."""
-    def entries(s: EnhancedState):
-        return [((-1) ** _t_before(t, s), s)]
-    return ChainMap.build(t.cinf, t.cp, _shift(-1, -1), entries, "alpha")
+    return _row_map(t.cinf, t.cp, _shift(-1, -1), "alpha",
+                    lambda m: (_sign(m[:t.p]), m, None))
 
 
 def viro_beta(t: SkeinTriple) -> ChainMap:
     """Projection onto the states carrying a positive marker at p."""
-    def entries(s: EnhancedState):
-        if s.markers[t.p] < 0:
-            return []
-        return [(1, s)]
-    return ChainMap.build(t.cp, t.c0, _shift(-1, -1), entries, "beta")
+    return _row_map(t.cp, t.c0, _shift(-1, -1), "beta",
+                    lambda m: (1, m, None) if m[t.p] > 0 else None)
 
 
 def viro_alpha_bar(t: SkeinTriple) -> ChainMap:
-    def entries(s: EnhancedState):
-        if s.markers[t.p] > 0:
-            return []
-        return [((-1) ** _t_before(t, s), s)]
-    return ChainMap.build(t.cp, t.cinf, _shift(1, 1), entries, "alpha_bar")
+    return _row_map(t.cp, t.cinf, _shift(1, 1), "alpha_bar",
+                    lambda m: (_sign(m[:t.p]), m, None) if m[t.p] < 0 else None)
 
 
 def viro_beta_bar(t: SkeinTriple) -> ChainMap:
-    return ChainMap.build(t.c0, t.cp, _shift(1, 1), lambda s: [(1, s)],
-                          "beta_bar")
+    return _row_map(t.c0, t.cp, _shift(1, 1), "beta_bar", lambda m: (1, m, None))
 
 
 def viro_gamma(t: SkeinTriple) -> ChainMap:
     """Resmooth the distinguished crossing: the composite alpha0 . d_p . beta_bar."""
-    def entries(s: EnhancedState):
-        return [(1, x) for x in t.c0.resmoothings(s, t.p)]
-    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), entries, "gamma")
+    return _row_map(t.c0, t.cinf, _shift(0, 2), "gamma", _resmooth(t.c0, t.p, lambda m: 1))
 
 
 def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
-    """gamma with the sign (-1)^{m(S)}; anti-commutes with the differential."""
-    def entries(s: EnhancedState):
-        sign = (-1) ** s.m_neg
-        return [(sign, x) for x in t.c0.resmoothings(s, t.p)]
-    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), entries, "gamma_hat")
+    """gamma with the sign (-1)^{m(S)} (every negative marker of a c0 state
+    is free); anti-commutes with the differential."""
+    return _row_map(t.c0, t.cinf, _shift(0, 2), "gamma_hat", _resmooth(t.c0, t.p, _sign))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +534,10 @@ def rho_I(diagram: Diagram, site, side: str = "left",
     cx = GradedComplex(diagram)
     cx2 = GradedComplex(kinked)
 
-    def src_key_of(circle) -> tuple:
+    def src_key_of(circle) -> tuple | None:
+        """The key of a kinked circle before the kink; None for the new one."""
+        if circle.slots == o_slots:
+            return None
         if circle.key[0] == "loop":
             m = circle.key[1]
             if kind == "loop":
@@ -522,20 +548,9 @@ def rho_I(diagram: Diagram, site, side: str = "left",
             return ("slots", tuple(sorted(stripped)))
         return ("loop", idx)  # the kinked free loop
 
-    def entries(s: EnhancedState):
-        markers2 = (-1,) + s.markers
-        src = cx.smoothing(s.markers)
-        by_key = {c.key: lab for c, lab in zip(src.circles, s.labels)}
-        tgt = cx2.smoothing(markers2)
-        labels = []
-        for c in tgt.circles:
-            if c.slots == o_slots:
-                labels.append(-1)
-            else:
-                labels.append(by_key[src_key_of(c)])
-        return [(1, StateKey(markers2, tuple(labels)))]
-
-    return ChainMap.build(cx, cx2, _shift(-1, -3), entries, "rho_I"), kinked
+    move = _transport(cx, cx2, attrgetter("key"), src_key_of, lambda m: (-1,) + m)
+    return ChainMap.build(cx, cx2, _shift(-1, -3), lambda s: [(1, move(s))],
+                          "rho_I"), kinked
 
 
 # ---------------------------------------------------------------------------
@@ -598,37 +613,27 @@ def r2_pair(diagram: Diagram, v: int, w: int,
 
 def f_embed(pair: R2Pair) -> ChainMap:
     """Identity embedding of the undone complex as the (v:-1, w:+1) states."""
-    return ChainMap.build(pair.small, pair.big, identity_grading,
-                          lambda s: [(1, s)], "f_embed")
+    return _row_map(pair.small, pair.big, identity_grading, "f_embed",
+                    lambda m: (1, m, None))
 
 
 def gamma_r2(pair: R2Pair) -> ChainMap:
     """Resmoothing of the R2 site; the analogue of the skein-triple gamma."""
-    def entries(s: EnhancedState):
-        return [(1, x) for x in pair.small.resmoothings(s, pair.w)]
-    return ChainMap.build(pair.small, pair.tilde, _shift(0, 2), entries, "gamma_r2")
+    return _row_map(pair.small, pair.tilde, _shift(0, 2), "gamma_r2",
+                    _resmooth(pair.small, pair.w, lambda m: 1))
 
 
 def _g_embed_state(pair: R2Pair, s: EnhancedState) -> StateKey:
     """Transport a tilde state to the (v:+1, w:-1) pattern with a -1 circle."""
-    markers = list(s.markers)
-    markers[pair.v] = 1
-    markers = tuple(markers)
+    markers = s.markers[:pair.v] + (1,) + s.markers[pair.v + 1:]
     src = pair.tilde.smoothing(s.markers)
     by_key = {pair.circle_key(c): lab for c, lab in zip(src.circles, s.labels)}
-    tgt = pair.big.smoothing(markers)
-    labels = []
-    unmatched = []
-    for k, c in enumerate(tgt.circles):
-        key = pair.circle_key(c)
-        if key[0] == "edges" and not key[1]:
-            labels.append(-1)  # the small circle lives on internal edges only
-            unmatched.append(k)
-        else:
-            labels.append(by_key[key])
-    if len(unmatched) != 1:
+    keys = [pair.circle_key(c) for c in pair.big.smoothing(markers).circles]
+    small = ("edges", frozenset())  # the small circle lives on internal edges only
+    if keys.count(small) != 1:
         raise ChainMapError("R2 small-circle detection failed")
-    return StateKey(markers, tuple(labels))
+    by_key[small] = -1
+    return StateKey(markers, tuple(by_key[k] for k in keys))
 
 
 def g_embed(pair: R2Pair) -> ChainMap:
@@ -639,8 +644,7 @@ def g_embed(pair: R2Pair) -> ChainMap:
 
 def iota_embed(pair: R2Pair) -> ChainMap:
     """Identity embedding of the tilde pattern (markers v:-1, w:-1)."""
-    return ChainMap.build(pair.tilde, pair.big, _shift(-2, -2),
-                          lambda s: [(1, s)], "iota")
+    return _row_map(pair.tilde, pair.big, _shift(-2, -2), "iota", lambda m: (1, m, None))
 
 
 def rho_II(pair: R2Pair) -> ChainMap:
@@ -652,12 +656,8 @@ def rho_II(pair: R2Pair) -> ChainMap:
 
 def rho_II_section(pair: R2Pair) -> ChainMap:
     """Left inverse of rho_II on its image: read off the (v:-1, w:+1) rows."""
-    def entries(s: EnhancedState):
-        if s.markers[pair.v] == -1 and s.markers[pair.w] == 1:
-            return [(1, s)]
-        return []
-    return ChainMap.build(pair.big, pair.small, identity_grading, entries,
-                          "rho_II_inv")
+    return _row_map(pair.big, pair.small, identity_grading, "rho_II_inv",
+                    lambda m: (1, m, None) if (m[pair.v], m[pair.w]) == (-1, 1) else None)
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,6 @@ class Circle:
         return self.cls.kind
 
 
-_PLUS_ARCS = ((0, 1), (2, 3))
-_MINUS_ARCS = ((1, 2), (3, 0))
-
-
-def _arc_partner(slot: int, marker: int) -> int:
-    if marker > 0:
-        return slot ^ 1  # 0<->1, 2<->3
-    return {0: 3, 3: 0, 1: 2, 2: 1}[slot]
-
-
 @dataclass(frozen=True)
 class Diagram:
     surface: SurfaceModel
@@ -130,21 +120,18 @@ class Diagram:
         return {c: k for k, c in enumerate(self.crossings)}
 
     @cached_property
-    def slot_map(self) -> dict[Slot, tuple[int, str]]:
-        """slot -> (edge index, 'a'|'b')."""
-        out: dict[Slot, tuple[int, str]] = {}
-        for k, e in enumerate(self.edges):
-            out[e.a] = (k, "a")
-            out[e.b] = (k, "b")
-        return out
+    def slot_tables(self) -> "_SlotTables":
+        """The diagram compiled into slot tables, built on first use."""
+        return _SlotTables(self)
 
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)
 
     def edge_at(self, slot: Slot) -> tuple[int, str]:
+        """(edge index, 'a'|'b') of the edge endpoint at ``slot``."""
         try:
-            return self.slot_map[slot]
+            return self.slot_tables.ends[slot]
         except KeyError:
             raise SiteError(f"no edge endpoint at slot {slot}") from None
 
@@ -157,6 +144,42 @@ class Diagram:
 # Smoothing
 # ---------------------------------------------------------------------------
 
+class _SlotTables:
+    """A diagram on integer slots: slot ``4 k + s`` is slot ``s`` of crossing
+    ``k``, its +1 arc partner is ``slot ^ 1`` and its -1 partner ``slot ^ 3``;
+    ``succ[slot]`` is the slot at the other end of its edge and
+    ``words[slot]`` the word read leaving along it, ``names[slot]`` its
+    (crossing id, s) and ``ends`` maps that name to its (edge index,
+    'a'|'b').  ``classes`` memoizes the class of each reduced word, filled
+    lazily with equal values whoever fills it."""
+
+    def __init__(self, diagram: Diagram):
+        self.surface = diagram.surface
+        index = {(c, s): 4 * k + s for k, c in enumerate(diagram.crossings) for s in range(4)}
+        n = len(index)
+        self.names, self.succ, self.words = [None] * n, [0] * n, [()] * n
+        self.ends: dict[Slot, tuple[int, str]] = {}
+        for k, e in enumerate(diagram.edges):
+            self.ends[e.a], self.ends[e.b] = (k, "a"), (k, "b")
+            a, b = index[e.a], index[e.b]
+            self.names[a], self.succ[a], self.words[a] = e.a, b, e.word
+            self.names[b], self.succ[b], self.words[b] = e.b, a, inverse_word(e.word)
+        self.classes: dict[Word, CurveClass] = {}
+        self.loops = tuple(Circle(w, self.class_of(w), frozenset(), ("loop", k))
+                           for k, w in enumerate(map(free_reduce, diagram.loops)))
+
+    def class_of(self, word: Word) -> CurveClass:
+        return self.classes.get(word) or self.classes.setdefault(
+            word, classify(word, self.surface))
+
+    def circle(self, slots: list[int]) -> Circle:
+        """The circle entering each arc at ``slots[0::2]`` and leaving it at
+        ``slots[1::2]``."""
+        w = free_reduce(itertools.chain.from_iterable(self.words[k] for k in slots[1::2]))
+        names = [self.names[k] for k in slots]
+        return Circle(w, self.class_of(w), frozenset(names), ("slots", tuple(sorted(names))))
+
+
 def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
     """Circles of the diagram smoothed according to the marker vector.
 
@@ -165,36 +188,23 @@ def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
     """
     if len(markers) != diagram.n_crossings:
         raise DiagramError("marker vector length must equal the crossing count")
-    cidx = diagram.crossing_index
-    visited: set[Slot] = set()
+    tables = diagram.slot_tables
+    succ, arc = tables.succ, [1 if m > 0 else 3 for m in markers]
+    seen = [False] * len(succ)
     circles: list[Circle] = []
-    order = sorted(((c, s) for c in diagram.crossings for s in range(4)),
-                   key=lambda p: (cidx[p[0]], p[1]))
-    for start in order:
-        if start in visited:
+    for start in range(len(succ)):
+        if seen[start]:
             continue
-        word: list = []
-        slots: set[Slot] = set()
-        cur = start
+        slots, cur = [], start
         while True:
-            visited.add(cur)
-            slots.add(cur)
-            partner = (cur[0], _arc_partner(cur[1], markers[cidx[cur[0]]]))
-            visited.add(partner)
-            slots.add(partner)
-            k, end = diagram.edge_at(partner)
-            edge = diagram.edges[k]
-            word.extend(edge.word_from(end))
-            cur = edge.other(end)
+            partner = cur ^ arc[cur >> 2]
+            seen[cur] = seen[partner] = True
+            slots += (cur, partner)
+            cur = succ[partner]
             if cur == start:
                 break
-        w = free_reduce(word)
-        circles.append(Circle(w, classify(w, diagram.surface), frozenset(slots),
-                              ("slots", tuple(sorted(slots)))))
-    for k, w in enumerate(diagram.loops):
-        circles.append(Circle(free_reduce(w), classify(w, diagram.surface),
-                              frozenset(), ("loop", k)))
-    return tuple(circles)
+        circles.append(tables.circle(slots))
+    return tuple(circles) + tables.loops
 
 
 def smooth_crossing(diagram: Diagram, pos: int, marker: int) -> Diagram:
@@ -205,7 +215,7 @@ def smooth_crossing(diagram: Diagram, pos: int, marker: int) -> Diagram:
     produces a new free loop (appended after the existing ones).
     """
     cid = diagram.crossings[pos]
-    arcs = _PLUS_ARCS if marker > 0 else _MINUS_ARCS
+    arcs = ((0, 1), (2, 3)) if marker > 0 else ((1, 2), (3, 0))
     edges: list[Edge] = list(diagram.edges)
     loops: list[Word] = list(diagram.loops)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .diagram import Circle, Diagram, MarkerVector, smooth
+from .diagram import Circle, Diagram, MarkerVector, Slot, smooth
 from .linalg import Columns, Matrix, _dense_view, _mat_mul, _transpose, invariant_factors
 from .surface import CurveClass, CurveKind, GradingS
 
@@ -94,6 +94,7 @@ class _Smoothing:
     trivial: tuple[int, ...]
     unbounding: tuple[tuple[int, object], ...]  # (circle index, CurveClass)
     cids: tuple[int, ...]  # per circle: 0 if trivial, else its class id
+    at: dict[Slot, int]  # slot -> index of the circle through it
 
 
 def _code(labels: Sequence[int]) -> int:
@@ -144,9 +145,13 @@ class GradedComplex:
     States are enumerated deterministically: free markers in binary order
     (+1 before -1, earliest crossing most significant), then labels in the
     same order per circle, circles in their canonical smoothing order.
+
+    ``share``, a complex of the same diagram, lends this one its smoothing
+    cache, class ids and merge/split tables, which then fill for both.
     """
 
-    def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None):
+    def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
+                 *, share: GradedComplex | None = None):
         self.diagram = diagram
         self.frozen = dict(frozen or {})
         for pos, mark in self.frozen.items():
@@ -156,6 +161,12 @@ class GradedComplex:
                           if k not in self.frozen)
         self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
+        self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        if share is not None:
+            if share.diagram != diagram:
+                raise ComplexError("a shared complex must be of the same diagram")
+            self._class_ids, self._smooth_cache, self._locals = (
+                share._class_ids, share._smooth_cache, share._locals)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's
         # key, ``sizes[key]`` its size; ``_rows[markers][code]`` is the
         # (block id, row) of a state, ``_below[bid]`` the block id of
@@ -168,7 +179,6 @@ class GradedComplex:
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
-        self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._enumerate()
@@ -187,7 +197,8 @@ class GradedComplex:
                 tuple((k, c.cls) for k, c in enumerate(circles)
                       if c.kind is CurveKind.UNBOUNDING),
                 tuple(0 if c.kind is CurveKind.TRIVIAL
-                      else ids.setdefault(c.cls, len(ids) + 1) for c in circles))
+                      else ids.setdefault(c.cls, len(ids) + 1) for c in circles),
+                {slot: k for k, c in enumerate(circles) for slot in c.slots})
             self._smooth_cache[markers] = data
             return data
 
@@ -324,17 +335,12 @@ class GradedComplex:
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
         width_src, width = len(src.circles), len(tgt.circles)
-        cid = self.diagram.crossings[pos]
-        vslots = {(cid, s) for s in range(4)}
-        touched = [k for k, c in enumerate(src.circles) if c.slots & vslots]
-        untouched = {c.key: k for k, c in enumerate(src.circles)
-                     if not c.slots & vslots}
-        kept, new = [], []
-        for k, c in enumerate(tgt.circles):
-            if c.slots & vslots:
-                new.append(k)
-            else:
-                kept.append((1 << width_src - 1 - untouched[c.key], 1 << width - 1 - k))
+        vslots = [(self.diagram.crossings[pos], s) for s in range(4)]
+        touched = sorted({src.at[slot] for slot in vslots})
+        new = sorted({tgt.at[slot] for slot in vslots})
+        untouched = {c.key: k for k, c in enumerate(src.circles) if k not in touched}
+        kept = [(1 << width_src - 1 - untouched[c.key], 1 << width - 1 - k)
+                for k, c in enumerate(tgt.circles) if k not in new]
         local = self._local_rule(
             tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
             tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))

@@ -271,6 +271,16 @@ class CurveClass:
     kind: CurveKind
     sided: int  # +1 two-sided, -1 one-sided
 
+    def __post_init__(self):
+        # Hashed once, and pickled by fields: string hashes vary by process.
+        object.__setattr__(self, "_hash", hash((self.canonical, self.kind, self.sided)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CurveClass, (self.canonical, self.kind, self.sided)
+
     @property
     def sort_key(self) -> tuple:
         return (len(self.canonical), _word_rank(self.canonical))
@@ -323,6 +333,13 @@ class GradingS:
         keys = [cls.sort_key for cls, _ in self.entries]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("entries must be strictly sorted by class")
+        object.__setattr__(self, "_hash", hash(self.entries))  # as in CurveClass
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GradingS, (self.entries,)
 
     @staticmethod
     def zero() -> "GradingS":

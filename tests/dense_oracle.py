@@ -1,11 +1,16 @@
 """Brute-force homology oracle: all states at once, dense matrices, no
 (j, s)-block structure.
 
-Used to cross-check the optimized pipeline.  Only the circle tracer is
-shared with the library; state bookkeeping, the incidence rule, the
-differential assembly and the Smith reduction are reimplemented here in the
-plainest possible way (states grouped by total degree alone, one dense
-matrix per homological level and j-value, naive Euclidean Smith reduction).
+Used to cross-check the optimized pipeline.  The circle tracer, state
+bookkeeping, the incidence rule, the differential assembly and the Smith
+reduction are reimplemented here in the plainest possible way (circles
+traced on (crossing, slot) pairs, states grouped by total degree alone, one
+dense matrix per homological level and j-value, naive Euclidean Smith
+reduction).
+
+:func:`smooth` traces circles on (crossing id, slot) pairs, edge by edge,
+as the library did before it compiled each diagram into integer slot
+tables.
 
 :func:`resmoothings` derives the targets of one crossing flip state by
 state, as the library did before it cached one rule per (markers, crossing).
@@ -34,6 +39,11 @@ ranks that the library reads off invariant factors over Z.
 
 :func:`apply_r1_pos` spells out the edges of a positive kink, as the
 library did before it built one as a switched negative kink.
+
+:data:`VIRO_MAPS`, :data:`SIGN_MAPS` and :data:`R2_MAPS` build the
+skein-triple maps, the sign maps and the second-move maps that stay inside
+one diagram's complexes state by state through ``ChainMap.build``, as the
+library did before it built them from the row tables of the complexes.
 """
 
 from __future__ import annotations
@@ -41,11 +51,65 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bandkh.diagram import Diagram, Edge, Site, SiteError, _fresh_ids, _take_site, smooth
+from bandkh.chainmaps import ChainMap
+from bandkh.diagram import (
+    Circle,
+    Diagram,
+    DiagramError,
+    Edge,
+    Site,
+    SiteError,
+    _fresh_ids,
+    _take_site,
+)
 from bandkh.homology import AbelianGroup, HomologyTable, divisor_chain
 from bandkh.linalg import smith_normal_form
 from bandkh.state_complex import EnhancedState, StateKey
-from bandkh.surface import CurveKind, GradingS
+from bandkh.surface import CurveKind, GradingS, classify, free_reduce
+
+
+def _arc_partner(slot: int, marker: int) -> int:
+    if marker > 0:
+        return slot ^ 1  # 0<->1, 2<->3
+    return {0: 3, 3: 0, 1: 2, 2: 1}[slot]
+
+
+def smooth(diagram: Diagram, markers) -> tuple[Circle, ...]:
+    """Circles of the diagram smoothed according to the marker vector,
+    traced slot by slot: traced circles sorted by their smallest incident
+    (crossing index, slot), free loops last in declaration order."""
+    if len(markers) != diagram.n_crossings:
+        raise DiagramError("marker vector length must equal the crossing count")
+    cidx = diagram.crossing_index
+    visited: set = set()
+    circles: list[Circle] = []
+    order = sorted(((c, s) for c in diagram.crossings for s in range(4)),
+                   key=lambda p: (cidx[p[0]], p[1]))
+    for start in order:
+        if start in visited:
+            continue
+        word: list = []
+        slots: set = set()
+        cur = start
+        while True:
+            visited.add(cur)
+            slots.add(cur)
+            partner = (cur[0], _arc_partner(cur[1], markers[cidx[cur[0]]]))
+            visited.add(partner)
+            slots.add(partner)
+            k, end = diagram.edge_at(partner)
+            edge = diagram.edges[k]
+            word.extend(edge.word_from(end))
+            cur = edge.other(end)
+            if cur == start:
+                break
+        w = free_reduce(word)
+        circles.append(Circle(w, classify(w, diagram.surface), frozenset(slots),
+                              ("slots", tuple(sorted(slots)))))
+    for k, w in enumerate(diagram.loops):
+        circles.append(Circle(free_reduce(w), classify(w, diagram.surface),
+                              frozenset(), ("loop", k)))
+    return tuple(circles)
 
 
 def _states(diagram: Diagram):
@@ -445,3 +509,101 @@ def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
             new = [Edge((x, 1), (x, 0), u), Edge((x, 2), (x, 3))]
     return Diagram(diagram.surface, (x,) + diagram.crossings,
                    tuple(edges) + tuple(new), tuple(loops))
+
+
+# ---------------------------------------------------------------------------
+# The skein-triple maps, state by state
+# ---------------------------------------------------------------------------
+
+def _t_before(t, state) -> int:
+    return sum(1 for q in range(t.p) if q in t.cp.free and state.markers[q] < 0)
+
+
+def _shift(di: int, dj: int):
+    return lambda key: (key[0] + di, key[1] + dj, key[2])
+
+
+def viro_alpha(t) -> ChainMap:
+    return ChainMap.build(t.cinf, t.cp, _shift(-1, -1),
+                          lambda s: [((-1) ** _t_before(t, s), s)], "alpha")
+
+
+def viro_beta(t) -> ChainMap:
+    return ChainMap.build(t.cp, t.c0, _shift(-1, -1),
+                          lambda s: [] if s.markers[t.p] < 0 else [(1, s)], "beta")
+
+
+def viro_alpha_bar(t) -> ChainMap:
+    def entries(s):
+        if s.markers[t.p] > 0:
+            return []
+        return [((-1) ** _t_before(t, s), s)]
+    return ChainMap.build(t.cp, t.cinf, _shift(1, 1), entries, "alpha_bar")
+
+
+def viro_beta_bar(t) -> ChainMap:
+    return ChainMap.build(t.c0, t.cp, _shift(1, 1), lambda s: [(1, s)], "beta_bar")
+
+
+def viro_gamma(t) -> ChainMap:
+    return ChainMap.build(t.c0, t.cinf, _shift(0, 2),
+                          lambda s: [(1, x) for x in t.c0.resmoothings(s, t.p)],
+                          "gamma")
+
+
+def viro_gamma_hat(t) -> ChainMap:
+    def entries(s):
+        sign = (-1) ** s.m_neg
+        return [(sign, x) for x in t.c0.resmoothings(s, t.p)]
+    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), entries, "gamma_hat")
+
+
+#: name -> state-by-state builder of each skein-triple map.
+VIRO_MAPS = {f.__name__: f for f in (viro_alpha, viro_beta, viro_alpha_bar,
+                                     viro_beta_bar, viro_gamma, viro_gamma_hat)}
+
+
+def eta(cx) -> ChainMap:
+    return ChainMap.build(cx, cx, lambda key: key, lambda s: [((-1) ** s.m_neg, s)], "eta")
+
+
+def g_map(cx) -> ChainMap:
+    n = len(cx.free)
+
+    def entries(s):
+        u = sum(1 for rank, pos in enumerate(cx.free)
+                if s.markers[pos] > 0 and rank % 2 == n % 2)
+        return [((-1) ** u, s)]
+
+    return ChainMap.build(cx, cx, lambda key: key, entries, "g")
+
+
+#: name -> state-by-state builder of each sign map of one complex.
+SIGN_MAPS = {f.__name__: f for f in (eta, g_map)}
+
+
+def f_embed(pair) -> ChainMap:
+    return ChainMap.build(pair.small, pair.big, lambda key: key,
+                          lambda s: [(1, s)], "f_embed")
+
+
+def gamma_r2(pair) -> ChainMap:
+    return ChainMap.build(pair.small, pair.tilde, _shift(0, 2),
+                          lambda s: [(1, x) for x in pair.small.resmoothings(s, pair.w)],
+                          "gamma_r2")
+
+
+def iota_embed(pair) -> ChainMap:
+    return ChainMap.build(pair.tilde, pair.big, _shift(-2, -2), lambda s: [(1, s)], "iota")
+
+
+def rho_II_section(pair) -> ChainMap:
+    def entries(s):
+        if s.markers[pair.v] == -1 and s.markers[pair.w] == 1:
+            return [(1, s)]
+        return []
+    return ChainMap.build(pair.big, pair.small, lambda key: key, entries, "rho_II_inv")
+
+
+#: name -> state-by-state builder of each second-move map inside one diagram.
+R2_MAPS = {f.__name__: f for f in (f_embed, gamma_r2, iota_embed, rho_II_section)}

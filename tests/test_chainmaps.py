@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandkh import chainmaps, linalg
+from bandkh import chainmaps, linalg, state_complex
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
 from bandkh.homology import COEFFICIENTS, homology, table_isomorphic
 from bandkh.linalg import rank_over
@@ -38,8 +38,9 @@ from bandkh.chainmaps import (
     viro_gamma,
     viro_gamma_hat,
 )
-from bandkh.state_complex import GradedComplex
+from bandkh.state_complex import ComplexError, GradedComplex
 
+import dense_oracle
 from dense_oracle import (
     _mat_mul,
     dense_matrix,
@@ -242,6 +243,68 @@ def test_les_check_builds_no_dense_differential(monkeypatch):
         assert len(calls) == len(set(map(id, calls))) <= 3
 
 
+def test_les_check_builds_no_state_objects(monkeypatch):
+    """The skein triples, their maps and the check read the row tables
+    only: no EnhancedState or StateKey is built."""
+    built = []
+    for module in (state_complex, chainmaps):
+        for name in ("EnhancedState", "StateKey"):
+            cls = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, cls=cls: built.append(cls) or cls(*args))
+    d = twist_pair(PANTS, "a", 4)
+    cx = GradedComplex(d)
+    for p in range(d.n_crossings):
+        assert long_exact_sequence_check(skein_triple(d, p, cx)).ok
+    assert built == []
+
+
+def test_skein_triple_shares_the_smoothings_of_cp():
+    d = twist_pair(PANTS, "a", 3)
+    cx = GradedComplex(d)
+    t = skein_triple(d, 1, cx)
+    for frozen in (t.c0, t.cinf):
+        assert frozen._smooth_cache is cx._smooth_cache
+        assert frozen._class_ids is cx._class_ids and frozen._locals is cx._locals
+    with pytest.raises(ComplexError, match="same diagram"):
+        GradedComplex(trefoil(), share=cx)
+
+
+def _same_map(got, want):
+    assert got.name == want.name and list(got.blocks) == list(want.blocks)
+    assert got.blocks == want.blocks
+    assert all(got.grading(key) == want.grading(key) for key in got.blocks)
+
+
+def test_row_maps_match_state_by_state_builds():
+    """Every map built from the row tables equals the state-by-state
+    ChainMap.build it replaced, block by block and entry by entry: the
+    skein-triple maps at every crossing, the sign maps, and the
+    second-move maps inside one diagram."""
+    rng = random.Random(11)
+    for d in [twist_pair(PANTS, "a", 3), trefoil()] + suite(12, 2, 4):
+        cx = GradedComplex(d)
+        for name, build in dense_oracle.SIGN_MAPS.items():
+            _same_map(getattr(chainmaps, name)(cx), build(cx))
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p, cx)
+            for name, build in dense_oracle.VIRO_MAPS.items():
+                _same_map(getattr(chainmaps, name)(t), build(t))
+        sites = [("edge", k) for k in range(len(d.edges))]
+        sites += [("loop", k) for k in range(len(d.loops))]
+        with_loop = Diagram(d.surface, d.crossings, d.edges, d.loops + ((),))
+        big = apply_r2(with_loop, ("loop", len(d.loops)), rng.choice(sites))
+        pair = r2_pair(big, 0, 1)
+        for name, build in dense_oracle.R2_MAPS.items():
+            _same_map(getattr(chainmaps, name)(pair), build(pair))
+
+
+def test_row_map_rejects_an_entry_off_its_grading():
+    t = skein_triple(trefoil(), 1)
+    with pytest.raises(ChainMapError, match=r"alpha: state lands in .*, expected"):
+        chainmaps._row_map(t.cinf, t.cp, lambda key: key, "alpha", lambda m: (1, m, None))
+
+
 def test_les_check_rejects_unknown_field():
     with pytest.raises(ChainMapError, match="unknown field"):
         long_exact_sequence_check(skein_triple(trefoil(), 0), ("Q", "R"))
@@ -304,6 +367,21 @@ def test_sparse_add_and_scale_match_dense(data):
     # m - m cancels to the zero map.
     zero = m1.add(m1.scale(-1))
     assert all(not column for m in zero.blocks.values() for column in m)
+
+
+def test_add_pads_a_block_that_one_side_lacks():
+    """A block missing from one operand counts as zero, not as an empty
+    block that empties the sum."""
+    cx = GradedComplex(twist_pair(PANTS, "a", 2))
+    whole = eta(cx)
+    assert [[(0, 1)]] in whole.blocks.values()
+    for key in cx.sizes:
+        part = ChainMap(cx, cx, whole.grading,
+                        {k: v for k, v in whole.blocks.items() if k != key}, "part")
+        for total in (whole.add(part), part.add(whole)):
+            assert total.columns(key) == whole.columns(key)
+            assert all(total.columns(k) == whole.scale(2).columns(k)
+                       for k in cx.sizes if k != key)
 
 
 @settings(max_examples=60, deadline=None)

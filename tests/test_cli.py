@@ -178,9 +178,9 @@ def test_verify_les_builds_the_unfrozen_complex_once(tmp_path, capsys,
     built = []
     real = GradedComplex.__init__
 
-    def init(self, diagram, frozen=None):
+    def init(self, diagram, frozen=None, **kwargs):
         built.append(dict(frozen or {}))
-        real(self, diagram, frozen)
+        real(self, diagram, frozen, **kwargs)
 
     monkeypatch.setattr(GradedComplex, "__init__", init)
     path = tmp_path / "d.txt"
@@ -188,6 +188,21 @@ def test_verify_les_builds_the_unfrozen_complex_once(tmp_path, capsys,
     assert main(["verify", "--suite=les", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(built) == 9 and built.count({}) == 1
+
+
+def test_verify_les_smooths_each_marker_vector_once(tmp_path, capsys, monkeypatch):
+    """The frozen complexes of every skein triple share the smoothings of
+    the unfrozen one: a 4-crossing diagram is smoothed at each of its 16
+    marker vectors exactly once."""
+    seen = []
+    real = state_complex.smooth
+    monkeypatch.setattr(state_complex, "smooth",
+                        lambda diagram, markers: seen.append(markers) or real(diagram, markers))
+    path = tmp_path / "d.txt"
+    path.write_text(emit_diagram(twist_pair(PANTS, "a", 4)))
+    assert main(["verify", "--suite=les", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sorted(seen) == sorted(itertools.product((1, -1), repeat=4))
 
 
 def test_cli_verify_catches_non_embeddable_input(tmp_path, capsys):

@@ -19,15 +19,19 @@ from bandkh.diagram import (
     smooth,
     smooth_crossing,
 )
-from bandkh.surface import CurveKind, SurfaceModel, parse_word
+from bandkh import diagram as diagram_module
+from bandkh.surface import CurveKind, SurfaceModel, inverse_word, parse_word
 
 import dense_oracle
 from helpers import (
     ALL_SURFACES,
     DISK,
     MOEBIUS,
+    PANTS,
+    crosscap_shadow,
     loops_diagram,
     random_diagram,
+    surface_words,
     trefoil,
     triangle_closure,
     twist_pair,
@@ -157,6 +161,50 @@ def test_r1_pos_matches_edge_by_edge_oracle(seed, surface, k, side):
             apply_r1_pos(d, site, side)
     else:
         assert apply_r1_pos(d, site, side) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES + (None,)),
+       st.lists(st.integers(0, 7), max_size=2))
+@example(0, None, [])
+@example(5, MOEBIUS, [2, 5])
+def test_smooth_matches_slot_pair_oracle(seed, surface, loops):
+    """The slot-table tracer returns the circles of the (crossing, slot)
+    tracer it replaced, in order and field by field, on every marker
+    vector: random diagrams on all five surfaces with extra free loops (an
+    odd ``k`` adds a freely trivial, unreduced word), and the non-embeddable
+    crosscap shadow (surface None)."""
+    if surface is None:
+        d = crosscap_shadow()
+    else:
+        d = random_diagram(surface, random.Random(seed), max_crossings=4)
+        options = [parse_word(w) for w in surface_words(surface)]
+        words = [options[k % len(options)] for k in loops]
+        words = [w + inverse_word(w) if k % 2 else w for k, w in zip(loops, words)]
+        d = Diagram(surface, d.crossings, d.edges, d.loops + tuple(words))
+    for markers in d.marker_vectors():
+        got, want = smooth(d, markers), dense_oracle.smooth(d, markers)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.word, a.cls, a.slots, a.key) == (b.word, b.cls, b.slots, b.key)
+            assert (a.cls.kind, a.cls.sided) == (b.cls.kind, b.cls.sided)
+    for bad in ((), (1,) * (d.n_crossings + 1)):
+        if len(bad) != d.n_crossings:
+            with pytest.raises(DiagramError, match="marker vector length"):
+                smooth(d, bad)
+
+
+def test_smoothing_classifies_each_word_once_per_diagram(monkeypatch):
+    """Every distinct reduced word of a diagram's circles is classified
+    once, however many marker vectors and calls meet it."""
+    calls = []
+    real = diagram_module.classify
+    monkeypatch.setattr(diagram_module, "classify",
+                        lambda word, surface: calls.append(word) or real(word, surface))
+    d = twist_pair(PANTS, "a", 4, extra_loops=("b", ""))
+    for _ in range(2):
+        words = {c.word for m in d.marker_vectors() for c in smooth(d, m)}
+    assert sorted(calls) == sorted(words) and len(words) == 3
 
 
 def test_r2_parallel_resolution_restores_strands():

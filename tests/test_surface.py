@@ -1,6 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import bandkh
 from bandkh.surface import (
     Catalogue,
     CurveKind,
@@ -123,3 +129,32 @@ def test_grading_arithmetic():
 def test_grading_rejects_non_unbounding_keys():
     with pytest.raises(ValueError):
         GradingS.from_pairs([(classify((), DISK), 1)])
+
+
+def test_classes_and_gradings_pickle_without_their_stored_hash():
+    """CurveClass and GradingS store their hash when built, but pickle by
+    their fields: unpickled under another string-hash seed, a value hashes
+    like an equal value built there."""
+    cls = classify(parse_word("a b"), PANTS)
+    values = (cls, GradingS.from_pairs([(cls, 2), (classify(parse_word("a"), PANTS), -1)]))
+    for value in values:
+        data = pickle.dumps(value)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back == value and hash(back) == hash(value)
+    src = os.path.dirname(os.path.dirname(bandkh.__file__))
+    probe = ("import pickle, sys\n"
+             "from bandkh.surface import GradingS, SurfaceModel, classify, parse_word\n"
+             "pants = SurfaceModel.planar_holes(2)\n"
+             "cls = classify(parse_word('a b'), pants)\n"
+             "fresh = (cls, GradingS.from_pairs([(cls, 2), "
+             "(classify(parse_word('a'), pants), -1)]))\n"
+             "back = pickle.loads(sys.stdin.buffer.read())\n"
+             "print(back == fresh, {v: k for k, v in enumerate(fresh)}[back[1]],"
+             " [hash(v) for v in back] == [hash(v) for v in fresh])\n")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(values),
+                             env=env, capture_output=True, timeout=60)
+        assert run.stdout.decode() == "True 1 True\n", run.stderr.decode()
