@@ -44,7 +44,7 @@ from .linalg import (
     invariant_factors,
     rank_over,
 )
-from .state_complex import EnhancedState, GradedComplex, GradingKey, StateKey
+from .state_complex import GradedComplex, GradingKey
 from .surface import grading_negate
 
 
@@ -55,11 +55,6 @@ class ChainMapError(ValueError):
 # ---------------------------------------------------------------------------
 # Chain maps
 # ---------------------------------------------------------------------------
-
-#: A source state's (coefficient, target state) pairs; a target state is
-#: named by its markers and labels, an EnhancedState or a StateKey.
-EntriesFn = Callable[[EnhancedState], list]
-
 
 @dataclass
 class ChainMap:
@@ -76,23 +71,28 @@ class ChainMap:
     @staticmethod
     def build(source: GradedComplex, target: GradedComplex,
               grading: Callable[[GradingKey], GradingKey],
-              entries: EntriesFn, name: str = "") -> "ChainMap":
-        blocks: dict[GradingKey, Columns] = {}
-        for key, bucket in source.buckets.items():
-            tkey = grading(key)
-            columns: Columns = []
-            for state in bucket:
-                column: dict[int, int] = {}
-                for coef, tstate in entries(state):
-                    if coef == 0:
-                        continue
-                    got, row = target.locate(tstate.markers, tstate.labels)
-                    if got != tkey:
+              step: Callable, name: str = "") -> "ChainMap":
+        """The map built in one walk over the source's row tables:
+        ``step(markers)`` is None where the map vanishes, else (sign, target
+        markers, codes), sending the state with label code c to ``sign``
+        times the target states with codes ``codes(c)`` (c if ``codes`` is
+        None).  Every entry must land in the target block at ``grading(key)``."""
+        blocks = {key: [[] for _ in range(n)] for key, n in source.sizes.items()}
+        columns = list(blocks.values())
+        tbids = {key: bid for bid, key in enumerate(target._keys)}
+        want = [tbids.get(grading(key), -1) for key in source._keys]
+        for markers, rows in source._rows.items():
+            if (part := step(markers)) is None:
+                continue
+            sign, tmarkers, codes = part
+            trows = target._rows[tmarkers]
+            for code, (bid, col) in enumerate(rows):
+                for got, row in (trows[c] for c in (codes(code) if codes else (code,))):
+                    if got != want[bid]:
                         raise ChainMapError(
-                            f"{name or 'map'}: state lands in {got}, expected {tkey}")
-                    column[row] = column.get(row, 0) + coef
-                columns.append([(r, v) for r, v in column.items() if v])
-            blocks[key] = columns
+                            f"{name or 'map'}: state lands in {target._keys[got]}, "
+                            f"expected {grading(source._keys[bid])}")
+                    columns[bid][col].append((row, sign))
         return ChainMap(source, target, grading, blocks, name)
 
     def columns(self, key: GradingKey) -> Columns:
@@ -169,52 +169,44 @@ def identity_grading(key: GradingKey) -> GradingKey:
 
 
 def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
-               src_key_of, tgt_key_of, marker_map):
-    """State transport between two diagrams via circle-key translation; a
-    target circle keyed None is new, labelled -1."""
-    def move(s: EnhancedState) -> StateKey:
-        markers2 = marker_map(s.markers)
-        src = src_cx.smoothing(s.markers)
-        by_key = {src_key_of(c): lab for c, lab in zip(src.circles, s.labels)}
-        by_key[None] = -1
-        tgt = tgt_cx.smoothing(markers2)
-        return StateKey(markers2, tuple(by_key[tgt_key_of(c)] for c in tgt.circles))
-    return move
+               src_key_of, tgt_key_of, marker_map, sign=lambda m: 1,
+               negate: bool = False) -> Callable:
+    """A step of :meth:`ChainMap.build` moving states between two diagrams
+    by circle keys, matched once per marker vector: each target circle takes
+    the label of the source circle with its key, a target circle keyed None
+    is new, labelled -1; ``negate`` then reverses every label, and the
+    states over ``m`` are signed by ``sign(m)``."""
+    def step(markers: MarkerVector):
+        tmarkers = marker_map(markers)
+        src, tgt = src_cx.smoothing(markers), tgt_cx.smoothing(tmarkers)
+        bits = {src_key_of(c): 1 << len(src.circles) - 1 - k
+                for k, c in enumerate(src.circles)}
+        width = len(tgt.circles)
+        base, pairs = (1 << width) - 1 if negate else 0, []
+        for k, c in enumerate(tgt.circles):
+            key = tgt_key_of(c)
+            if key is None:
+                base ^= 1 << width - 1 - k
+            else:
+                pairs.append((bits[key], 1 << width - 1 - k))
 
-
-def _row_map(source: GradedComplex, target: GradedComplex,
-             grading: Callable[[GradingKey], GradingKey], name: str,
-             step: Callable) -> ChainMap:
-    """A map built in one walk over the source's row tables: ``step(markers)``
-    is None where the map vanishes, else (sign, target markers, label-code
-    map or None for the identity on codes).  Every entry must land in the
-    target block at ``grading(key)``."""
-    blocks = {key: [[] for _ in range(n)] for key, n in source.sizes.items()}
-    columns = list(blocks.values())
-    tbids = {key: bid for bid, key in enumerate(target._keys)}
-    want = [tbids.get(grading(key), -1) for key in source._keys]
-    for markers, rows in source._rows.items():
-        if (part := step(markers)) is None:
-            continue
-        sign, tmarkers, codes = part
-        trows = target._rows[tmarkers]
-        for code, (bid, col) in enumerate(rows):
-            for got, row in (trows[c] for c in (codes(code) if codes else (code,))):
-                if got != want[bid]:
-                    raise ChainMapError(f"{name}: state lands in {target._keys[got]}, "
-                                        f"expected {grading(source._keys[bid])}")
-                columns[bid][col].append((row, sign))
-    return ChainMap(source, target, grading, blocks, name)
+        def codes(code: int) -> tuple[int]:
+            out = base
+            for s, t in pairs:
+                if code & s:
+                    out ^= t
+            return (out,)
+        return sign(markers), tmarkers, codes
+    return step
 
 
 def _sign(markers: MarkerVector) -> int:
     return (-1) ** sum(m < 0 for m in markers)
 
 
-def _resmooth(cx: GradedComplex, pos: int,
-              sign: Callable[[MarkerVector], int]) -> Callable:
+def _resmooth(cx: GradedComplex, pos: int, sign=lambda m: 1) -> Callable:
     """Turn the +1 marker at ``pos`` into -1, signing the states over ``m``
-    by ``sign(m)``: a step of :func:`_row_map`."""
+    by ``sign(m)``: a step of :meth:`ChainMap.build`."""
     def step(m: MarkerVector):
         rule = cx._flip(m, pos)
         return sign(m), rule.target, rule.targets
@@ -227,8 +219,8 @@ def _resmooth(cx: GradedComplex, pos: int,
 
 def eta(cx: GradedComplex) -> ChainMap:
     """S -> (-1)^{m(S)} S with m the number of negative markers; d eta = -eta d."""
-    return _row_map(cx, cx, identity_grading, "eta",
-                    lambda m: (_sign([m[q] for q in cx.free]), m, None))
+    return ChainMap.build(cx, cx, identity_grading,
+                          lambda m: (_sign([m[q] for q in cx.free]), m, None), "eta")
 
 
 def g_map(cx: GradedComplex) -> ChainMap:
@@ -238,8 +230,8 @@ def g_map(cx: GradedComplex) -> ChainMap:
     has the same parity as the total crossing count; then g . d = d+ . g.
     """
     counted = [pos for rank, pos in enumerate(cx.free) if rank % 2 == len(cx.free) % 2]
-    return _row_map(cx, cx, identity_grading, "g",
-                    lambda m: (_sign([-m[q] for q in counted]), m, None))
+    return ChainMap.build(cx, cx, identity_grading,
+                          lambda m: (_sign([-m[q] for q in counted]), m, None), "g")
 
 
 def g_conjugates_differentials(cx: GradedComplex) -> bool:
@@ -277,14 +269,9 @@ def mirror_map(diagram: Diagram) -> tuple[ChainMap, GradedComplex, GradedComplex
             return key
         return ("slots", tuple(sorted((c, (s + 1) % 4) for c, s in key[1])))
 
-    move = _transport(cx, cxm, lambda c: rot_key(c.key), attrgetter("key"),
-                      lambda markers: tuple(-m for m in markers))
-
-    def entries(s: EnhancedState):
-        moved = move(s)
-        return [(1, StateKey(moved.markers, tuple(-lab for lab in moved.labels)))]
-
-    return ChainMap.build(cx, cxm, _negate_key, entries, "mirror"), cx, cxm
+    step = _transport(cx, cxm, lambda c: rot_key(c.key), attrgetter("key"),
+                      lambda markers: tuple(-m for m in markers), negate=True)
+    return ChainMap.build(cx, cxm, _negate_key, step, "mirror"), cx, cxm
 
 
 def mirror_intertwines(diagram: Diagram) -> bool:
@@ -337,15 +324,14 @@ def reorder_iso(diagram: Diagram, permutation: Sequence[int]) -> ChainMap:
     d2 = reorder_crossings(diagram, permutation)
     cx, cx2 = GradedComplex(diagram), GradedComplex(d2)
     new_pos = {diagram.crossings[old]: k for k, old in enumerate(permutation)}
-    move = _transport(cx, cx2, attrgetter("key"), attrgetter("key"),
-                      lambda markers: tuple(markers[old] for old in permutation))
 
-    def entries(s: EnhancedState):
-        seq = [new_pos[c] for c, m in zip(diagram.crossings, s.markers) if m < 0]
-        inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
-        return [((-1) ** inversions, move(s))]
+    def sign(markers: MarkerVector) -> int:
+        seq = [new_pos[c] for c, m in zip(diagram.crossings, markers) if m < 0]
+        return (-1) ** sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
 
-    return ChainMap.build(cx, cx2, identity_grading, entries, "f12")
+    step = _transport(cx, cx2, attrgetter("key"), attrgetter("key"),
+                      lambda markers: tuple(markers[old] for old in permutation), sign)
+    return ChainMap.build(cx, cx2, identity_grading, step, "f12")
 
 
 # ---------------------------------------------------------------------------
@@ -384,34 +370,36 @@ def skein_triple(diagram: Diagram, p: int,
 
 def viro_alpha(t: SkeinTriple) -> ChainMap:
     """Embedding of the infinity smoothing with a negative marker at p."""
-    return _row_map(t.cinf, t.cp, _shift(-1, -1), "alpha",
-                    lambda m: (_sign(m[:t.p]), m, None))
+    return ChainMap.build(t.cinf, t.cp, _shift(-1, -1),
+                          lambda m: (_sign(m[:t.p]), m, None), "alpha")
 
 
 def viro_beta(t: SkeinTriple) -> ChainMap:
     """Projection onto the states carrying a positive marker at p."""
-    return _row_map(t.cp, t.c0, _shift(-1, -1), "beta",
-                    lambda m: (1, m, None) if m[t.p] > 0 else None)
+    return ChainMap.build(t.cp, t.c0, _shift(-1, -1),
+                          lambda m: (1, m, None) if m[t.p] > 0 else None, "beta")
 
 
 def viro_alpha_bar(t: SkeinTriple) -> ChainMap:
-    return _row_map(t.cp, t.cinf, _shift(1, 1), "alpha_bar",
-                    lambda m: (_sign(m[:t.p]), m, None) if m[t.p] < 0 else None)
+    return ChainMap.build(t.cp, t.cinf, _shift(1, 1),
+                          lambda m: (_sign(m[:t.p]), m, None) if m[t.p] < 0 else None,
+                          "alpha_bar")
 
 
 def viro_beta_bar(t: SkeinTriple) -> ChainMap:
-    return _row_map(t.c0, t.cp, _shift(1, 1), "beta_bar", lambda m: (1, m, None))
+    return ChainMap.build(t.c0, t.cp, _shift(1, 1), lambda m: (1, m, None), "beta_bar")
 
 
 def viro_gamma(t: SkeinTriple) -> ChainMap:
     """Resmooth the distinguished crossing: the composite alpha0 . d_p . beta_bar."""
-    return _row_map(t.c0, t.cinf, _shift(0, 2), "gamma", _resmooth(t.c0, t.p, lambda m: 1))
+    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), _resmooth(t.c0, t.p), "gamma")
 
 
 def viro_gamma_hat(t: SkeinTriple) -> ChainMap:
     """gamma with the sign (-1)^{m(S)} (every negative marker of a c0 state
     is free); anti-commutes with the differential."""
-    return _row_map(t.c0, t.cinf, _shift(0, 2), "gamma_hat", _resmooth(t.c0, t.p, _sign))
+    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), _resmooth(t.c0, t.p, _sign),
+                          "gamma_hat")
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +536,8 @@ def rho_I(diagram: Diagram, site, side: str = "left",
             return ("slots", tuple(sorted(stripped)))
         return ("loop", idx)  # the kinked free loop
 
-    move = _transport(cx, cx2, attrgetter("key"), src_key_of, lambda m: (-1,) + m)
-    return ChainMap.build(cx, cx2, _shift(-1, -3), lambda s: [(1, move(s))],
-                          "rho_I"), kinked
+    step = _transport(cx, cx2, attrgetter("key"), src_key_of, lambda m: (-1,) + m)
+    return ChainMap.build(cx, cx2, _shift(-1, -3), step, "rho_I"), kinked
 
 
 # ---------------------------------------------------------------------------
@@ -613,38 +600,35 @@ def r2_pair(diagram: Diagram, v: int, w: int,
 
 def f_embed(pair: R2Pair) -> ChainMap:
     """Identity embedding of the undone complex as the (v:-1, w:+1) states."""
-    return _row_map(pair.small, pair.big, identity_grading, "f_embed",
-                    lambda m: (1, m, None))
+    return ChainMap.build(pair.small, pair.big, identity_grading, lambda m: (1, m, None),
+                          "f_embed")
 
 
 def gamma_r2(pair: R2Pair) -> ChainMap:
     """Resmoothing of the R2 site; the analogue of the skein-triple gamma."""
-    return _row_map(pair.small, pair.tilde, _shift(0, 2), "gamma_r2",
-                    _resmooth(pair.small, pair.w, lambda m: 1))
-
-
-def _g_embed_state(pair: R2Pair, s: EnhancedState) -> StateKey:
-    """Transport a tilde state to the (v:+1, w:-1) pattern with a -1 circle."""
-    markers = s.markers[:pair.v] + (1,) + s.markers[pair.v + 1:]
-    src = pair.tilde.smoothing(s.markers)
-    by_key = {pair.circle_key(c): lab for c, lab in zip(src.circles, s.labels)}
-    keys = [pair.circle_key(c) for c in pair.big.smoothing(markers).circles]
-    small = ("edges", frozenset())  # the small circle lives on internal edges only
-    if keys.count(small) != 1:
-        raise ChainMapError("R2 small-circle detection failed")
-    by_key[small] = -1
-    return StateKey(markers, tuple(by_key[k] for k in keys))
+    return ChainMap.build(pair.small, pair.tilde, _shift(0, 2),
+                          _resmooth(pair.small, pair.w), "gamma_r2")
 
 
 def g_embed(pair: R2Pair) -> ChainMap:
-    """Embedding of the opposite connection with the new circle labeled -1."""
-    return ChainMap.build(pair.tilde, pair.big, _shift(0, -2),
-                          lambda s: [(1, _g_embed_state(pair, s))], "g_embed")
+    """Embedding of the opposite connection as the (v:+1, w:-1) pattern, with
+    the new circle labeled -1."""
+    small = ("edges", frozenset())  # the small circle lives on internal edges only
+    key_of = lambda c: None if pair.circle_key(c) == small else pair.circle_key(c)
+    moved = lambda m: m[:pair.v] + (1,) + m[pair.v + 1:]
+    move = _transport(pair.tilde, pair.big, pair.circle_key, key_of, moved)
+
+    def step(m: MarkerVector):
+        if [key_of(c) for c in pair.big.smoothing(moved(m)).circles].count(None) != 1:
+            raise ChainMapError("R2 small-circle detection failed")
+        return move(m)
+
+    return ChainMap.build(pair.tilde, pair.big, _shift(0, -2), step, "g_embed")
 
 
 def iota_embed(pair: R2Pair) -> ChainMap:
     """Identity embedding of the tilde pattern (markers v:-1, w:-1)."""
-    return _row_map(pair.tilde, pair.big, _shift(-2, -2), "iota", lambda m: (1, m, None))
+    return ChainMap.build(pair.tilde, pair.big, _shift(-2, -2), lambda m: (1, m, None), "iota")
 
 
 def rho_II(pair: R2Pair) -> ChainMap:
@@ -656,8 +640,8 @@ def rho_II(pair: R2Pair) -> ChainMap:
 
 def rho_II_section(pair: R2Pair) -> ChainMap:
     """Left inverse of rho_II on its image: read off the (v:-1, w:+1) rows."""
-    return _row_map(pair.big, pair.small, identity_grading, "rho_II_inv",
-                    lambda m: (1, m, None) if (m[pair.v], m[pair.w]) == (-1, 1) else None)
+    return ChainMap.build(pair.big, pair.small, identity_grading, lambda m: (1, m, None)
+                          if (m[pair.v], m[pair.w]) == (-1, 1) else None, "rho_II_inv")
 
 
 # ---------------------------------------------------------------------------
@@ -745,20 +729,18 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
         # Undone pattern of the moved side: order (p, w, v) frozen (+1, +1, -1).
         return (1, 1, -1) + markers[3:]
 
-    move_small = _transport(pair.small, pair2.small, key_src,
-                            key_tgt_translated, marker_small)
     nu = ChainMap.build(pair.small, pair2.small, identity_grading,
-                        lambda s: [(1, move_small(s))], "nu")
+                        _transport(pair.small, pair2.small, key_src,
+                                   key_tgt_translated, marker_small), "nu")
 
     # With the moved ordering (p, w, v) the geometric identification of the
     # two minus-smoothings is position-preserving (the strand crossing a at
     # position 1 is the B-to-C hybrid on both sides), so the transport
     # carries no reordering sign.
-    move_inf = _transport(triple.cinf, triple2.cinf, key_src,
-                          key_tgt_translated, lambda markers: markers)
-
     f_inf = ChainMap.build(triple.cinf, triple2.cinf, identity_grading,
-                           lambda s: [(1, move_inf(s))], "f_inf")
+                           _transport(triple.cinf, triple2.cinf, key_src,
+                                      key_tgt_translated, lambda markers: markers),
+                           "f_inf")
 
     beta, section = viro_beta(triple), rho_II_section(pair)
     rho = rho_II(pair2).compose(nu).compose(section, "rho")

@@ -120,8 +120,8 @@ class _FlipRule:
     one marker vector, on label codes: each untouched circle's source bit
     becomes its target bit (the pairs in ``kept``), and ``local`` maps the
     bits of the source circles at the crossing (``code & mask``) to the
-    bits of each allowed labelling of the target circles at it.
-    ``signs[counted]`` is ``(-1)^t``.
+    bits of each allowed labelling of the target circles at it.  It does not
+    depend on the frozen markers, so the complexes of one diagram share it.
     """
 
     target: MarkerVector
@@ -129,7 +129,6 @@ class _FlipRule:
     kept: tuple[tuple[int, int], ...]
     mask: int
     local: dict[int, tuple[int, ...]]
-    signs: dict[int, int]
 
     def targets(self, code: int) -> list[int]:
         base = 0
@@ -147,7 +146,8 @@ class GradedComplex:
     same order per circle, circles in their canonical smoothing order.
 
     ``share``, a complex of the same diagram, lends this one its smoothing
-    cache, class ids and merge/split tables, which then fill for both.
+    cache, class ids, flip rules and merge/split tables, which then fill for
+    both.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -162,11 +162,12 @@ class GradedComplex:
         self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         if share is not None:
             if share.diagram != diagram:
                 raise ComplexError("a shared complex must be of the same diagram")
-            self._class_ids, self._smooth_cache, self._locals = (
-                share._class_ids, share._smooth_cache, share._locals)
+            self._class_ids, self._smooth_cache, self._locals, self._flips = (
+                share._class_ids, share._smooth_cache, share._locals, share._flips)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's
         # key, ``sizes[key]`` its size; ``_rows[markers][code]`` is the
         # (block id, row) of a state, ``_below[bid]`` the block id of
@@ -178,7 +179,6 @@ class GradedComplex:
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
-        self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._enumerate()
@@ -344,10 +344,7 @@ class GradedComplex:
         local = self._local_rule(
             tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
             tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))
-        mask = _mask(touched, width_src)
-        signs = {c: (-1) ** sum(1 for q in self.free if q > pos and markers[q] == c)
-                 for c in (1, -1)}
-        return _FlipRule(flipped, width, tuple(kept), mask, local, signs)
+        return _FlipRule(flipped, width, tuple(kept), _mask(touched, width_src), local)
 
     def _local_rule(self, touched: tuple[tuple[int, int], ...],
                     new: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
@@ -394,7 +391,7 @@ class GradedComplex:
                 if markers[pos] < 0:
                     continue
                 rule = self._flip(markers, pos)
-                sign = rule.signs[counted]
+                sign = (-1) ** sum(markers[q] == counted for q in self.free if q > pos)
                 targets = self._rows[rule.target]
                 bases = [(0, 0)]
                 for src, tgt in rule.kept:

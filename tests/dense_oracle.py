@@ -40,10 +40,16 @@ ranks that the library reads off invariant factors over Z.
 :func:`apply_r1_pos` spells out the edges of a positive kink, as the
 library did before it built one as a switched negative kink.
 
-:data:`VIRO_MAPS`, :data:`SIGN_MAPS` and :data:`R2_MAPS` build the
-skein-triple maps, the sign maps and the second-move maps that stay inside
-one diagram's complexes state by state through ``ChainMap.build``, as the
-library did before it built them from the row tables of the complexes.
+:func:`build` is the state-by-state chain-map builder: it decodes every
+source state and ``locate``s each of its images in the target, as
+``ChainMap.build`` did before it walked the row tables once per marker
+vector.  :data:`VIRO_MAPS`, :data:`SIGN_MAPS` and :data:`R2_MAPS` build
+the skein-triple maps, the sign maps and the second-move maps that stay
+inside one diagram's complexes through it.  :func:`mirror_map`,
+:func:`reorder_iso`, :func:`rho_I`, :func:`g_embed` and
+:func:`r3_transports` (the R3 maps ``nu`` and ``f_inf``) build the maps
+between two diagrams through it, each state moved by matching its circles
+by key (:func:`_transport`).
 """
 
 from __future__ import annotations
@@ -51,7 +57,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bandkh.chainmaps import ChainMap
+from bandkh.chainmaps import (
+    ChainMap,
+    ChainMapError,
+    _external_edge_keys,
+    r2_pair,
+    skein_triple,
+)
 from bandkh.diagram import (
     Circle,
     Diagram,
@@ -61,11 +73,16 @@ from bandkh.diagram import (
     SiteError,
     _fresh_ids,
     _take_site,
+    apply_r1_neg,
+    apply_r3,
+    mirror,
+    r1_neg_small_circle_slots,
+    reorder_crossings,
 )
 from bandkh.homology import AbelianGroup, HomologyTable, divisor_chain
 from bandkh.linalg import smith_normal_form
-from bandkh.state_complex import EnhancedState, StateKey
-from bandkh.surface import CurveKind, GradingS, classify, free_reduce
+from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
+from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
 
 
 def _arc_partner(slot: int, marker: int) -> int:
@@ -512,8 +529,32 @@ def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# The skein-triple maps, state by state
+# Chain maps, state by state
 # ---------------------------------------------------------------------------
+
+def build(source, target, grading, entries, name=""):
+    """A ChainMap built state by state: ``entries(state)`` lists the
+    (coefficient, target state) pairs of each decoded source state, and each
+    target state is ``locate``d in ``target``, in the block at
+    ``grading(key)``."""
+    blocks = {}
+    for key, bucket in source.buckets.items():
+        tkey = grading(key)
+        columns = []
+        for state in bucket:
+            column = {}
+            for coef, tstate in entries(state):
+                if coef == 0:
+                    continue
+                got, row = target.locate(tstate.markers, tstate.labels)
+                if got != tkey:
+                    raise ChainMapError(
+                        f"{name or 'map'}: state lands in {got}, expected {tkey}")
+                column[row] = column.get(row, 0) + coef
+            columns.append([(r, v) for r, v in column.items() if v])
+        blocks[key] = columns
+    return ChainMap(source, target, grading, blocks, name)
+
 
 def _t_before(t, state) -> int:
     return sum(1 for q in range(t.p) if q in t.cp.free and state.markers[q] < 0)
@@ -524,12 +565,12 @@ def _shift(di: int, dj: int):
 
 
 def viro_alpha(t) -> ChainMap:
-    return ChainMap.build(t.cinf, t.cp, _shift(-1, -1),
+    return build(t.cinf, t.cp, _shift(-1, -1),
                           lambda s: [((-1) ** _t_before(t, s), s)], "alpha")
 
 
 def viro_beta(t) -> ChainMap:
-    return ChainMap.build(t.cp, t.c0, _shift(-1, -1),
+    return build(t.cp, t.c0, _shift(-1, -1),
                           lambda s: [] if s.markers[t.p] < 0 else [(1, s)], "beta")
 
 
@@ -538,15 +579,15 @@ def viro_alpha_bar(t) -> ChainMap:
         if s.markers[t.p] > 0:
             return []
         return [((-1) ** _t_before(t, s), s)]
-    return ChainMap.build(t.cp, t.cinf, _shift(1, 1), entries, "alpha_bar")
+    return build(t.cp, t.cinf, _shift(1, 1), entries, "alpha_bar")
 
 
 def viro_beta_bar(t) -> ChainMap:
-    return ChainMap.build(t.c0, t.cp, _shift(1, 1), lambda s: [(1, s)], "beta_bar")
+    return build(t.c0, t.cp, _shift(1, 1), lambda s: [(1, s)], "beta_bar")
 
 
 def viro_gamma(t) -> ChainMap:
-    return ChainMap.build(t.c0, t.cinf, _shift(0, 2),
+    return build(t.c0, t.cinf, _shift(0, 2),
                           lambda s: [(1, x) for x in t.c0.resmoothings(s, t.p)],
                           "gamma")
 
@@ -555,7 +596,7 @@ def viro_gamma_hat(t) -> ChainMap:
     def entries(s):
         sign = (-1) ** s.m_neg
         return [(sign, x) for x in t.c0.resmoothings(s, t.p)]
-    return ChainMap.build(t.c0, t.cinf, _shift(0, 2), entries, "gamma_hat")
+    return build(t.c0, t.cinf, _shift(0, 2), entries, "gamma_hat")
 
 
 #: name -> state-by-state builder of each skein-triple map.
@@ -564,7 +605,7 @@ VIRO_MAPS = {f.__name__: f for f in (viro_alpha, viro_beta, viro_alpha_bar,
 
 
 def eta(cx) -> ChainMap:
-    return ChainMap.build(cx, cx, lambda key: key, lambda s: [((-1) ** s.m_neg, s)], "eta")
+    return build(cx, cx, lambda key: key, lambda s: [((-1) ** s.m_neg, s)], "eta")
 
 
 def g_map(cx) -> ChainMap:
@@ -575,7 +616,7 @@ def g_map(cx) -> ChainMap:
                 if s.markers[pos] > 0 and rank % 2 == n % 2)
         return [((-1) ** u, s)]
 
-    return ChainMap.build(cx, cx, lambda key: key, entries, "g")
+    return build(cx, cx, lambda key: key, entries, "g")
 
 
 #: name -> state-by-state builder of each sign map of one complex.
@@ -583,18 +624,18 @@ SIGN_MAPS = {f.__name__: f for f in (eta, g_map)}
 
 
 def f_embed(pair) -> ChainMap:
-    return ChainMap.build(pair.small, pair.big, lambda key: key,
+    return build(pair.small, pair.big, lambda key: key,
                           lambda s: [(1, s)], "f_embed")
 
 
 def gamma_r2(pair) -> ChainMap:
-    return ChainMap.build(pair.small, pair.tilde, _shift(0, 2),
+    return build(pair.small, pair.tilde, _shift(0, 2),
                           lambda s: [(1, x) for x in pair.small.resmoothings(s, pair.w)],
                           "gamma_r2")
 
 
 def iota_embed(pair) -> ChainMap:
-    return ChainMap.build(pair.tilde, pair.big, _shift(-2, -2), lambda s: [(1, s)], "iota")
+    return build(pair.tilde, pair.big, _shift(-2, -2), lambda s: [(1, s)], "iota")
 
 
 def rho_II_section(pair) -> ChainMap:
@@ -602,8 +643,135 @@ def rho_II_section(pair) -> ChainMap:
         if s.markers[pair.v] == -1 and s.markers[pair.w] == 1:
             return [(1, s)]
         return []
-    return ChainMap.build(pair.big, pair.small, lambda key: key, entries, "rho_II_inv")
+    return build(pair.big, pair.small, lambda key: key, entries, "rho_II_inv")
 
 
 #: name -> state-by-state builder of each second-move map inside one diagram.
 R2_MAPS = {f.__name__: f for f in (f_embed, gamma_r2, iota_embed, rho_II_section)}
+
+
+# ---------------------------------------------------------------------------
+# The maps between two diagrams, state by state
+# ---------------------------------------------------------------------------
+
+def _transport(src_cx, tgt_cx, src_key_of, tgt_key_of, marker_map):
+    """State transport between two diagrams via circle-key translation; a
+    target circle keyed None is new, labelled -1."""
+    def move(s):
+        markers2 = marker_map(s.markers)
+        src = src_cx.smoothing(s.markers)
+        by_key = {src_key_of(c): lab for c, lab in zip(src.circles, s.labels)}
+        by_key[None] = -1
+        tgt = tgt_cx.smoothing(markers2)
+        return StateKey(markers2, tuple(by_key[tgt_key_of(c)] for c in tgt.circles))
+    return move
+
+
+def _rot_key(circle):
+    if circle.key[0] == "loop":
+        return circle.key
+    return ("slots", tuple(sorted((c, (s + 1) % 4) for c, s in circle.key[1])))
+
+
+def _negate_key(key):
+    return (-key[0], -key[1], grading_negate(key[2]))
+
+
+def mirror_map(diagram) -> ChainMap:
+    cx, cxm = GradedComplex(diagram), GradedComplex(mirror(diagram))
+    move = _transport(cx, cxm, _rot_key, lambda c: c.key,
+                      lambda markers: tuple(-m for m in markers))
+
+    def entries(s):
+        moved = move(s)
+        return [(1, StateKey(moved.markers, tuple(-lab for lab in moved.labels)))]
+
+    return build(cx, cxm, _negate_key, entries, "mirror")
+
+
+def reorder_iso(diagram, permutation) -> ChainMap:
+    d2 = reorder_crossings(diagram, permutation)
+    cx, cx2 = GradedComplex(diagram), GradedComplex(d2)
+    new_pos = {diagram.crossings[old]: k for k, old in enumerate(permutation)}
+    move = _transport(cx, cx2, lambda c: c.key, lambda c: c.key,
+                      lambda markers: tuple(markers[old] for old in permutation))
+
+    def entries(s):
+        seq = [new_pos[c] for c, m in zip(diagram.crossings, s.markers) if m < 0]
+        inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+        return [((-1) ** inversions, move(s))]
+
+    return build(cx, cx2, lambda key: key, entries, "f12")
+
+
+def rho_I(diagram, site, side="left") -> ChainMap:
+    kinked = apply_r1_neg(diagram, site, side)
+    kink = kinked.crossings[0]
+    o_slots = r1_neg_small_circle_slots(kink, side)
+    kslots = {(kink, k) for k in range(4)}
+    kind, idx = site
+    cx, cx2 = GradedComplex(diagram), GradedComplex(kinked)
+
+    def src_key_of(circle):
+        if circle.slots == o_slots:
+            return None
+        if circle.key[0] == "loop":
+            m = circle.key[1]
+            if kind == "loop":
+                return ("loop", m if m < idx else m + 1)
+            return circle.key
+        stripped = circle.slots - kslots
+        if stripped:
+            return ("slots", tuple(sorted(stripped)))
+        return ("loop", idx)
+
+    move = _transport(cx, cx2, lambda c: c.key, src_key_of, lambda m: (-1,) + m)
+    return build(cx, cx2, _shift(-1, -3), lambda s: [(1, move(s))], "rho_I")
+
+
+def _g_embed_state(pair, s):
+    """Transport a tilde state to the (v:+1, w:-1) pattern with a -1 circle."""
+    markers = s.markers[:pair.v] + (1,) + s.markers[pair.v + 1:]
+    src = pair.tilde.smoothing(s.markers)
+    by_key = {pair.circle_key(c): lab for c, lab in zip(src.circles, s.labels)}
+    keys = [pair.circle_key(c) for c in pair.big.smoothing(markers).circles]
+    small = ("edges", frozenset())
+    if keys.count(small) != 1:
+        raise ChainMapError("R2 small-circle detection failed")
+    by_key[small] = -1
+    return StateKey(markers, tuple(by_key[k] for k in keys))
+
+
+def g_embed(pair) -> ChainMap:
+    return build(pair.tilde, pair.big, _shift(0, -2),
+                 lambda s: [(1, _g_embed_state(pair, s))], "g_embed")
+
+
+def r3_transports(diagram, site) -> tuple[ChainMap, ChainMap]:
+    """``nu`` and ``f_inf`` of ``chainmaps.r3_data(diagram, site)``."""
+    moved = apply_r3(diagram, site)
+    internal = {site.e_a, site.e_vp, site.e_wp}
+    externals = [k for k in range(len(diagram.edges)) if k not in internal]
+    n_ext = len(externals)
+    new_internal = {n_ext, n_ext + 1, n_ext + 2}
+    triple, triple2 = skein_triple(diagram, 0), skein_triple(moved, 0)
+    pair = r2_pair(diagram, 1, 2, {0: 1}, frozenset(internal))
+    pair2 = r2_pair(moved, 2, 1, {0: 1}, frozenset(new_internal))
+    key_src = _external_edge_keys(diagram, internal)
+    raw_tgt = _external_edge_keys(moved, new_internal)
+
+    def key_tgt(circle):
+        key = raw_tgt(circle)
+        if key[0] != "edges":
+            return key
+        return ("edges", frozenset(externals[k] for k in key[1]))
+
+    move_small = _transport(pair.small, pair2.small, key_src, key_tgt,
+                            lambda markers: (1, 1, -1) + markers[3:])
+    move_inf = _transport(triple.cinf, triple2.cinf, key_src, key_tgt,
+                          lambda markers: markers)
+    return (build(pair.small, pair2.small, lambda key: key,
+                  lambda s: [(1, move_small(s))], "nu"),
+            build(triple.cinf, triple2.cinf, lambda key: key,
+                  lambda s: [(1, move_inf(s))], "f_inf"))
+

@@ -48,6 +48,27 @@ def test_tracer_wraps_every_span_and_counters_read_blocks():
     assert 0 < nnz <= cells
 
 
+def test_map_build_span_counts_every_map_build():
+    """Every chain map, inside one diagram or between two, is built by
+    ``ChainMap.build``, so each build is one ``chainmaps.map_build`` call."""
+    d = twist_pair(DISK, "", 2)
+    cx = GradedComplex(d)
+    t = chainmaps.skein_triple(d, 0, cx)
+    counts = []
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for build in (lambda: chainmaps.viro_alpha(t), lambda: chainmaps.eta(cx),
+                      lambda: chainmaps.rho_I(d, ("edge", 0))):
+            tracer.active = True
+            build()
+            tracer.active = False
+            counts.append(tracer.totals()["chainmaps.map_build"][0])
+    finally:
+        tracer.uninstall()
+    assert counts == [1, 2, 3]
+
+
 def test_d_squared_blocks_alone_records_the_d2_span():
     """``verify --suite=d2`` calls only GradedComplex.d_squared_blocks."""
     cx = GradedComplex(twist_pair(DISK, "", 2))

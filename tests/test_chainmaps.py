@@ -243,19 +243,31 @@ def test_les_check_builds_no_dense_differential(monkeypatch):
         assert len(calls) == len(set(map(id, calls))) <= 3
 
 
+def _r2_big(d, site):
+    """``d`` with a fresh free loop pushed across ``site`` by a second move."""
+    with_loop = Diagram(d.surface, d.crossings, d.edges, d.loops + ((),))
+    return apply_r2(with_loop, ("loop", len(d.loops)), site)
+
+
 def test_les_check_builds_no_state_objects(monkeypatch):
     """The skein triples, their maps and the check read the row tables
-    only: no EnhancedState or StateKey is built."""
+    only, and so do the maps between two diagrams and the R3 package: no
+    EnhancedState or StateKey is built."""
+    assert not {"EnhancedState", "StateKey"} & set(vars(chainmaps))
     built = []
-    for module in (state_complex, chainmaps):
-        for name in ("EnhancedState", "StateKey"):
-            cls = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args, cls=cls: built.append(cls) or cls(*args))
+    for name in ("EnhancedState", "StateKey"):
+        cls = getattr(state_complex, name)
+        monkeypatch.setattr(state_complex, name,
+                            lambda *args, cls=cls: built.append(cls) or cls(*args))
     d = twist_pair(PANTS, "a", 4)
     cx = GradedComplex(d)
     for p in range(d.n_crossings):
         assert long_exact_sequence_check(skein_triple(d, p, cx)).ok
+    mirror_map(d)
+    reorder_iso(d, [2, 0, 3, 1])
+    rho_I(d, ("edge", 1), "right")
+    rho_II(r2_pair(_r2_big(d, ("edge", 2)), 0, 1))
+    r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
     assert built == []
 
 
@@ -266,8 +278,28 @@ def test_skein_triple_shares_the_smoothings_of_cp():
     for frozen in (t.c0, t.cinf):
         assert frozen._smooth_cache is cx._smooth_cache
         assert frozen._class_ids is cx._class_ids and frozen._locals is cx._locals
+        assert frozen._flips is cx._flips
     with pytest.raises(ComplexError, match="same diagram"):
         GradedComplex(trefoil(), share=cx)
+
+
+def test_les_check_derives_each_flip_rule_once_per_diagram(monkeypatch):
+    """A skein triple's frozen complexes reuse the flip rules of ``cp``: the
+    checks at every crossing derive one rule per (markers, crossing) with a
+    +1 marker there, 2^(n-1) n in all."""
+    derived = []
+    real = GradedComplex._derive_flip
+
+    def derive_flip(self, markers, pos):
+        derived.append((markers, pos))
+        return real(self, markers, pos)
+
+    monkeypatch.setattr(GradedComplex, "_derive_flip", derive_flip)
+    d = twist_pair(PANTS, "a", 4)
+    cx = GradedComplex(d)
+    for p in range(d.n_crossings):
+        assert long_exact_sequence_check(skein_triple(d, p, cx)).ok
+    assert len(derived) == len(set(derived)) == 32
 
 
 def _same_map(got, want):
@@ -277,10 +309,11 @@ def _same_map(got, want):
 
 
 def test_row_maps_match_state_by_state_builds():
-    """Every map built from the row tables equals the state-by-state
-    ChainMap.build it replaced, block by block and entry by entry: the
-    skein-triple maps at every crossing, the sign maps, and the
-    second-move maps inside one diagram."""
+    """Every map built from the row tables equals the state-by-state build
+    it replaced, block by block and entry by entry, in order: the
+    skein-triple maps at every crossing, the sign maps, the second-move maps,
+    the mirror, reorder and first-move maps between two diagrams, and the
+    R3 transports on every triangle closure."""
     rng = random.Random(11)
     for d in [twist_pair(PANTS, "a", 3), trefoil()] + suite(12, 2, 4):
         cx = GradedComplex(d)
@@ -292,17 +325,34 @@ def test_row_maps_match_state_by_state_builds():
                 _same_map(getattr(chainmaps, name)(t), build(t))
         sites = [("edge", k) for k in range(len(d.edges))]
         sites += [("loop", k) for k in range(len(d.loops))]
-        with_loop = Diagram(d.surface, d.crossings, d.edges, d.loops + ((),))
-        big = apply_r2(with_loop, ("loop", len(d.loops)), rng.choice(sites))
-        pair = r2_pair(big, 0, 1)
+        pair = r2_pair(_r2_big(d, rng.choice(sites)), 0, 1)
         for name, build in dense_oracle.R2_MAPS.items():
             _same_map(getattr(chainmaps, name)(pair), build(pair))
+        _same_map(g_embed(pair), dense_oracle.g_embed(pair))
+        _same_map(mirror_map(d)[0], dense_oracle.mirror_map(d))
+        perm = rng.sample(range(d.n_crossings), d.n_crossings)
+        _same_map(reorder_iso(d, perm), dense_oracle.reorder_iso(d, perm))
+        site, side = rng.choice(sites), rng.choice(("left", "right"))
+        _same_map(rho_I(d, site, side)[0], dense_oracle.rho_I(d, site, side))
+    for surface in ALL_SURFACES:
+        for closure in range(5):
+            d, site = triangle_closure(surface, closure, surface_words(surface)[-1])
+            data = r3_data(d, site)
+            nu, f_inf = dense_oracle.r3_transports(d, site)
+            _same_map(data.nu, nu)
+            _same_map(data.f_inf, f_inf)
 
 
-def test_row_map_rejects_an_entry_off_its_grading():
+def test_row_map_rejects_an_entry_off_its_grading(monkeypatch):
+    """Within one diagram and between two, an image off ``grading(key)``
+    raises with the map's name."""
     t = skein_triple(trefoil(), 1)
     with pytest.raises(ChainMapError, match=r"alpha: state lands in .*, expected"):
-        chainmaps._row_map(t.cinf, t.cp, lambda key: key, "alpha", lambda m: (1, m, None))
+        ChainMap.build(t.cinf, t.cp, lambda key: key, lambda m: (1, m, None), "alpha")
+    # rho_I's transport under the identity grading, not its (-1, -3) shift.
+    monkeypatch.setattr(chainmaps, "_shift", lambda di, dj: lambda key: key)
+    with pytest.raises(ChainMapError, match=r"rho_I: state lands in .*, expected"):
+        rho_I(trefoil(), ("edge", 0))
 
 
 def test_les_check_rejects_unknown_field():
@@ -539,9 +589,7 @@ def test_reorder_transposition_signs():
             for c, state in enumerate(bucket):
                 negatives = sum(1 for m in state.markers if m < 0)
                 expected = -1 if negatives == 2 else 1
-                row = f.target.locate(tuple(reversed(state.markers))
-                                      if False else
-                                      tuple(state.markers[[1, 0][k]] for k in range(2)),
+                row = f.target.locate(tuple(state.markers[[1, 0][k]] for k in range(2)),
                                       _relabel(f, state))[1]
                 assert blk[row][c] == expected
 
