@@ -648,19 +648,6 @@ def rho_II_section(pair: R2Pair) -> ChainMap:
 # Third Reidemeister move
 # ---------------------------------------------------------------------------
 
-def _external_edge_keys(diagram: Diagram, internal: set[int]):
-    """Map a circle to the frozenset of non-internal edge indices it uses."""
-    def key_of(circle) -> tuple:
-        if circle.key[0] == "loop":
-            return circle.key
-        edges = {diagram.edge_at(slot)[0] for slot in circle.slots}
-        ext = frozenset(e for e in edges if e not in internal)
-        if not ext:
-            raise ChainMapError("circle with no stable edges; cannot transport")
-        return ("edges", ext)
-    return key_of
-
-
 @dataclass
 class R3Data:
     """Everything rho_III needs, for a diagram with the triangle first.
@@ -701,9 +688,9 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
     moved = apply_r3(diagram, site)
 
     internal = {site.e_a, site.e_vp, site.e_wp}
+    # apply_r3 keeps external edges first, in their original relative order,
+    # so edge k < n_ext of the moved diagram is edge externals[k].
     externals = [k for k in range(len(diagram.edges)) if k not in internal]
-    # apply_r3 keeps external edges first, in their original relative order.
-    old_to_new = {old: new for new, old in enumerate(externals)}
     n_ext = len(externals)
     new_internal = {n_ext, n_ext + 1, n_ext + 2}
 
@@ -714,16 +701,19 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
     # marks the a-over-b crossing (id v, now third) with -1.
     pair2 = r2_pair(moved, 2, 1, {0: 1}, frozenset(new_internal))
 
-    key_src = _external_edge_keys(diagram, internal)
-    raw_tgt = _external_edge_keys(moved, new_internal)
-    new_to_old = {new: old for old, new in old_to_new.items()}
+    def stable(key: tuple) -> tuple:
+        if key == ("edges", frozenset()):
+            raise ChainMapError("circle with no stable edges; cannot transport")
+        return key
+
+    key_src = lambda c: stable(pair.circle_key(c))
 
     def key_tgt_translated(circle):
         # Express the moved circle through the original edge indices.
-        key = raw_tgt(circle)
+        key = stable(pair2.circle_key(circle))
         if key[0] != "edges":
             return key
-        return ("edges", frozenset(new_to_old[k] for k in key[1]))
+        return ("edges", frozenset(externals[k] for k in key[1]))
 
     def marker_small(markers):
         # Undone pattern of the moved side: order (p, w, v) frozen (+1, +1, -1).
@@ -758,9 +748,12 @@ def c_prime_columns(data: R3Data, key: GradingKey) -> Columns:
     C' is spanned by all states with a negative marker at p together with
     the image of the undone complex under beta_bar . rho_II.
     """
-    bucket = data.triple.cp.buckets.get(key, [])
+    cp = data.triple.cp
+    bid = cp._keys.index(key) if key in cp.sizes else -1
     i, j, s0 = key
-    return ([[(n, 1)] for n, s in enumerate(bucket) if s.markers[0] < 0]
+    # Rows of a block are numbered in enumeration order, as _rows runs.
+    return ([[(row, 1)] for markers, rows in cp._rows.items() if markers[0] < 0
+             for b, row in rows if b == bid]
             + data.lift.columns((i - 1, j - 1, s0)))
 
 

@@ -24,7 +24,7 @@ from .diagram import (
     apply_r3,
     validate_r3_site,
 )
-from .homology import HomologyError, aggregate_handlebody, homology
+from .homology import HomologyError, aggregate_handlebody, homology, table_isomorphic
 from .skein import (
     LaurentPolyA,
     SkeinError,
@@ -101,8 +101,6 @@ def _find_r3_sites(diagram: Diagram, limit: int = 2) -> list[R3Site]:
 
 
 def run_verify(diagram: Diagram, suites: list[str], out) -> int:
-    from .homology import table_isomorphic
-
     failed = False
 
     def report(ok: bool, label: str):
@@ -138,8 +136,8 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
             moved = apply_r1_neg(diagram, ("loop", k))
             ok = table_isomorphic(table, homology(GradedComplex(moved)), (-1, -3))
             report(ok, f"r1neg (loop={k})")
-        trivial_loops = [k for k, w in enumerate(diagram.loops)
-                         if not _loop_is_nontrivial(diagram, w)]
+        trivial_loops = [k for k, c in enumerate(diagram.slot_tables.loops)
+                         if c.kind is CurveKind.TRIVIAL]
         if diagram.edges and trivial_loops:
             moved = apply_r2(diagram, ("loop", trivial_loops[0]), ("edge", 0))
             ok = table_isomorphic(table, homology(GradedComplex(moved)), (0, 0))
@@ -168,12 +166,6 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
         for failure in result.failures:
             out.write(f"  {failure}\n")
     return 1 if failed else 0
-
-
-def _loop_is_nontrivial(diagram: Diagram, word) -> bool:
-    from .surface import classify
-
-    return classify(word, diagram.surface).kind is not CurveKind.TRIVIAL
 
 
 def _parse_move_site(token: str) -> tuple[str, int]:

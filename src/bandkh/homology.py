@@ -6,9 +6,9 @@ by the ring rules of :mod:`bandkh.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
-from .linalg import rank_over, smith_normal_form  # noqa: F401 (re-exported)
+from .linalg import divisor_chain, rank_over, smith_normal_form  # noqa: F401 (re-exported)
 from .state_complex import GradedComplex, GradingKey
 from .surface import GradingS
 
@@ -55,38 +55,6 @@ class AbelianGroup:
         return f"AbelianGroup({self.text})"
 
 
-def divisor_chain(factors: Iterable[int]) -> tuple[int, ...]:
-    """Canonical divisor chain of a direct sum of cyclic groups."""
-    primes: dict[int, list[int]] = {}
-    for n in factors:
-        n = abs(n)
-        if n <= 1:
-            continue
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                primes.setdefault(d, []).append(e)
-            d += 1
-        if n > 1:
-            primes.setdefault(n, []).append(1)
-    if not primes:
-        return ()
-    depth = max(len(v) for v in primes.values())
-    chain = []
-    for k in range(depth):
-        term = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                term *= p ** exps_sorted[k]
-        chain.append(term)
-    return tuple(reversed(chain))
-
-
 @dataclass
 class HomologyTable:
     """Map (i, j, s) -> group, with the coefficient tag it was computed over."""
@@ -131,8 +99,8 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
         into = factors.get((i + 2, j, s), ())
         rank = (cx.dim((i, j, s)) - rank_over(out, coefficients)
                 - rank_over(into, coefficients))
-        torsion = (divisor_chain(t for t in into if t > 1)
-                   if coefficients == "Z" else ())
+        # The factors are a divisor chain: those above 1 are the torsion.
+        torsion = tuple(t for t in into if t > 1) if coefficients == "Z" else ()
         if rank or torsion:
             groups[(i, j, s)] = AbelianGroup(rank, torsion)
     return HomologyTable(groups, coefficients)

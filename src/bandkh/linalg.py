@@ -8,12 +8,16 @@ is reduced once, over Z, to its invariant factors
 pivots on the sparse columns: each step is a unimodular row-and-column
 operation (a Schur complement on a unit pivot), so each pivot is one
 invariant factor 1.  What survives is a small dense residue, reduced by
-:func:`smith_normal_form`.  Every ring reads its answer off the factors
-(:func:`rank_over`): Z its rank and torsion, Q their count and Z/2 the
-count of odd ones.  Exact integer arithmetic; no modular shortcuts.
+:func:`smith_normal_form`, which ends with :func:`divisor_chain`, the one
+routine that builds divisor chains.  Every ring reads its answer off the
+factors (:func:`rank_over`): Z its rank and torsion, Q their count and Z/2
+the count of odd ones.  Exact integer arithmetic; no modular shortcuts.
 """
 
 from __future__ import annotations
+
+from math import gcd
+from typing import Iterable
 
 Matrix = list[list[int]]
 #: A sparse block: for each source column, its (row, entry) pairs.
@@ -137,8 +141,33 @@ def eliminate_units(columns: Columns, rows: int) -> tuple[int, Matrix]:
     return units, residue
 
 
+def divisor_chain(orders: Iterable[int]) -> tuple[int, ...]:
+    """The divisor chain of a direct sum of cyclic groups of these orders:
+    entries above 1, ascending, each dividing the next.  Each order n merges
+    in from the top, as Z/d + Z/n is Z/lcm + Z/gcd: d becomes lcm(d, n) and
+    gcd(d, n) carries down to the next entry until it is 1.
+
+    >>> divisor_chain([2, 2, 3])
+    (2, 6)
+    """
+    chain: list[int] = []
+    for n in orders:
+        n = abs(n)
+        k = len(chain)
+        while n > 1 and k:
+            k -= 1
+            d = chain[k]
+            g = gcd(d, n)
+            chain[k] = d // g * n
+            n = g
+        if n > 1:
+            chain.insert(0, n)
+    return tuple(chain)
+
+
 def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... | dr (all positive, r = rank).
+    """Invariant factors d1 | d2 | ... | dr (all positive, r = rank): the
+    diagonal left by row and column steps, normalized by :func:`divisor_chain`.
 
     >>> smith_normal_form([[2, 0], [0, 0]])
     (2,)
@@ -150,7 +179,7 @@ def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
-    invariants: list[int] = []
+    diagonal: list[int] = []
     top = 0
     while top < rows and top < cols:
         # Locate a pivot of minimal absolute value in the active submatrix.
@@ -202,25 +231,11 @@ def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
                         break
             if not dirty:
                 break
-        # Enforce divisibility of the remaining submatrix by the pivot; a
-        # unit pivot divides every entry, so only larger ones need the scan.
-        p = m[top][top]
-        offender = None
-        if abs(p) != 1:
-            for r in range(top + 1, rows):
-                for c in range(top + 1, cols):
-                    if m[r][c] % p:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            for c in range(top, cols):
-                m[top][c] += m[offender][c]
-            continue
-        invariants.append(abs(p))
+        diagonal.append(abs(m[top][top]))
         top += 1
-    return tuple(invariants)
+    # Most residues are empty or all units, and need no normalizing.
+    chain = divisor_chain(diagonal) if diagonal.count(1) < len(diagonal) else ()
+    return (1,) * (len(diagonal) - len(chain)) + chain
 
 
 def invariant_factors(columns: Columns, rows: int) -> tuple[int, ...]:

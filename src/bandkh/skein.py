@@ -199,33 +199,24 @@ def expansions_equal(e1: BracketExpansion, e2: BracketExpansion) -> bool:
 
 def phi_of_basis(elt: BasisElement) -> QCoefficients:
     """Expand one basis element into monomials, i.e. s-gradings."""
+    # A monomial is its (class, exponent) pairs, sorted by class.
     acc: dict[tuple, int] = {(): 1}
-
-    def key_pairs(d: dict) -> tuple:
-        return tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
-
-    monomials: dict[tuple, dict] = {(): {}}
     for cls, mult in elt.components:
+        if cls.kind is CurveKind.MOEBIUS_BOUNDING:
+            acc = {key: coef * 2 ** mult for key, coef in acc.items()}
+            continue
         new_acc: dict[tuple, int] = {}
-        new_mon: dict[tuple, dict] = {}
         for key, coef in acc.items():
-            expd = monomials[key]
-            if cls.kind is CurveKind.MOEBIUS_BOUNDING:
-                nk = key
-                new_acc[nk] = new_acc.get(nk, 0) + coef * (2 ** mult)
-                new_mon[nk] = expd
-                continue
             for k in range(mult + 1):
                 power = mult - 2 * k
-                nd = dict(expd)
+                nd = dict(key)
                 if power:
                     nd[cls] = nd.get(cls, 0) + power
                     if nd[cls] == 0:
                         del nd[cls]
-                nk = key_pairs(nd)
+                nk = tuple(sorted(nd.items(), key=lambda p: p[0].sort_key))
                 new_acc[nk] = new_acc.get(nk, 0) + coef * comb(mult, k)
-                new_mon[nk] = nd
-        acc, monomials = new_acc, new_mon
+        acc = new_acc
     out: QCoefficients = {}
     for key, coef in acc.items():
         s = GradingS.from_pairs(key)

@@ -29,7 +29,8 @@ read.
 
 :func:`block_homology` is the per-block dense reduction that
 :func:`bandkh.homology.homology` ran before it eliminated unit pivots on the
-sparse blocks.
+sparse blocks.  :func:`divisor_chain` builds a divisor chain by trial
+division, as the library did before it merged orders by gcd and lcm.
 
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
@@ -49,7 +50,8 @@ inside one diagram's complexes through it.  :func:`mirror_map`,
 :func:`reorder_iso`, :func:`rho_I`, :func:`g_embed` and
 :func:`r3_transports` (the R3 maps ``nu`` and ``f_inf``) build the maps
 between two diagrams through it, each state moved by matching its circles
-by key (:func:`_transport`).
+by key (:func:`_transport`); :func:`r3_transports` keys circles by their
+external edges (:func:`_external_edge_keys`) on its own.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from fractions import Fraction
 from bandkh.chainmaps import (
     ChainMap,
     ChainMapError,
-    _external_edge_keys,
     r2_pair,
     skein_triple,
 )
@@ -79,7 +80,7 @@ from bandkh.diagram import (
     r1_neg_small_circle_slots,
     reorder_crossings,
 )
-from bandkh.homology import AbelianGroup, HomologyTable, divisor_chain
+from bandkh.homology import AbelianGroup, HomologyTable
 from bandkh.linalg import smith_normal_form
 from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
 from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
@@ -404,6 +405,40 @@ def dense_homology_by_ij(diagram: Diagram):
         if rank or torsion:
             result[(i, j)] = (rank, torsion)
     return result
+
+
+def divisor_chain(factors):
+    """Canonical divisor chain of a direct sum of cyclic groups: each order
+    factored by trial division, the k-th largest power of every prime
+    multiplied into the k-th entry from the top."""
+    primes: dict[int, list[int]] = {}
+    for n in factors:
+        n = abs(n)
+        if n <= 1:
+            continue
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                primes.setdefault(d, []).append(e)
+            d += 1
+        if n > 1:
+            primes.setdefault(n, []).append(1)
+    if not primes:
+        return ()
+    depth = max(len(v) for v in primes.values())
+    chain = []
+    for k in range(depth):
+        term = 1
+        for p, exps in primes.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                term *= p ** exps_sorted[k]
+        chain.append(term)
+    return tuple(reversed(chain))
 
 
 def block_homology(complex_, coefficients="Z"):
@@ -745,6 +780,19 @@ def _g_embed_state(pair, s):
 def g_embed(pair) -> ChainMap:
     return build(pair.tilde, pair.big, _shift(0, -2),
                  lambda s: [(1, _g_embed_state(pair, s))], "g_embed")
+
+
+def _external_edge_keys(diagram: Diagram, internal: set[int]):
+    """Map a circle to the frozenset of non-internal edge indices it uses."""
+    def key_of(circle) -> tuple:
+        if circle.key[0] == "loop":
+            return circle.key
+        edges = {diagram.edge_at(slot)[0] for slot in circle.slots}
+        ext = frozenset(e for e in edges if e not in internal)
+        if not ext:
+            raise ChainMapError("circle with no stable edges; cannot transport")
+        return ("edges", ext)
+    return key_of
 
 
 def r3_transports(diagram, site) -> tuple[ChainMap, ChainMap]:

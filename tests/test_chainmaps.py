@@ -251,8 +251,8 @@ def _r2_big(d, site):
 
 def test_les_check_builds_no_state_objects(monkeypatch):
     """The skein triples, their maps and the check read the row tables
-    only, and so do the maps between two diagrams and the R3 package: no
-    EnhancedState or StateKey is built."""
+    only, and so do the maps between two diagrams and the R3 package with
+    its C' columns: no EnhancedState or StateKey is built."""
     assert not {"EnhancedState", "StateKey"} & set(vars(chainmaps))
     built = []
     for name in ("EnhancedState", "StateKey"):
@@ -267,7 +267,9 @@ def test_les_check_builds_no_state_objects(monkeypatch):
     reorder_iso(d, [2, 0, 3, 1])
     rho_I(d, ("edge", 1), "right")
     rho_II(r2_pair(_r2_big(d, ("edge", 2)), 0, 1))
-    r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
+    data = r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
+    for key in data.triple.cp.sizes:
+        c_prime_columns(data, key)
     assert built == []
 
 

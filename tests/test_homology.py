@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -183,6 +184,36 @@ def test_divisor_chain():
     assert divisor_chain([2, 3]) == (6,)
     assert divisor_chain([2, 2, 3]) == (2, 6)
     assert divisor_chain([]) == ()
+
+
+#: Cyclic orders: 0, +-1, and signed products of small prime powers, so that
+#: primes repeat across orders and within one.
+cyclic_orders = st.lists(st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.builds(lambda sign, a, b, c, d: sign * 2 ** a * 3 ** b * 5 ** c * 7 ** d,
+              st.sampled_from((1, -1)), st.integers(0, 4), st.integers(0, 3),
+              st.integers(0, 2), st.integers(0, 1))), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_orders)
+@example([4, 2, 8, 8, 6, 9, 0, 1])
+def test_divisor_chain_matches_oracles(orders):
+    """The gcd/lcm merge against the trial-division oracle and against the
+    naive Smith form of the diagonal matrix of the orders."""
+    chain = divisor_chain(orders)
+    assert chain == dense_oracle.divisor_chain(orders)
+    diagonal = [[n if r == c else 0 for c in range(len(orders))]
+                for r, n in enumerate(orders)]
+    assert chain == tuple(t for t in dense_oracle._snf_diagonal(diagonal) if t > 1)
+
+
+def test_divisor_chain_time_is_bounded_for_large_primes():
+    """Trial division of 2p, with p = 10^16 + 61 prime, runs for seconds."""
+    p = 10 ** 16 + 61
+    start = time.perf_counter()
+    assert divisor_chain([2 * p, 3]) == (6 * p,)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_abelian_group_validation():
