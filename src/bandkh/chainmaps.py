@@ -305,9 +305,9 @@ def duality_check(diagram: Diagram) -> DualityReport:
         i, j, s = key
         gm = table_m.group(_negate_key(key))
         if gm.rank != table.group(key).rank:
-            failures.append(f"rank mismatch at {key}")
+            failures.append(f"rank mismatch at (i={i},j={j},s={s.text})")
         if gm.torsion != table.group((i - 2, j, s)).torsion:
-            failures.append(f"torsion mismatch at {key}")
+            failures.append(f"torsion mismatch at (i={i},j={j},s={s.text})")
     return DualityReport(not failures, sorted(failures))
 
 
@@ -498,7 +498,8 @@ def long_exact_sequence_check(t: SkeinTriple,
                                             h_dims(cx, key)):
                 checked += 1
                 if r_in + r_out != h:
-                    failures.append(f"{ftag}: not exact at {name} {key}")
+                    failures.append(f"{ftag}: not exact at {name} "
+                                    f"(i={key[0]},j={key[1]},s={key[2].text})")
     return LESReport(not failures, sorted(set(failures)), checked)
 
 

@@ -10,6 +10,7 @@ import sys
 
 from .chainmaps import (
     ChainMapError,
+    LESReport,
     duality_check,
     long_exact_sequence_check,
     skein_triple,
@@ -103,9 +104,10 @@ def _find_r3_sites(diagram: Diagram, limit: int = 2) -> list[R3Site]:
 def run_verify(diagram: Diagram, suites: list[str], out) -> int:
     failed = False
 
-    def report(ok: bool, label: str):
+    def report(ok: bool, label: str, failures=()):
         nonlocal failed
         out.write(f"{'PASS' if ok else 'FAIL'} {label}\n")
+        out.writelines(f"  {failure}\n" for failure in failures)
         failed = failed or not ok
 
     cx = GradedComplex(diagram)
@@ -128,14 +130,11 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
     if "reidemeister" in suites:
         if table is None:
             table = homology(cx)
-        for k in range(len(diagram.edges)):
-            moved = apply_r1_neg(diagram, ("edge", k))
-            ok = table_isomorphic(table, homology(GradedComplex(moved)), (-1, -3))
-            report(ok, f"r1neg (edge={k})")
-        for k in range(len(diagram.loops)):
-            moved = apply_r1_neg(diagram, ("loop", k))
-            ok = table_isomorphic(table, homology(GradedComplex(moved)), (-1, -3))
-            report(ok, f"r1neg (loop={k})")
+        for kind, count in (("edge", len(diagram.edges)), ("loop", len(diagram.loops))):
+            for k in range(count):
+                moved = apply_r1_neg(diagram, (kind, k))
+                ok = table_isomorphic(table, homology(GradedComplex(moved)), (-1, -3))
+                report(ok, f"r1neg ({kind}={k})")
         trivial_loops = [k for k, c in enumerate(diagram.slot_tables.loops)
                          if c.kind is CurveKind.TRIVIAL]
         if diagram.edges and trivial_loops:
@@ -153,18 +152,19 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
         else:
             out.write("SKIP r3 (no valid triangle site found)\n")
     if "les" in suites:
+        broken = None
+        try:
+            cx.check_d_squared()  # exactness means nothing unless d o d = 0
+        except ComplexError as exc:
+            broken = LESReport(False, [str(exc)])
         for p in range(diagram.n_crossings):
-            result = long_exact_sequence_check(skein_triple(diagram, p, cx))
-            report(result.ok, f"les (crossing={diagram.crossings[p]})")
-            for failure in result.failures:
-                out.write(f"  {failure}\n")
+            result = broken or long_exact_sequence_check(skein_triple(diagram, p, cx))
+            report(result.ok, f"les (crossing={diagram.crossings[p]})", result.failures)
         if diagram.n_crossings == 0:
             out.write("SKIP les (no crossings)\n")
     if "duality" in suites:
         result = duality_check(diagram)
-        report(result.ok, "duality")
-        for failure in result.failures:
-            out.write(f"  {failure}\n")
+        report(result.ok, "duality", result.failures)
     return 1 if failed else 0
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .surface import (
     CurveClass,
@@ -73,18 +73,30 @@ class Edge:
         return self.word if end == "a" else inverse_word(self.word)
 
 
-@dataclass(frozen=True)
-class Circle:
-    """One closed loop of a smoothed diagram."""
+class Circle(NamedTuple):
+    """One closed loop of a smoothed diagram: a traced circle enters an arc at
+    each integer slot ``ints[0::2]`` (named ``names[slot]``), free loop ``k``
+    has no slots and ``loop == k``.  ``slots`` and ``key`` are built on read."""
 
     word: Word
     cls: CurveClass
-    slots: frozenset[Slot]
-    key: tuple  # ("slots", sorted slots) for traced circles, ("loop", k) for free loops
+    ints: tuple[int, ...] = ()
+    names: tuple[Slot, ...] = ()
+    loop: int | None = None
 
     @property
     def kind(self) -> CurveKind:
         return self.cls.kind
+
+    @property
+    def slots(self) -> frozenset[Slot]:
+        return frozenset(self.names[k] for k in self.ints)
+
+    @property
+    def key(self) -> tuple:
+        """("slots", sorted slots) of a traced circle, ("loop", k) of free loop k."""
+        return (("slots", tuple(sorted(self.slots))) if self.loop is None
+                else ("loop", self.loop))
 
 
 @dataclass(frozen=True)
@@ -114,10 +126,6 @@ class Diagram:
             self.surface.check_word(w)
 
     # -- lookups ------------------------------------------------------------
-
-    @cached_property
-    def crossing_index(self) -> dict[str, int]:
-        return {c: k for k, c in enumerate(self.crossings)}
 
     @cached_property
     def slot_tables(self) -> "_SlotTables":
@@ -155,29 +163,22 @@ class _SlotTables:
 
     def __init__(self, diagram: Diagram):
         self.surface = diagram.surface
-        index = {(c, s): 4 * k + s for k, c in enumerate(diagram.crossings) for s in range(4)}
-        n = len(index)
-        self.names, self.succ, self.words = [None] * n, [0] * n, [()] * n
+        self.names = tuple((c, s) for c in diagram.crossings for s in range(4))
+        index = {name: slot for slot, name in enumerate(self.names)}
+        self.succ, self.words = [0] * len(index), [()] * len(index)
         self.ends: dict[Slot, tuple[int, str]] = {}
         for k, e in enumerate(diagram.edges):
             self.ends[e.a], self.ends[e.b] = (k, "a"), (k, "b")
             a, b = index[e.a], index[e.b]
-            self.names[a], self.succ[a], self.words[a] = e.a, b, e.word
-            self.names[b], self.succ[b], self.words[b] = e.b, a, inverse_word(e.word)
+            self.succ[a], self.words[a] = b, e.word
+            self.succ[b], self.words[b] = a, inverse_word(e.word)
         self.classes: dict[Word, CurveClass] = {}
-        self.loops = tuple(Circle(w, self.class_of(w), frozenset(), ("loop", k))
+        self.loops = tuple(Circle(w, self.class_of(w), loop=k)
                            for k, w in enumerate(map(free_reduce, diagram.loops)))
 
     def class_of(self, word: Word) -> CurveClass:
         return self.classes.get(word) or self.classes.setdefault(
             word, classify(word, self.surface))
-
-    def circle(self, slots: list[int]) -> Circle:
-        """The circle entering each arc at ``slots[0::2]`` and leaving it at
-        ``slots[1::2]``."""
-        w = free_reduce(itertools.chain.from_iterable(self.words[k] for k in slots[1::2]))
-        names = [self.names[k] for k in slots]
-        return Circle(w, self.class_of(w), frozenset(names), ("slots", tuple(sorted(names))))
 
 
 def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
@@ -189,7 +190,7 @@ def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
     if len(markers) != diagram.n_crossings:
         raise DiagramError("marker vector length must equal the crossing count")
     tables = diagram.slot_tables
-    succ, arc = tables.succ, [1 if m > 0 else 3 for m in markers]
+    succ, words, arc = tables.succ, tables.words, [1 if m > 0 else 3 for m in markers]
     seen = [False] * len(succ)
     circles: list[Circle] = []
     for start in range(len(succ)):
@@ -203,7 +204,8 @@ def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
             cur = succ[partner]
             if cur == start:
                 break
-        circles.append(tables.circle(slots))
+        w = free_reduce(itertools.chain.from_iterable(words[k] for k in slots[1::2]))
+        circles.append(Circle(w, tables.class_of(w), tuple(slots), tables.names))
     return tuple(circles) + tables.loops
 
 
@@ -432,7 +434,7 @@ def validate_r3_site(diagram: Diagram, site: R3Site) -> tuple[int, int, int]:
     R3 sites.
     """
     for c in (site.p, site.v, site.w):
-        if c not in diagram.crossing_index:
+        if c not in diagram.crossings:
             raise SiteError(f"no crossing {c!r}")
     try:
         e_a = diagram.edges[site.e_a]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .diagram import Circle, Diagram, MarkerVector, Slot, smooth
+from .diagram import Circle, Diagram, MarkerVector, smooth
 from .linalg import Columns, Matrix, _dense_view, _mat_mul, _transpose, invariant_factors
 from .surface import CurveClass, CurveKind, GradingS
 
@@ -91,10 +91,8 @@ class _Smoothing:
     """Cached data of one marker vector's smoothing."""
 
     circles: tuple[Circle, ...]
-    trivial: tuple[int, ...]
-    unbounding: tuple[tuple[int, object], ...]  # (circle index, CurveClass)
     cids: tuple[int, ...]  # per circle: 0 if trivial, else its class id
-    at: dict[Slot, int]  # slot -> index of the circle through it
+    at: list[int]  # integer slot -> index of the circle through it
 
 
 def _code(labels: Sequence[int]) -> int:
@@ -190,16 +188,13 @@ class GradedComplex:
             return self._smooth_cache[markers]
         except KeyError:
             circles = smooth(self.diagram, markers)
-            ids = self._class_ids
-            data = _Smoothing(
-                circles,
-                tuple(k for k, c in enumerate(circles) if c.kind is CurveKind.TRIVIAL),
-                tuple((k, c.cls) for k, c in enumerate(circles)
-                      if c.kind is CurveKind.UNBOUNDING),
-                tuple(0 if c.kind is CurveKind.TRIVIAL
-                      else ids.setdefault(c.cls, len(ids) + 1) for c in circles),
-                {slot: k for k, c in enumerate(circles) for slot in c.slots})
-            self._smooth_cache[markers] = data
+            ids, at = self._class_ids, [0] * (4 * self.diagram.n_crossings)
+            for k, c in enumerate(circles):
+                for slot in c.ints:
+                    at[slot] = k
+            data = self._smooth_cache[markers] = _Smoothing(circles, tuple(
+                0 if c.kind is CurveKind.TRIVIAL else ids.setdefault(c.cls, len(ids) + 1)
+                for c in circles), at)
             return data
 
     def _full_markers(self, free_markers: Sequence[int]) -> MarkerVector:
@@ -227,8 +222,9 @@ class GradedComplex:
             markers = self._full_markers(free_markers)
             data = self.smoothing(markers)
             i, width = sum(free_markers), len(data.circles)
-            triv = _mask(data.trivial, width)
-            unb = [(1 << width - 1 - k, data.cids[k], cls) for k, cls in data.unbounding]
+            triv = _mask([k for k, cid in enumerate(data.cids) if not cid], width)
+            unb = [(1 << width - 1 - k, data.cids[k], c.cls)
+                   for k, c in enumerate(data.circles) if c.kind is CurveKind.UNBOUNDING]
             unb_bits = sum(bit for bit, _, _ in unb)
             groups: dict[int, int] = {}
             rows = self._rows[markers] = []
@@ -239,7 +235,7 @@ class GradedComplex:
                     sums: dict[int, int] = {}
                     for bit, cid, _ in unb:
                         sums[cid] = sums.get(cid, 0) + (-1 if code & bit else 1)
-                    block = (i, len(data.trivial) - 2 * (group >> width),
+                    block = (i, triv.bit_count() - 2 * (group >> width),
                              tuple(sorted((c, x) for c, x in sums.items() if x)))
                     bid = groups[group] = bids.setdefault(block, len(counts))
                     if bid == len(counts):
@@ -330,17 +326,18 @@ class GradedComplex:
         return rule
 
     def _derive_flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
-        """The rule of :meth:`resmoothings` for every state over ``markers``."""
+        """The rule of :meth:`resmoothings` for every state over ``markers``:
+        an untouched target circle is the source circle through any one of
+        its slots, and free loops come last, so each keeps its bit."""
         src = self.smoothing(markers)
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
         width_src, width = len(src.circles), len(tgt.circles)
-        vslots = [(self.diagram.crossings[pos], s) for s in range(4)]
+        vslots = range(4 * pos, 4 * pos + 4)
         touched = sorted({src.at[slot] for slot in vslots})
         new = sorted({tgt.at[slot] for slot in vslots})
-        untouched = {c.key: k for k, c in enumerate(src.circles) if k not in touched}
-        kept = [(1 << width_src - 1 - untouched[c.key], 1 << width - 1 - k)
-                for k, c in enumerate(tgt.circles) if k not in new]
+        kept = [(1 << width_src - 1 - src.at[c.ints[0]] if c.ints else 1 << width - 1 - k,
+                 1 << width - 1 - k) for k, c in enumerate(tgt.circles) if k not in new]
         local = self._local_rule(
             tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
             tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))

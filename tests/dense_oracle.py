@@ -98,23 +98,21 @@ def smooth(diagram: Diagram, markers) -> tuple[Circle, ...]:
     (crossing index, slot), free loops last in declaration order."""
     if len(markers) != diagram.n_crossings:
         raise DiagramError("marker vector length must equal the crossing count")
-    cidx = diagram.crossing_index
+    cidx = {c: k for k, c in enumerate(diagram.crossings)}
     visited: set = set()
     circles: list[Circle] = []
-    order = sorted(((c, s) for c in diagram.crossings for s in range(4)),
-                   key=lambda p: (cidx[p[0]], p[1]))
+    order = tuple(sorted(((c, s) for c in diagram.crossings for s in range(4)),
+                         key=lambda p: (cidx[p[0]], p[1])))
     for start in order:
         if start in visited:
             continue
         word: list = []
-        slots: set = set()
+        slots: list = []
         cur = start
         while True:
-            visited.add(cur)
-            slots.add(cur)
             partner = (cur[0], _arc_partner(cur[1], markers[cidx[cur[0]]]))
-            visited.add(partner)
-            slots.add(partner)
+            visited.update((cur, partner))
+            slots += (cur, partner)
             k, end = diagram.edge_at(partner)
             edge = diagram.edges[k]
             word.extend(edge.word_from(end))
@@ -122,11 +120,10 @@ def smooth(diagram: Diagram, markers) -> tuple[Circle, ...]:
             if cur == start:
                 break
         w = free_reduce(word)
-        circles.append(Circle(w, classify(w, diagram.surface), frozenset(slots),
-                              ("slots", tuple(sorted(slots)))))
+        circles.append(Circle(w, classify(w, diagram.surface),
+                              tuple(4 * cidx[c] + s for c, s in slots), order))
     for k, w in enumerate(diagram.loops):
-        circles.append(Circle(free_reduce(w), classify(w, diagram.surface),
-                              frozenset(), ("loop", k)))
+        circles.append(Circle(free_reduce(w), classify(w, diagram.surface), loop=k))
     return tuple(circles)
 
 
@@ -205,6 +202,34 @@ def _incident(diagram, circ_cache, s_from, s_to):
         return 0
     t = sum(1 for q in range(v + 1, len(m1)) if m1[q] < 0)
     return -1 if t % 2 else 1
+
+
+def flip_rule(complex_, markers, pos):
+    """(target, width, kept, mask, local) of turning the +1 marker at ``pos``
+    into -1 for every state over ``markers``: the fields of the complex's
+    flip rule, with each untouched target circle matched to the source
+    circle of the same key, and ``local`` read off :func:`resmoothings`
+    state by state."""
+    flipped = markers[:pos] + (-1,) + markers[pos + 1:]
+    src = smooth(complex_.diagram, markers)
+    tgt = smooth(complex_.diagram, flipped)
+    cid = complex_.diagram.crossings[pos]
+    vslots = {(cid, s) for s in range(4)}
+    src_bit = lambda k: 1 << len(src) - 1 - k
+    tgt_bit = lambda k: 1 << len(tgt) - 1 - k
+    touched = [k for k, c in enumerate(src) if c.slots & vslots]
+    new = [k for k, c in enumerate(tgt) if c.slots & vslots]
+    untouched = {c.key: k for k, c in enumerate(src) if k not in touched}
+    kept = tuple((src_bit(untouched[c.key]), tgt_bit(k))
+                 for k, c in enumerate(tgt) if k not in new)
+    local = {}
+    for chosen in itertools.product((1, -1), repeat=len(touched)):
+        labels = dict(zip(touched, chosen))
+        state = StateKey(markers, tuple(labels.get(k, 1) for k in range(len(src))))
+        local[sum(src_bit(k) for k, lab in labels.items() if lab < 0)] = tuple(
+            sum(tgt_bit(k) for k in new if t.labels[k] < 0)
+            for t in resmoothings(complex_, state, pos))
+    return flipped, len(tgt), kept, sum(map(src_bit, touched)), local
 
 
 def resmoothings(complex_, state, pos):

@@ -92,3 +92,14 @@ def test_bench_runs_one_traced_les_pass():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_bench_runs_one_traced_random_small_pass():
+    """Outputs match ``bench/reference.json`` and every expected span fires,
+    ``diagram.smooth``, ``surface.classify`` and ``skein.bracket`` included."""
+    run = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "random-small",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -23,6 +23,7 @@ from helpers import (
     ALL_SURFACES,
     DISK,
     PANTS,
+    crosscap_shadow,
     random_diagram,
     triangle_closure,
     twist_pair,
@@ -219,6 +220,19 @@ edge v.3 w.0 :
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL d2" in out
+
+
+def test_cli_verify_les_reports_d_squared_on_non_embeddable_input(tmp_path, capsys,
+                                                                  monkeypatch):
+    """On an undrawable diagram verify --suite=les fails every crossing with
+    the d o d block that fails, and builds no skein triple."""
+    monkeypatch.setattr(cli, "skein_triple", lambda *args: pytest.fail("rank work ran"))
+    code = run_cli(tmp_path, emit_diagram(crosscap_shadow()), "verify", "--suite=les")
+    cause = ("  differential does not square to zero in block (j=0,s=0); "
+             "the diagram is not drawable on the declared surface\n")
+    assert code == 1
+    assert capsys.readouterr().out == \
+        f"FAIL les (crossing=v)\n{cause}FAIL les (crossing=w)\n{cause}"
 
 
 def test_cli_homology_rejects_non_embeddable_input(tmp_path, capsys):

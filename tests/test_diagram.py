@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bandkh.diagram import (
+    Circle,
     Diagram,
     DiagramError,
     Edge,
@@ -20,6 +21,9 @@ from bandkh.diagram import (
     smooth_crossing,
 )
 from bandkh import diagram as diagram_module
+from bandkh.homology import homology
+from bandkh.skein import kauffman_bracket
+from bandkh.state_complex import GradedComplex
 from bandkh.surface import CurveKind, SurfaceModel, inverse_word, parse_word
 
 import dense_oracle
@@ -205,6 +209,23 @@ def test_smoothing_classifies_each_word_once_per_diagram(monkeypatch):
     for _ in range(2):
         words = {c.word for m in d.marker_vectors() for c in smooth(d, m)}
     assert sorted(calls) == sorted(words) and len(words) == 3
+
+
+def test_bracket_and_homology_build_no_slot_names(monkeypatch):
+    """The state-sum bracket and homology read each circle's kind, class and
+    integer slots: no circle builds its ``slots`` or ``key``."""
+    reads = []
+    for name in ("slots", "key"):
+        real = getattr(Circle, name)
+        monkeypatch.setattr(Circle, name, property(
+            lambda c, real=real, name=name: reads.append(name) or real.fget(c)))
+    d = twist_pair(PANTS, "a", 4, extra_loops=("b", ""))
+    kauffman_bracket(d)
+    homology(GradedComplex(d))
+    assert reads == []
+    circle = smooth(d, (1,) * d.n_crossings)[0]
+    assert circle.slots and reads == ["slots"]
+    assert circle.key and reads[1] == "key"
 
 
 def test_r2_parallel_resolution_restores_strands():

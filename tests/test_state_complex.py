@@ -1,18 +1,19 @@
 import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh.chainmaps import r2_pair, skein_triple
-from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2
+from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
 from bandkh import state_complex
 from bandkh.homology import euler_characteristic_consistent, homology
 from bandkh.linalg import _mat_mul, _transpose
 from bandkh.state_complex import ComplexError, GradedComplex
-from bandkh.surface import CurveKind, parse_word
+from bandkh.surface import CurveKind, inverse_word, parse_word
 
 from helpers import (
     ALL_SURFACES,
@@ -183,7 +184,9 @@ def _check_flip_rules(cx):
     by_markers: dict = {}
     for key in cx.index:
         by_markers.setdefault(key.markers, []).append(key)
-        circles[key.markers] = cx.smoothing(key.markers).circles
+    for markers in by_markers:  # each circle's slots and key, built once
+        circles[markers] = [SimpleNamespace(key=c.key, slots=c.slots, kind=c.kind, cls=c.cls)
+                            for c in cx.smoothing(markers).circles]
     for key in cx.index:
         for pos in cx.free:
             if key.markers[pos] < 0:
@@ -310,6 +313,43 @@ def test_flip_rule_derived_once_per_markers_and_crossing(monkeypatch):
              for state in bucket for pos in cx.free if state.markers[pos] > 0]
     assert sorted(derived) == sorted(set(flips))
     assert len(derived) < len(flips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_SURFACES + (None,)),
+       st.lists(st.integers(0, 7), max_size=3))
+@example(0, None, [])
+@example(5, MOEBIUS, [2, 5, 1])
+def test_flip_rules_match_key_matching_oracle(seed, surface, loops):
+    """Every flip rule, field by field, against the oracle that matches
+    untouched circles by key, and every smoothing against the (crossing,
+    slot) tracer in all fields: random diagrams on all five surfaces with
+    extra free loops (an odd ``k`` adds a freely trivial, unreduced word),
+    the frozen complexes of a skein triple, and the non-embeddable crosscap
+    shadow (surface None)."""
+    rng = random.Random(seed)
+    if surface is None:
+        d = crosscap_shadow()
+    else:
+        d = random_diagram(surface, rng, max_crossings=4)
+        options = [parse_word(w) for w in surface_words(surface)]
+        words = [options[k % len(options)] for k in loops]
+        words = [w + inverse_word(w) if k % 2 else w for k, w in zip(loops, words)]
+        d = Diagram(surface, d.crossings, d.edges, d.loops + tuple(words))
+    cx = GradedComplex(d)
+    complexes = [cx]
+    if d.n_crossings:
+        triple = skein_triple(d, rng.randrange(d.n_crossings), cx)
+        complexes += [triple.c0, triple.cinf]
+    for markers in d.marker_vectors():
+        assert smooth(d, markers) == dense_oracle.smooth(d, markers)
+    for c in complexes:
+        for markers in c._rows:
+            for pos in c.free:
+                if markers[pos] > 0:
+                    rule = c._flip(markers, pos)
+                    assert (rule.target, rule.width, rule.kept, rule.mask, rule.local) \
+                        == dense_oracle.flip_rule(c, markers, pos)
 
 
 # ---------------------------------------------------------------------------
