@@ -436,48 +436,49 @@ def long_exact_sequence_check(t: SkeinTriple,
 
     At each middle term the rank of the incoming induced map plus the rank
     of the outgoing one must equal the homology dimension.  The connecting
-    map is gamma_hat restricted to cycles.
+    map is gamma_hat restricted to cycles.  The ranks of d come from one
+    table per complex, read off ``cx.factors()`` once.  A map block f
+    induces the rank of [[f, b], [a, 0]] less rank a and rank b
+    (:func:`_block_rank`): that identity assumes d o d = 0 (``run_verify``
+    checks d^2 first) and a chain map.  A zero f induces 0 unreduced, as
+    [[0, b], [a, 0]] is block-diagonal.
     """
     fields = tuple(fields)
     for ftag in fields:
         if ftag not in ("Q", "Z2"):
             raise ChainMapError(f"unknown field {ftag!r}")
-    alpha = viro_alpha(t)
-    beta = viro_beta(t)
-    gamma_hat = viro_gamma_hat(t)
+    alpha, beta, gamma_hat = viro_alpha(t), viro_beta(t), viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
-    # The d blocks are reduced once per complex (``cx.factors()``).  Each
-    # block matrix is reduced once, and the ranks a map induces on homology
-    # over every field are stored then, under (map name, key).
+    zero = (0,) * len(fields)
+    d_ranks = {cx: {key: tuple(rank_over(factors, f) for f in fields)
+                    for key, factors in cx.factors().items()}
+               for cx in (t.cp, t.c0, t.cinf)}
     ranks: dict[tuple[str, GradingKey], tuple[int, ...]] = {}
-
-    def d_rank(cx: GradedComplex, key: GradingKey) -> tuple[int, ...]:
-        """Ranks of the differential out of ``key``, one per field."""
-        factors = cx.factors().get(key, ())
-        return tuple(rank_over(factors, f) for f in fields)
 
     def induced_rank(chmap: ChainMap, key: GradingKey) -> tuple[int, ...]:
         """Ranks induced on homology, one per field; the map out of one
         position is the map into the next."""
         got = ranks.get((chmap.name, key))
         if got is None:
-            i, j, s = key
-            ti, tj, ts = chmap.grading(key)
-            b_key = (ti + 2, tj, ts)
-            factors = _block_rank(
-                chmap.columns(key), chmap.source.columns(key),
-                chmap.target.columns(b_key), chmap.target.dim((ti, tj, ts)),
-                chmap.source.dim((i - 2, j, s)))
-            got = ranks[(chmap.name, key)] = tuple(
-                rank_over(factors, f) - a - b for f, a, b in zip(
-                    fields, d_rank(chmap.source, key), d_rank(chmap.target, b_key)))
+            got = zero
+            if any(block := chmap.columns(key)):  # stored columns hold no 0
+                (i, j, s), (ti, tj, ts) = key, chmap.grading(key)
+                b_key = (ti + 2, tj, ts)
+                factors = _block_rank(
+                    block, chmap.source.columns(key), chmap.target.columns(b_key),
+                    chmap.target.dim((ti, tj, ts)), chmap.source.dim((i - 2, j, s)))
+                got = tuple(rank_over(factors, f) - a - b for f, a, b in zip(
+                    fields, d_ranks[chmap.source].get(key, zero),
+                    d_ranks[chmap.target].get(b_key, zero)))
+            ranks[(chmap.name, key)] = got
         return got
 
     def h_dims(cx: GradedComplex, key: GradingKey) -> Iterable[int]:
-        i, j, s = key
-        return (cx.dim(key) - a - b for a, b in zip(d_rank(cx, key),
-                                                     d_rank(cx, (i + 2, j, s))))
+        if not (n := cx.dim(key)):
+            return zero
+        (i, j, s), rank_at = key, d_ranks[cx].get
+        return (n - a - b for a, b in zip(rank_at(key, zero), rank_at((i + 2, j, s), zero)))
 
     candidates = {(i + di, j + dj, s)
                   for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bandkh import chainmaps, linalg, state_complex
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
@@ -145,6 +145,78 @@ def test_les_check_reports_a_zeroed_connecting_map(monkeypatch):
     assert not report.ok
     assert report.failures == ["Q: not exact at D_0 (i=2,j=4,s=0)",
                                "Q: not exact at D_inf (i=2,j=6,s=0)"]
+
+
+#: Mutations of the skein-triple maps: (function name, scale), None for none.
+#: Scaling gamma_hat by 0 empties its blocks; scaling alpha by 2 keeps its
+#: blocks nonzero over Z but makes them zero over Z/2.
+_LES_MUTATIONS = (None, ("viro_gamma_hat", 0), ("viro_alpha", 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface=st.sampled_from(ALL_SURFACES), seed=st.integers(0, 10**6),
+       mutation=st.sampled_from(_LES_MUTATIONS))
+@example(surface=None, seed=0, mutation=None)
+@example(surface=None, seed=0, mutation=_LES_MUTATIONS[1])
+@example(surface=None, seed=0, mutation=_LES_MUTATIONS[2])
+def test_les_check_matches_every_block_oracle(surface, seed, mutation):
+    """The report equals the one computed with every rank of d read per call
+    and every map block reduced, field by field, at every crossing;
+    ``surface`` None stands for the trefoil."""
+    d = trefoil() if surface is None else random_diagram(
+        surface, random.Random(seed), max_crossings=4)
+    with pytest.MonkeyPatch.context() as mp:
+        if mutation:
+            name, x = mutation
+            real = getattr(chainmaps, name)
+            mp.setattr(chainmaps, name, lambda t: real(t).scale(x))
+        for p in range(d.n_crossings):
+            for fields in (("Q", "Z2"), ("Z2",)):
+                t = skein_triple(d, p)
+                got = long_exact_sequence_check(t, fields)
+                want = dense_oracle.les_report(t, fields)
+                assert (got.ok, got.failures, got.positions_checked) \
+                    == (want.ok, want.failures, want.positions_checked)
+
+
+def test_les_check_reduces_only_nonzero_map_blocks(monkeypatch):
+    """One block-matrix reduction per (map, key) pair whose block has a
+    nonzero entry; the zero blocks, read but not reduced, are there."""
+    reduced, read = [], {}
+    real_rank, real_columns = chainmaps._block_rank, chainmaps.ChainMap.columns
+
+    def columns(self, key):
+        got = read[(self.name, key)] = real_columns(self, key)
+        return got
+
+    monkeypatch.setattr(chainmaps, "_block_rank",
+                        lambda *args: reduced.append(args) or real_rank(*args))
+    monkeypatch.setattr(chainmaps.ChainMap, "columns", columns)
+    d = twist_pair(PANTS, "a", 4)
+    for p in range(d.n_crossings):
+        reduced.clear()
+        read.clear()
+        assert long_exact_sequence_check(skein_triple(d, p)).ok
+        nonzero = sum(1 for block in read.values() if any(block))
+        assert 0 < nonzero < len(read)
+        assert len(reduced) == nonzero
+
+
+def test_les_workload_checks_every_position():
+    """The check at every crossing of the seven 4-crossing twists of the
+    ``les`` benchmark workload counts 3 168 (position, field) pairs: no
+    position is skipped."""
+    curves = ((DISK, ""), (ANNULUS, "a"), (PANTS, "a"), (PANTS, "b"),
+              (PANTS, "a b"), (TORUS_HOLE, "a"), (MOEBIUS, "a"))
+    total = 0
+    for surface, word in curves:
+        d = twist_pair(surface, word, 4)
+        cx = GradedComplex(d)
+        for p in range(d.n_crossings):
+            report = long_exact_sequence_check(skein_triple(d, p, cx))
+            assert report.ok, report.failures
+            total += report.positions_checked
+    assert total == 3168
 
 
 def test_les_check_builds_each_induced_block_once(monkeypatch):

@@ -235,6 +235,32 @@ def test_cli_verify_les_reports_d_squared_on_non_embeddable_input(tmp_path, caps
         f"FAIL les (crossing=v)\n{cause}FAIL les (crossing=w)\n{cause}"
 
 
+def test_cli_verify_all_reports_d_squared_in_every_suite(tmp_path, capsys):
+    """On an undrawable diagram verify --suite=all runs every suite: each
+    one after d2 fails on the d o d verdict, and nothing is printed as an
+    error."""
+    code = run_cli(tmp_path, emit_diagram(crosscap_shadow()), "verify", "--suite=all")
+    cause = ("  differential does not square to zero in block (j=0,s=0); "
+             "the diagram is not drawable on the declared surface")
+    out, err = capsys.readouterr()
+    assert code == 1 and not err
+    assert out.splitlines() == [
+        "PASS d2 (j=-4,s=0)", "PASS d2 (j=-2,s=0)", "FAIL d2 (j=0,s=0)",
+        "PASS d2 (j=2,s=0)", "PASS d2 (j=4,s=0)",
+        "FAIL euler (differential does not square to zero)",
+        "FAIL reidemeister (differential does not square to zero)",
+        "FAIL les (crossing=v)", cause, "FAIL les (crossing=w)", cause,
+        "FAIL duality (differential does not square to zero)"]
+
+
+@pytest.mark.parametrize("suite", ["reidemeister", "duality"])
+def test_cli_verify_suite_reports_d_squared(tmp_path, capsys, suite):
+    code = run_cli(tmp_path, emit_diagram(crosscap_shadow()), "verify", f"--suite={suite}")
+    assert code == 1
+    assert capsys.readouterr() == (
+        f"FAIL {suite} (differential does not square to zero)\n", "")
+
+
 def test_cli_homology_rejects_non_embeddable_input(tmp_path, capsys):
     bad = """\
 surface planar_holes 0
