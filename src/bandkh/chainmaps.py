@@ -294,9 +294,16 @@ class DualityReport:
     failures: list[str] = field(default_factory=list)
 
 
-def duality_check(diagram: Diagram) -> DualityReport:
-    """Free ranks match the mirror at reversed gradings; torsion shifts by i-2."""
-    table = homology(GradedComplex(diagram))
+def duality_check(diagram: Diagram, cx: GradedComplex | None = None) -> DualityReport:
+    """Free ranks match the mirror at reversed gradings; torsion shifts by i-2.
+
+    ``cx``, the unfrozen complex of ``diagram``, is built unless the caller
+    passes the one it holds; the mirror's complex is always built here."""
+    if cx is None:
+        cx = GradedComplex(diagram)
+    elif cx.frozen or cx.diagram != diagram:
+        raise ChainMapError("cx must be the unfrozen complex of the diagram")
+    table = homology(cx)
     table_m = homology(GradedComplex(mirror(diagram)))
     failures = []
     keys = set(table.groups) | {_negate_key(k) for k in table_m.groups}
@@ -436,12 +443,15 @@ def long_exact_sequence_check(t: SkeinTriple,
 
     At each middle term the rank of the incoming induced map plus the rank
     of the outgoing one must equal the homology dimension.  The connecting
-    map is gamma_hat restricted to cycles.  The ranks of d come from one
-    table per complex, read off ``cx.factors()`` once.  A map block f
-    induces the rank of [[f, b], [a, 0]] less rank a and rank b
-    (:func:`_block_rank`): that identity assumes d o d = 0 (``run_verify``
-    checks d^2 first) and a chain map.  A zero f induces 0 unreduced, as
-    [[0, b], [a, 0]] is block-diagonal.
+    map is gamma_hat restricted to cycles.  The ranks of d and the homology
+    dimensions come from one table per complex, read off ``cx.factors()``
+    once.  A map block f induces the rank of [[f, b], [a, 0]] less rank a
+    and rank b (:func:`_block_rank`): that identity assumes d o d = 0
+    (``run_verify`` checks d^2 first) and a chain map.  A zero f induces 0
+    unreduced, as [[0, b], [a, 0]] is block-diagonal.  So does f when its
+    source or target key has zero homology over Z/2: for a chain map, rank
+    f_* is at most either dimension, and the Z/2 dimension bounds the Q one
+    (universal coefficients).
     """
     fields = tuple(fields)
     for ftag in fields:
@@ -450,35 +460,41 @@ def long_exact_sequence_check(t: SkeinTriple,
     alpha, beta, gamma_hat = viro_alpha(t), viro_beta(t), viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
-    zero = (0,) * len(fields)
-    d_ranks = {cx: {key: tuple(rank_over(factors, f) for f in fields)
-                    for key, factors in cx.factors().items()}
-               for cx in (t.cp, t.c0, t.cinf)}
+    tags = fields + ("Z2",)  # the last one decides where homology lives
+    zero = (0,) * len(tags)
+
+    def rank_table(cx: GradedComplex) -> dict:
+        """key -> (ranks of d out of it, homology dimensions at it), one per
+        tag; a key with no bucket is missing and reads (zero, zero)."""
+        d_ranks = {key: tuple(rank_over(factors, f) for f in tags)
+                   for key, factors in cx.factors().items()}
+        return {key: (r, tuple(cx.dim(key) - a - b for a, b in zip(
+                    r, d_ranks.get((key[0] + 2, key[1], key[2]), zero))))
+                for key, r in d_ranks.items()}
+
+    tables = {cx: rank_table(cx) for cx in (t.cp, t.c0, t.cinf)}
+    empty = (zero, zero)
     ranks: dict[tuple[str, GradingKey], tuple[int, ...]] = {}
 
     def induced_rank(chmap: ChainMap, key: GradingKey) -> tuple[int, ...]:
-        """Ranks induced on homology, one per field; the map out of one
+        """Ranks induced on homology, one per tag; the map out of one
         position is the map into the next."""
         got = ranks.get((chmap.name, key))
         if got is None:
-            got = zero
-            if any(block := chmap.columns(key)):  # stored columns hold no 0
-                (i, j, s), (ti, tj, ts) = key, chmap.grading(key)
+            got, t_key = zero, chmap.grading(key)
+            d_src, h_src = tables[chmap.source].get(key, empty)
+            h_tgt = tables[chmap.target].get(t_key, empty)[1]
+            # stored columns hold no 0, so any() tells a zero block
+            if h_src[-1] and h_tgt[-1] and any(block := chmap.columns(key)):
+                (i, j, s), (ti, tj, ts) = key, t_key
                 b_key = (ti + 2, tj, ts)
                 factors = _block_rank(
                     block, chmap.source.columns(key), chmap.target.columns(b_key),
-                    chmap.target.dim((ti, tj, ts)), chmap.source.dim((i - 2, j, s)))
+                    chmap.target.dim(t_key), chmap.source.dim((i - 2, j, s)))
                 got = tuple(rank_over(factors, f) - a - b for f, a, b in zip(
-                    fields, d_ranks[chmap.source].get(key, zero),
-                    d_ranks[chmap.target].get(b_key, zero)))
+                    tags, d_src, tables[chmap.target].get(b_key, empty)[0]))
             ranks[(chmap.name, key)] = got
         return got
-
-    def h_dims(cx: GradedComplex, key: GradingKey) -> Iterable[int]:
-        if not (n := cx.dim(key)):
-            return zero
-        (i, j, s), rank_at = key, d_ranks[cx].get
-        return (n - a - b for a, b in zip(rank_at(key, zero), rank_at((i + 2, j, s), zero)))
 
     candidates = {(i + di, j + dj, s)
                   for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
@@ -494,9 +510,10 @@ def long_exact_sequence_check(t: SkeinTriple,
                 ("D_p", t.cp, key_p, alpha, key_inf, beta),
                 ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
                 ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
+            # zip stops at ``fields``: the Z/2 liveness tag is not checked
             for ftag, r_in, r_out, h in zip(fields, induced_rank(into, src_key),
                                             induced_rank(out_of, key),
-                                            h_dims(cx, key)):
+                                            tables[cx].get(key, empty)[1]):
                 checked += 1
                 if r_in + r_out != h:
                     failures.append(f"{ftag}: not exact at {name} "

@@ -161,7 +161,7 @@ def run_verify(diagram: Diagram, suites: list[str], out) -> int:
         if diagram.n_crossings == 0:
             out.write("SKIP les (no crossings)\n")
     if "duality" in suites:
-        result = duality_check(diagram)
+        result = duality_check(diagram, cx)
         report(result.ok, "duality", result.failures)
     return 1 if failed else 0
 

@@ -39,8 +39,9 @@ same row reduction gives :func:`rank` over Q and Z/2, the oracle for the
 ranks that the library reads off invariant factors over Z.
 
 :func:`les_report` is the long-exact-sequence check as it ran before it
-kept one rank table per complex and skipped zero map blocks: every rank of
-d read off ``factors()`` per call, and every map block reduced.
+kept one rank table per complex and skipped zero map blocks and blocks
+between keys with no Z/2 homology: every rank of d read off ``factors()``
+per call, and every map block reduced (:func:`les_induced_ranks`).
 
 :func:`apply_r1_pos` spells out the edges of a positive kink, as the
 library did before it built one as a switched negative kink.
@@ -569,13 +570,36 @@ def induced_rank(f, a, b, cols: int, field: str) -> int:
 # The long-exact-sequence check, every block reduced
 # ---------------------------------------------------------------------------
 
+def _d_rank(cx, key, fields):
+    factors = cx.factors().get(key, ())
+    return tuple(rank_over(factors, f) for f in fields)
+
+
+def les_induced_ranks(chmap, key, fields=("Q", "Z2")):
+    """The ranks ``chmap`` induces on homology out of ``key``, one per field,
+    by the block-rank formula: rank [[f, b], [a, 0]] less rank a and rank b,
+    every rank of d read off ``factors()`` on this call and the block
+    reduced even when it is zero."""
+    i, j, s = key
+    ti, tj, ts = chmap.grading(key)
+    b_key = (ti + 2, tj, ts)
+    factors = chainmaps._block_rank(
+        chmap.columns(key), chmap.source.columns(key),
+        chmap.target.columns(b_key), chmap.target.dim((ti, tj, ts)),
+        chmap.source.dim((i - 2, j, s)))
+    return tuple(rank_over(factors, f) - a - b for f, a, b in zip(
+        fields, _d_rank(chmap.source, key, fields),
+        _d_rank(chmap.target, b_key, fields)))
+
+
 def les_report(t, fields=("Q", "Z2")):
     """The report of :func:`bandkh.chainmaps.long_exact_sequence_check`,
     computed as the check did before it kept one rank table per complex:
     the ranks of d are read off ``cx.factors()`` on every call, and every
-    map block, zero or not, goes through ``_block_rank``.  The maps are
-    looked up on :mod:`bandkh.chainmaps` at call time, so a test that
-    patches one there mutates both sides."""
+    map block, zero or not, goes through ``_block_rank``
+    (:func:`les_induced_ranks`).  The maps are looked up on
+    :mod:`bandkh.chainmaps` at call time, so a test that patches one there
+    mutates both sides."""
     fields = tuple(fields)
     for ftag in fields:
         if ftag not in ("Q", "Z2"):
@@ -587,29 +611,16 @@ def les_report(t, fields=("Q", "Z2")):
     checked = 0
     ranks = {}
 
-    def d_rank(cx, key):
-        factors = cx.factors().get(key, ())
-        return tuple(rank_over(factors, f) for f in fields)
-
     def induced(chmap, key):
         got = ranks.get((chmap.name, key))
         if got is None:
-            i, j, s = key
-            ti, tj, ts = chmap.grading(key)
-            b_key = (ti + 2, tj, ts)
-            factors = chainmaps._block_rank(
-                chmap.columns(key), chmap.source.columns(key),
-                chmap.target.columns(b_key), chmap.target.dim((ti, tj, ts)),
-                chmap.source.dim((i - 2, j, s)))
-            got = ranks[(chmap.name, key)] = tuple(
-                rank_over(factors, f) - a - b for f, a, b in zip(
-                    fields, d_rank(chmap.source, key), d_rank(chmap.target, b_key)))
+            got = ranks[(chmap.name, key)] = les_induced_ranks(chmap, key, fields)
         return got
 
     def h_dims(cx, key):
         i, j, s = key
-        return (cx.dim(key) - a - b for a, b in zip(d_rank(cx, key),
-                                                     d_rank(cx, (i + 2, j, s))))
+        return (cx.dim(key) - a - b for a, b in zip(
+            _d_rank(cx, key, fields), _d_rank(cx, (i + 2, j, s), fields)))
 
     candidates = {(i + di, j + dj, s)
                   for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),

@@ -179,27 +179,66 @@ def test_les_check_matches_every_block_oracle(surface, seed, mutation):
                     == (want.ok, want.failures, want.positions_checked)
 
 
+def _capture_les_maps(mp, mutation=None):
+    """Patch the skein-triple maps on :mod:`bandkh.chainmaps`, scaled as
+    ``mutation`` asks (see :data:`_LES_MUTATIONS`), to record every map they
+    build, and ``_block_rank`` to record the map block of every reduction.
+    Returns the two lists: the maps, and the reduced blocks."""
+    maps, reduced = [], []
+    for name in ("viro_alpha", "viro_beta", "viro_gamma_hat"):
+        x = mutation[1] if mutation and mutation[0] == name else 1
+        real = getattr(chainmaps, name)
+        mp.setattr(chainmaps, name,
+                   lambda t, real=real, x=x: maps.append(real(t).scale(x)) or maps[-1])
+    real_rank = chainmaps._block_rank
+    mp.setattr(chainmaps, "_block_rank",
+               lambda f, *args: reduced.append(f) or real_rank(f, *args))
+    return maps, reduced
+
+
 def test_les_check_reduces_only_nonzero_map_blocks(monkeypatch):
     """One block-matrix reduction per (map, key) pair whose block has a
-    nonzero entry; the zero blocks, read but not reduced, are there."""
-    reduced, read = [], {}
-    real_rank, real_columns = chainmaps._block_rank, chainmaps.ChainMap.columns
-
-    def columns(self, key):
-        got = read[(self.name, key)] = real_columns(self, key)
-        return got
-
-    monkeypatch.setattr(chainmaps, "_block_rank",
-                        lambda *args: reduced.append(args) or real_rank(*args))
-    monkeypatch.setattr(chainmaps.ChainMap, "columns", columns)
+    nonzero entry and whose source and target keys both have nonzero
+    homology over Z/2; nonzero blocks at a key with none are there too."""
+    maps, reduced = _capture_les_maps(monkeypatch)
     d = twist_pair(PANTS, "a", 4)
     for p in range(d.n_crossings):
+        maps.clear()
         reduced.clear()
-        read.clear()
-        assert long_exact_sequence_check(skein_triple(d, p)).ok
-        nonzero = sum(1 for block in read.values() if any(block))
-        assert 0 < nonzero < len(read)
-        assert len(reduced) == nonzero
+        t = skein_triple(d, p)
+        assert long_exact_sequence_check(t).ok
+        z2 = {cx: homology(cx, "Z2") for cx in (t.cp, t.c0, t.cinf)}
+        nonzero = [(chmap, key) for chmap in maps
+                   for key, block in chmap.blocks.items() if any(block)]
+        live = [chmap.blocks[key] for chmap, key in nonzero
+                if z2[chmap.source].group(key).rank
+                and z2[chmap.target].group(chmap.grading(key)).rank]
+        assert 0 < len(live) < len(nonzero)
+        assert len(reduced) == len(live)
+        assert {id(f) for f in reduced} == {id(f) for f in live}
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface=st.sampled_from(ALL_SURFACES), seed=st.integers(0, 10**6),
+       mutation=st.sampled_from(_LES_MUTATIONS))
+@example(surface=DISK, seed=0, mutation=None)
+def test_les_check_leaves_unreduced_only_blocks_inducing_zero(surface, seed, mutation):
+    """Every map block the check does not reduce induces rank 0 over Q and
+    over Z/2 by the oracle's block-rank formula, at every crossing, with the
+    skein-triple maps unmutated or scaled as in :data:`_LES_MUTATIONS`."""
+    d = random_diagram(surface, random.Random(seed), max_crossings=4)
+    with pytest.MonkeyPatch.context() as mp:
+        maps, reduced = _capture_les_maps(mp, mutation)
+        for p in range(d.n_crossings):
+            maps.clear()
+            reduced.clear()
+            long_exact_sequence_check(skein_triple(d, p))  # may fail if mutated
+            done = {id(f) for f in reduced}
+            skipped = [(chmap, key) for chmap in maps
+                       for key, block in chmap.blocks.items() if id(block) not in done]
+            for chmap, key in skipped:
+                assert dense_oracle.les_induced_ranks(chmap, key) == (0, 0), \
+                    (p, chmap.name, key)
 
 
 def test_les_workload_checks_every_position():
@@ -641,6 +680,16 @@ def test_duality_check_names_gradings_as_text(monkeypatch):
     assert duality_check(loops_diagram(ANNULUS, "a")).failures == [
         f"{what} mismatch at (i=0,j=0,s=a:{sign}1)"
         for what in ("rank", "torsion") for sign in "+-"]
+
+
+def test_duality_check_reuses_only_the_unfrozen_complex_of_its_diagram():
+    d = trefoil()
+    cx = GradedComplex(d)
+    assert duality_check(d, cx) == duality_check(d)
+    assert cx._factors is not None  # the table was read off the passed complex
+    for wrong in (GradedComplex(d, {0: 1}), GradedComplex(mirror(d))):
+        with pytest.raises(ChainMapError, match="unfrozen complex"):
+            duality_check(d, wrong)
 
 
 def test_duality_zero_crossing_self_mirror():

@@ -191,6 +191,29 @@ def test_verify_les_builds_the_unfrozen_complex_once(tmp_path, capsys,
     assert len(built) == 9 and built.count({}) == 1
 
 
+@pytest.mark.parametrize("suite", ["duality", "all"])
+def test_verify_builds_the_unfrozen_complex_of_the_input_once(tmp_path, capsys,
+                                                              monkeypatch, suite):
+    """verify hands its complex of the diagram to the duality suite, which
+    builds only the mirror's: one unfrozen complex of the input, whatever
+    the suites."""
+    built = []
+    real = GradedComplex.__init__
+
+    def init(self, diagram, frozen=None, **kwargs):
+        built.append((diagram, dict(frozen or {})))
+        real(self, diagram, frozen, **kwargs)
+
+    monkeypatch.setattr(GradedComplex, "__init__", init)
+    d = twist_pair(PANTS, "a", 4)
+    path = tmp_path / "d.txt"
+    path.write_text(emit_diagram(d))
+    assert main(["verify", f"--suite={suite}", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert built.count((d, {})) == 1
+    assert built.count((mirror(d), {})) == 1
+
+
 def test_verify_les_smooths_each_marker_vector_once(tmp_path, capsys, monkeypatch):
     """The frozen complexes of every skein triple share the smoothings of
     the unfrozen one: a 4-crossing diagram is smoothed at each of its 16
