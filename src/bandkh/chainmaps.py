@@ -40,7 +40,6 @@ from .linalg import (
     _dense_view,
     _mat_mul,
     _same,
-    _transpose,
     invariant_factors,
     rank_over,
 )
@@ -234,18 +233,6 @@ def g_map(cx: GradedComplex) -> ChainMap:
                           lambda m: (_sign([-m[q] for q in counted]), m, None), "g")
 
 
-def g_conjugates_differentials(cx: GradedComplex) -> bool:
-    """Check g . d == d+ . g on every block."""
-    g = g_map(cx)
-    for key in cx.sizes:
-        i, j, s = key
-        lhs = _mat_mul(g.columns((i - 2, j, s)), cx.columns(key))
-        rhs = _mat_mul(cx.columns(key, 1), g.columns(key))
-        if not _same(lhs, rhs):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Mirror image and duality
 # ---------------------------------------------------------------------------
@@ -272,20 +259,6 @@ def mirror_map(diagram: Diagram) -> tuple[ChainMap, GradedComplex, GradedComplex
     step = _transport(cx, cxm, lambda c: rot_key(c.key), attrgetter("key"),
                       lambda markers: tuple(-m for m in markers), negate=True)
     return ChainMap.build(cx, cxm, _negate_key, step, "mirror"), cx, cxm
-
-
-def mirror_intertwines(diagram: Diagram) -> bool:
-    """Check mirror_map . d~ == d+ . mirror_map, with d~ the transposed d."""
-    phi, cx, cxm = mirror_map(diagram)
-    for key in cx.sizes:
-        i, j, s = key
-        up = (i + 2, j, s)
-        d_tilde = _transpose(cx.columns(up), cx.dim(key))
-        lhs = _mat_mul(phi.columns(up), d_tilde)
-        rhs = _mat_mul(cxm.columns(_negate_key(key), 1), phi.columns(key))
-        if not _same(lhs, rhs):
-            return False
-    return True
 
 
 @dataclass
@@ -645,11 +618,6 @@ def g_embed(pair: R2Pair) -> ChainMap:
     return ChainMap.build(pair.tilde, pair.big, _shift(0, -2), step, "g_embed")
 
 
-def iota_embed(pair: R2Pair) -> ChainMap:
-    """Identity embedding of the tilde pattern (markers v:-1, w:-1)."""
-    return ChainMap.build(pair.tilde, pair.big, _shift(-2, -2), lambda m: (1, m, None), "iota")
-
-
 def rho_II(pair: R2Pair) -> ChainMap:
     """The second-Reidemeister chain map f + g . gamma."""
     f = f_embed(pair)
@@ -689,10 +657,6 @@ class R3Data:
     f_inf: ChainMap        # C(D_inf) -> C(D'_inf), the geometric transport
     rho: ChainMap          # C(D_0) -> C(D'_0), defined on the image subcomplex
     rho_III: ChainMap      # C(D) -> C(D'), defined on C'
-    beta: ChainMap         # viro_beta(triple)
-    section: ChainMap      # rho_II_section(pair)
-    rho2: ChainMap         # rho_II(pair)
-    lift: ChainMap         # viro_beta_bar(triple) . rho2
 
 
 def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
@@ -756,33 +720,6 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
     term1 = viro_beta_bar(triple2).compose(rho).compose(beta)
     term2 = viro_alpha(triple2).compose(f_inf).compose(viro_alpha_bar(triple))
     rho3 = term1.add(term2, "rho_III")
-    rho2 = rho_II(pair)
     return R3Data(diagram, site, moved, triple, triple2, pair, pair2, nu, f_inf,
-                  rho, rho3, beta, section, rho2, viro_beta_bar(triple).compose(rho2))
+                  rho, rho3)
 
-
-def c_prime_columns(data: R3Data, key: GradingKey) -> Columns:
-    """Sparse columns spanning the subcomplex C' of C(D) at one grading key.
-
-    C' is spanned by all states with a negative marker at p together with
-    the image of the undone complex under beta_bar . rho_II.
-    """
-    cp = data.triple.cp
-    bid = cp._keys.index(key) if key in cp.sizes else -1
-    i, j, s0 = key
-    # Rows of a block are numbered in enumeration order, as _rows runs.
-    return ([[(row, 1)] for markers, rows in cp._rows.items() if markers[0] < 0
-             for b, row in rows if b == bid]
-            + data.lift.columns((i - 1, j - 1, s0)))
-
-
-def membership_in_c_prime(data: R3Data, key: GradingKey,
-                          column: list[tuple[int, int]]) -> bool:
-    """x (one sparse column) is in C' iff beta(x) equals rho_II of its
-    (v:-1, w:+1) component."""
-    i, j, s0 = key
-    bkey = (i - 1, j - 1, s0)
-    y = _mat_mul(data.beta.columns(key), [column])
-    small = _mat_mul(data.section.columns(bkey), y)
-    back = _mat_mul(data.rho2.columns(bkey), small)
-    return _same(y, back)

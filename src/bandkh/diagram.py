@@ -495,13 +495,3 @@ def apply_r3(diagram: Diagram, site: R3Site) -> Diagram:
     edges.append(Edge((p, m4(xi + 3)), (w, m4(gamma_w + 1))))      # new e_wp
     rest = tuple(c for c in diagram.crossings if c not in (p, v, w))
     return Diagram(diagram.surface, (p, w, v) + rest, tuple(edges), diagram.loops)
-
-
-# ---------------------------------------------------------------------------
-# Invariant helpers used by tests and verification suites
-# ---------------------------------------------------------------------------
-
-def circle_count_change(diagram: Diagram, markers: MarkerVector, pos: int) -> int:
-    """Circle-count difference caused by flipping the marker at one crossing."""
-    flipped = markers[:pos] + (-markers[pos],) + markers[pos + 1:]
-    return len(smooth(diagram, flipped)) - len(smooth(diagram, markers))

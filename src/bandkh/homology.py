@@ -130,14 +130,3 @@ def table_isomorphic(t1: HomologyTable, t2: HomologyTable,
     moved = {(i + di, j + dj, remap(s)): g for (i, j, s), g in t1.groups.items()}
     return moved == t2.groups
 
-
-def euler_characteristic_consistent(cx: GradedComplex, table: HomologyTable) -> bool:
-    """Alternating block dimensions match alternating homology ranks per (j, s)."""
-    sums: dict[tuple[int, GradingS], int] = {}
-    for (i, j, s) in cx.sizes:
-        sign = -1 if ((j - i) // 2) % 2 else 1
-        sums[(j, s)] = sums.get((j, s), 0) + sign * cx.dim((i, j, s))
-    for (i, j, s), g in table.groups.items():
-        sign = -1 if ((j - i) // 2) % 2 else 1
-        sums[(j, s)] = sums.get((j, s), 0) - sign * g.rank
-    return all(v == 0 for v in sums.values())

@@ -40,15 +40,6 @@ def _mat_mul(a: Columns, b: Columns) -> Columns:
     return out
 
 
-def _transpose(mat: Columns, rows: int) -> Columns:
-    """The transpose of ``mat``, which has ``rows`` rows."""
-    out: Columns = [[] for _ in range(rows)]
-    for c, column in enumerate(mat):
-        for r, v in column:
-            out[r].append((c, v))
-    return out
-
-
 def _dense_view(mat: Columns, rows: int) -> Matrix:
     """A new dense ``rows`` x ``len(mat)`` copy of ``mat``."""
     out = [[0] * len(mat) for _ in range(rows)]

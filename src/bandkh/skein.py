@@ -178,21 +178,6 @@ def bracket_recursive(diagram: Diagram) -> BracketExpansion:
     return _tidy(out)
 
 
-def add_expansions(e1: BracketExpansion, e2: BracketExpansion) -> BracketExpansion:
-    out = dict(e1)
-    for b, p in e2.items():
-        out[b] = out.get(b, LaurentPolyA.zero()) + p
-    return _tidy(out)
-
-
-def scale_expansion(e: BracketExpansion, poly: LaurentPolyA) -> BracketExpansion:
-    return _tidy({b: poly * p for b, p in e.items()})
-
-
-def expansions_equal(e1: BracketExpansion, e2: BracketExpansion) -> bool:
-    return _tidy(dict(e1)) == _tidy(dict(e2))
-
-
 # ---------------------------------------------------------------------------
 # The phi substitution and its inverse
 # ---------------------------------------------------------------------------

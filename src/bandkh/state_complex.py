@@ -47,7 +47,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
-from .linalg import Columns, Matrix, _dense_view, _mat_mul, _transpose, invariant_factors
+from .linalg import Columns, Matrix, _dense_view, _mat_mul, invariant_factors
 from .surface import CurveClass, CurveKind, GradingS
 
 GradingKey = tuple[int, int, GradingS]
@@ -471,14 +471,3 @@ class GradedComplex:
                 for (i, j, s) in self.sizes}
         return self._factors
 
-    def dual_matrices(self) -> dict[GradingKey, Columns]:
-        """Cochain blocks as sparse columns: the map out of (i, j, s) raising
-        i by 2.
-
-        The block at (i, j, s) is the transpose of the differential block at
-        (i+2, j, s); identifying each state with its dual basis vector makes
-        this the coboundary.
-        """
-        return {key: _transpose(self.columns((key[0] + 2, key[1], key[2])),
-                                self.dim(key))
-                for key in self.sizes}

@@ -354,9 +354,6 @@ class GradingS:
         kept.sort(key=lambda pair: pair[0].sort_key)
         return GradingS(tuple(kept))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     @property
     def text(self) -> str:
         if not self.entries:

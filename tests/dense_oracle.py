@@ -57,6 +57,11 @@ inside one diagram's complexes through it.  :func:`mirror_map`,
 between two diagrams through it, each state moved by matching its circles
 by key (:func:`_transport`); :func:`r3_transports` keys circles by their
 external edges (:func:`_external_edge_keys`) on its own.
+
+:func:`dual_matrices` gives the cochain blocks of a complex, each the
+transpose (:func:`_transpose`) of a block of d.  :func:`iota_embed`, the
+embedding of the (v:-1, w:-1) pattern in the second move, has no library
+twin: only the identities of ``rho_II`` read it.
 """
 
 from __future__ import annotations
@@ -326,6 +331,27 @@ def dense_matrix(columns, rows):
         for r, v in column:
             mat[r][c] += v
     return mat
+
+
+def _transpose(mat, rows):
+    """The transpose of the sparse columns ``mat``, which has ``rows`` rows."""
+    out = [[] for _ in range(rows)]
+    for c, column in enumerate(mat):
+        for r, v in column:
+            out[r].append((c, v))
+    return out
+
+
+def dual_matrices(cx):
+    """Cochain blocks of ``cx`` as sparse columns: the map out of (i, j, s)
+    raising i by 2.
+
+    The block at (i, j, s) is the transpose of the differential block at
+    (i+2, j, s); identifying each state with its dual basis vector makes
+    this the coboundary.
+    """
+    return {key: _transpose(cx.columns((key[0] + 2, key[1], key[2])), cx.dim(key))
+            for key in cx.sizes}
 
 
 def _mat_mul(a, b):
@@ -789,7 +815,7 @@ def rho_II_section(pair) -> ChainMap:
 
 
 #: name -> state-by-state builder of each second-move map inside one diagram.
-R2_MAPS = {f.__name__: f for f in (f_embed, gamma_r2, iota_embed, rho_II_section)}
+R2_MAPS = {f.__name__: f for f in (f_embed, gamma_r2, rho_II_section)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite.
+"""Shared builders and identity checks for the test suite.
 
 Every constructor here produces a diagram together with an embedding that
 actually exists on the named surface; the constructions are local (kinks,
@@ -13,6 +13,16 @@ from __future__ import annotations
 
 import random
 
+from bandkh.chainmaps import (
+    R3Data,
+    _negate_key,
+    g_map,
+    mirror_map,
+    rho_II,
+    rho_II_section,
+    viro_beta,
+    viro_beta_bar,
+)
 from bandkh.diagram import (
     Diagram,
     Edge,
@@ -22,8 +32,13 @@ from bandkh.diagram import (
     apply_r2,
     reorder_crossings,
 )
-from bandkh.state_complex import StateKey
-from bandkh.surface import CurveKind, SurfaceModel, Word, classify, parse_word
+from bandkh.homology import HomologyTable
+from bandkh.linalg import Columns, _mat_mul, _same
+from bandkh.skein import BracketExpansion, LaurentPolyA, _tidy
+from bandkh.state_complex import GradedComplex, GradingKey, StateKey
+from bandkh.surface import CurveKind, GradingS, SurfaceModel, Word, classify, parse_word
+
+from dense_oracle import _transpose
 
 # ---------------------------------------------------------------------------
 # Surfaces and their families of pairwise-disjoint simple curve words
@@ -432,3 +447,99 @@ def t_count(cx, state, pos: int) -> int:
 def incidence_number(cx, s_from, s_to, pos: int) -> int:
     """1 when the flip at ``pos`` connects the two states, else 0."""
     return int(StateKey(s_to.markers, s_to.labels) in cx.resmoothings(s_from, pos))
+
+
+# ---------------------------------------------------------------------------
+# Identity checks on the library's expansions, complexes and chain maps
+# ---------------------------------------------------------------------------
+
+def add_expansions(e1: BracketExpansion, e2: BracketExpansion) -> BracketExpansion:
+    out = dict(e1)
+    for b, p in e2.items():
+        out[b] = out.get(b, LaurentPolyA.zero()) + p
+    return _tidy(out)
+
+
+def scale_expansion(e: BracketExpansion, poly: LaurentPolyA) -> BracketExpansion:
+    return _tidy({b: poly * p for b, p in e.items()})
+
+
+def euler_characteristic_consistent(cx: GradedComplex, table: HomologyTable) -> bool:
+    """Alternating block dimensions match alternating homology ranks per (j, s)."""
+    sums: dict[tuple[int, GradingS], int] = {}
+    for (i, j, s) in cx.sizes:
+        sign = -1 if ((j - i) // 2) % 2 else 1
+        sums[(j, s)] = sums.get((j, s), 0) + sign * cx.dim((i, j, s))
+    for (i, j, s), g in table.groups.items():
+        sign = -1 if ((j - i) // 2) % 2 else 1
+        sums[(j, s)] = sums.get((j, s), 0) - sign * g.rank
+    return all(v == 0 for v in sums.values())
+
+
+def g_conjugates_differentials(cx: GradedComplex) -> bool:
+    """Check g . d == d+ . g on every block."""
+    g = g_map(cx)
+    for key in cx.sizes:
+        i, j, s = key
+        lhs = _mat_mul(g.columns((i - 2, j, s)), cx.columns(key))
+        rhs = _mat_mul(cx.columns(key, 1), g.columns(key))
+        if not _same(lhs, rhs):
+            return False
+    return True
+
+
+def mirror_intertwines(diagram: Diagram) -> bool:
+    """Check mirror_map . d~ == d+ . mirror_map, with d~ the transposed d."""
+    phi, cx, cxm = mirror_map(diagram)
+    for key in cx.sizes:
+        i, j, s = key
+        up = (i + 2, j, s)
+        d_tilde = _transpose(cx.columns(up), cx.dim(key))
+        lhs = _mat_mul(phi.columns(up), d_tilde)
+        rhs = _mat_mul(cxm.columns(_negate_key(key), 1), phi.columns(key))
+        if not _same(lhs, rhs):
+            return False
+    return True
+
+
+# The maps of the last R3Data that the C' checks read:
+# [data, (beta, rho_II section, rho_II, beta_bar . rho_II)].
+_C_PRIME_MAPS: list = [None, None]
+
+
+def _c_prime_maps(data: R3Data) -> tuple:
+    """beta, the rho_II section, rho_II and the lift beta_bar . rho_II of
+    ``data``'s triple and pair, built once per R3Data."""
+    if _C_PRIME_MAPS[0] is not data:
+        rho2 = rho_II(data.pair)
+        _C_PRIME_MAPS[:] = [data, (viro_beta(data.triple), rho_II_section(data.pair),
+                                   rho2, viro_beta_bar(data.triple).compose(rho2))]
+    return _C_PRIME_MAPS[1]
+
+
+def c_prime_columns(data: R3Data, key: GradingKey) -> Columns:
+    """Sparse columns spanning the subcomplex C' of C(D) at one grading key.
+
+    C' is spanned by all states with a negative marker at p together with
+    the image of the undone complex under beta_bar . rho_II.
+    """
+    cp = data.triple.cp
+    bid = cp._keys.index(key) if key in cp.sizes else -1
+    i, j, s0 = key
+    # Rows of a block are numbered in enumeration order, as _rows runs.
+    return ([[(row, 1)] for markers, rows in cp._rows.items() if markers[0] < 0
+             for b, row in rows if b == bid]
+            + _c_prime_maps(data)[3].columns((i - 1, j - 1, s0)))
+
+
+def membership_in_c_prime(data: R3Data, key: GradingKey,
+                          column: list[tuple[int, int]]) -> bool:
+    """x (one sparse column) is in C' iff beta(x) equals rho_II of its
+    (v:-1, w:+1) component."""
+    beta, section, rho2, _lift = _c_prime_maps(data)
+    i, j, s0 = key
+    bkey = (i - 1, j - 1, s0)
+    y = _mat_mul(beta.columns(key), [column])
+    small = _mat_mul(section.columns(bkey), y)
+    back = _mat_mul(rho2.columns(bkey), small)
+    return _same(y, back)

@@ -11,17 +11,12 @@ from bandkh.chainmaps import (
     _block_rank,
     ChainMap,
     ChainMapError,
-    c_prime_columns,
     duality_check,
     eta,
     f_embed,
-    g_conjugates_differentials,
     g_embed,
     gamma_r2,
-    iota_embed,
     long_exact_sequence_check,
-    membership_in_c_prime,
-    mirror_intertwines,
     mirror_map,
     r2_pair,
     r3_data,
@@ -44,6 +39,7 @@ from dense_oracle import (
     _mat_mul,
     dense_matrix,
     induced_rank,
+    iota_embed,
     mat_add,
     mats_equal,
     rank,
@@ -56,7 +52,11 @@ from helpers import (
     MOEBIUS,
     PANTS,
     TORUS_HOLE,
+    c_prime_columns,
+    g_conjugates_differentials,
     loops_diagram,
+    membership_in_c_prime,
+    mirror_intertwines,
     random_diagram,
     surface_words,
     trefoil,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -123,6 +124,28 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
         assert run_cli(tmp_path, TWO_CROSSING, "homology", "--coefficients=Q") == 0
         outs.append(capsys.readouterr().out.encode())
     assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ("homology",), ("homology", "--coefficients=Q"), ("bracket",),
+    ("bracket", "--recursive"), ("euler",), ("verify", "--suite=all")])
+def test_cli_main_after_the_first_leaves_no_cycles(tmp_path, args):
+    """Only the first ``main`` call builds the parser, and with it argparse's
+    cyclic formatter objects: a later call leaves nothing for the cycle
+    collector, so its peak heap does not depend on when the collector ran."""
+    assert run_cli(tmp_path, TWO_CROSSING, *args) == 0
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        assert run_cli(tmp_path, TWO_CROSSING, *args) == 0
+        gc.collect()
+        cyclic = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_package_import_leaves_the_cli_unloaded():

@@ -15,7 +15,6 @@ from bandkh.homology import (
     HomologyError,
     aggregate_handlebody,
     divisor_chain,
-    euler_characteristic_consistent,
     homology,
     table_isomorphic,
 )
@@ -29,6 +28,7 @@ from helpers import (
     DISK,
     PANTS,
     TORUS_HOLE,
+    euler_characteristic_consistent,
     loops_diagram,
     random_diagram,
     trefoil,

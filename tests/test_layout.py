@@ -1,0 +1,56 @@
+"""``src/bandkh`` holds command and API code only.
+
+Every function, class and method defined at module or class level in the
+package must be read by the package itself, exported by ``bandkh``, or
+named in the README.  A helper that only the tests call belongs in
+``tests/helpers.py`` or, as an oracle, in ``tests/dense_oracle.py``.
+"""
+
+import ast
+import pathlib
+import re
+
+import bandkh
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bandkh"
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Names of the functions, classes and methods at module or class level,
+    dunders left out."""
+    out = []
+    scopes = [tree.body]
+    while scopes:
+        for node in scopes.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    out.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    scopes.append(node.body)
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read through a ``Name`` or ``Attribute`` node; imports and
+    docstrings hold neither."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_src_defines_only_command_and_api_code():
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined += [(path.stem, name) for name in _definitions(tree)]
+        referenced |= _references(tree)
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = [f"{module}.{name}" for module, name in defined
+              if name not in referenced and name not in bandkh.__all__
+              and name not in readme]
+    assert not unused, f"defined in src/bandkh but read only outside it: {unused}"
