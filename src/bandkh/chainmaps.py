@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
@@ -29,7 +28,6 @@ from .diagram import (
     apply_r1_neg,
     apply_r3,
     mirror,
-    r1_neg_small_circle_slots,
     reorder_crossings,
     validate_r3_site,
 )
@@ -167,27 +165,35 @@ def identity_grading(key: GradingKey) -> GradingKey:
     return key
 
 
-def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex,
-               src_key_of, tgt_key_of, marker_map, sign=lambda m: 1,
-               negate: bool = False) -> Callable:
-    """A step of :meth:`ChainMap.build` moving states between two diagrams
-    by circle keys, matched once per marker vector: each target circle takes
-    the label of the source circle with its key, a target circle keyed None
-    is new, labelled -1; ``negate`` then reverses every label, and the
-    states over ``m`` are signed by ``sign(m)``."""
+def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex, anchors: Sequence[int],
+               marker_map, sign=lambda m: 1, negate: bool = False) -> Callable:
+    """A step of :meth:`ChainMap.build` moving states between two diagrams.
+    ``anchors[a]`` is the source slot on the strand of target slot ``a``, or
+    -1, free loop k of an n-crossing diagram being slot 4n + k.  Once per
+    marker vector, each target circle takes the label of the one source
+    circle its anchored slots reach through the smoothing's ``at``, or is
+    new, labelled -1, if they reach none; ``negate`` then reverses every
+    label, and the states over ``m`` are signed by ``sign(m)``.  Raises
+    :class:`ChainMapError` unless the matched source circles are distinct
+    and cover the source smoothing."""
+    n_loops, tloop = len(src_cx.diagram.loops), 4 * tgt_cx.diagram.n_crossings
+
     def step(markers: MarkerVector):
         tmarkers = marker_map(markers)
         src, tgt = src_cx.smoothing(markers), tgt_cx.smoothing(tmarkers)
-        bits = {src_key_of(c): 1 << len(src.circles) - 1 - k
-                for k, c in enumerate(src.circles)}
-        width = len(tgt.circles)
-        base, pairs = (1 << width) - 1 if negate else 0, []
+        width_src, width = len(src.circles), len(tgt.circles)
+        reach = src.at + list(range(width_src - n_loops, width_src))  # loops come last
+        base, pairs, matched = (1 << width) - 1 if negate else 0, [], []
         for k, c in enumerate(tgt.circles):
-            key = tgt_key_of(c)
-            if key is None:
+            hits = {reach[x] for a in c.ints or (tloop + c.loop,) if (x := anchors[a]) >= 0}
+            matched += hits
+            if len(hits) == 1:
+                pairs.append((1 << width_src - 1 - matched[-1], 1 << width - 1 - k))
+            elif not hits:
                 base ^= 1 << width - 1 - k
-            else:
-                pairs.append((bits[key], 1 << width - 1 - k))
+        if len(pairs) != len(matched) or sorted(matched) != list(range(width_src)):
+            raise ChainMapError(f"the circles over markers {markers} do not "
+                                "correspond between the two diagrams")
 
         def codes(code: int) -> tuple[int]:
             out = base
@@ -250,14 +256,12 @@ def mirror_map(diagram: Diagram) -> tuple[ChainMap, GradedComplex, GradedComplex
     """
     cx = GradedComplex(diagram)
     cxm = GradedComplex(mirror(diagram))
-
-    def rot_key(key: tuple) -> tuple:
-        if key[0] == "loop":
-            return key
-        return ("slots", tuple(sorted((c, (s + 1) % 4) for c, s in key[1])))
-
-    step = _transport(cx, cxm, lambda c: rot_key(c.key), attrgetter("key"),
-                      lambda markers: tuple(-m for m in markers), negate=True)
+    n4 = 4 * diagram.n_crossings
+    # The mirror moves each edge end from slot s to s + 1 of its crossing.
+    anchors = [t & ~3 | (t - 1) & 3 if t < n4 else t
+               for t in range(n4 + len(diagram.loops))]
+    step = _transport(cx, cxm, anchors, lambda markers: tuple(-m for m in markers),
+                      negate=True)
     return ChainMap.build(cx, cxm, _negate_key, step, "mirror"), cx, cxm
 
 
@@ -309,7 +313,10 @@ def reorder_iso(diagram: Diagram, permutation: Sequence[int]) -> ChainMap:
         seq = [new_pos[c] for c, m in zip(diagram.crossings, markers) if m < 0]
         return (-1) ** sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
 
-    step = _transport(cx, cx2, attrgetter("key"), attrgetter("key"),
+    n4 = 4 * diagram.n_crossings
+    anchors = [4 * permutation[t >> 2] | t & 3 if t < n4 else t
+               for t in range(n4 + len(diagram.loops))]
+    step = _transport(cx, cx2, anchors,
                       lambda markers: tuple(markers[old] for old in permutation), sign)
     return ChainMap.build(cx, cx2, identity_grading, step, "f12")
 
@@ -507,28 +514,18 @@ def rho_I(diagram: Diagram, site, side: str = "left",
     an isomorphism on homology.
     """
     kinked = apply_r1_neg(diagram, site, side)
-    kink = kinked.crossings[0]
-    o_slots = r1_neg_small_circle_slots(kink, side)
-    kslots = {(kink, k) for k in range(4)}
     kind, idx = site
     cx = GradedComplex(diagram)
     cx2 = GradedComplex(kinked)
-
-    def src_key_of(circle) -> tuple | None:
-        """The key of a kinked circle before the kink; None for the new one."""
-        if circle.slots == o_slots:
-            return None
-        if circle.key[0] == "loop":
-            m = circle.key[1]
-            if kind == "loop":
-                return ("loop", m if m < idx else m + 1)
-            return circle.key
-        stripped = circle.slots - kslots
-        if stripped:
-            return ("slots", tuple(sorted(stripped)))
-        return ("loop", idx)  # the kinked free loop
-
-    step = _transport(cx, cx2, attrgetter("key"), src_key_of, lambda m: (-1,) + m)
+    # Slot t is kinked slot t + 4.  On a loop site later loops shift down by
+    # one, and the kink slots off the new circle run along the kinked loop.
+    n4 = 4 * diagram.n_crossings
+    anchors = [-1] * 4 + [t for t in range(n4 + len(diagram.loops))
+                          if kind == "edge" or t != n4 + idx]
+    if kind == "loop":
+        for s in (0, 3) if side == "left" else (1, 2):
+            anchors[s] = n4 + idx
+    step = _transport(cx, cx2, anchors, lambda m: (-1,) + m)
     return ChainMap.build(cx, cx2, _shift(-1, -3), step, "rho_I"), kinked
 
 
@@ -556,13 +553,6 @@ class R2Pair:
     small: GradedComplex
     tilde: GradedComplex
     internal: frozenset[int]
-
-    def circle_key(self, circle) -> tuple:
-        """Identify a circle by the external edges it traverses."""
-        if circle.key[0] == "loop":
-            return circle.key
-        edges = {self.diagram.edge_at(slot)[0] for slot in circle.slots}
-        return ("edges", frozenset(edges - self.internal))
 
 
 def r2_pair(diagram: Diagram, v: int, w: int,
@@ -605,13 +595,19 @@ def gamma_r2(pair: R2Pair) -> ChainMap:
 def g_embed(pair: R2Pair) -> ChainMap:
     """Embedding of the opposite connection as the (v:+1, w:-1) pattern, with
     the new circle labeled -1."""
-    small = ("edges", frozenset())  # the small circle lives on internal edges only
-    key_of = lambda c: None if pair.circle_key(c) == small else pair.circle_key(c)
+    d = pair.diagram
+    # Every slot stays put but those on the site's internal edges, so the
+    # small circle, which runs along internal edges only, is the new one.
+    names = d.slot_tables.names
+    anchors = [-1 if d.edge_at(name)[0] in pair.internal else t
+               for t, name in enumerate(names)]
+    anchors += range(len(names), len(names) + len(d.loops))
     moved = lambda m: m[:pair.v] + (1,) + m[pair.v + 1:]
-    move = _transport(pair.tilde, pair.big, pair.circle_key, key_of, moved)
+    move = _transport(pair.tilde, pair.big, anchors, moved)
 
     def step(m: MarkerVector):
-        if [key_of(c) for c in pair.big.smoothing(moved(m)).circles].count(None) != 1:
+        width = len(pair.tilde.smoothing(m).circles)
+        if len(pair.big.smoothing(moved(m)).circles) != width + 1:
             raise ChainMapError("R2 small-circle detection failed")
         return move(m)
 
@@ -684,35 +680,26 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
     # marks the a-over-b crossing (id v, now third) with -1.
     pair2 = r2_pair(moved, 2, 1, {0: 1}, frozenset(new_internal))
 
-    def stable(key: tuple) -> tuple:
-        if key == ("edges", frozenset()):
-            raise ChainMapError("circle with no stable edges; cannot transport")
-        return key
-
-    key_src = lambda c: stable(pair.circle_key(c))
-
-    def key_tgt_translated(circle):
-        # Express the moved circle through the original edge indices.
-        key = stable(pair2.circle_key(circle))
-        if key[0] != "edges":
-            return key
-        return ("edges", frozenset(externals[k] for k in key[1]))
+    # Each end of moved edge k < n_ext is that end of edge externals[k].
+    slot_of = {name: t for t, name in enumerate(diagram.slot_tables.names)}
+    anchors = [slot_of[getattr(diagram.edges[externals[k]], end)] if k < n_ext else -1
+               for k, end in map(moved.edge_at, moved.slot_tables.names)]
+    anchors += range(len(slot_of), len(slot_of) + len(diagram.loops))
 
     def marker_small(markers):
         # Undone pattern of the moved side: order (p, w, v) frozen (+1, +1, -1).
         return (1, 1, -1) + markers[3:]
 
     nu = ChainMap.build(pair.small, pair2.small, identity_grading,
-                        _transport(pair.small, pair2.small, key_src,
-                                   key_tgt_translated, marker_small), "nu")
+                        _transport(pair.small, pair2.small, anchors, marker_small), "nu")
 
     # With the moved ordering (p, w, v) the geometric identification of the
     # two minus-smoothings is position-preserving (the strand crossing a at
     # position 1 is the B-to-C hybrid on both sides), so the transport
     # carries no reordering sign.
     f_inf = ChainMap.build(triple.cinf, triple2.cinf, identity_grading,
-                           _transport(triple.cinf, triple2.cinf, key_src,
-                                      key_tgt_translated, lambda markers: markers),
+                           _transport(triple.cinf, triple2.cinf, anchors,
+                                      lambda markers: markers),
                            "f_inf")
 
     beta, section = viro_beta(triple), rho_II_section(pair)

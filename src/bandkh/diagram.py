@@ -76,7 +76,8 @@ class Edge:
 class Circle(NamedTuple):
     """One closed loop of a smoothed diagram: a traced circle enters an arc at
     each integer slot ``ints[0::2]`` (named ``names[slot]``), free loop ``k``
-    has no slots and ``loop == k``.  ``slots`` and ``key`` are built on read."""
+    has no slots and ``loop == k``.  ``slots`` and ``key``, which no code in
+    the package reads, are built on read for callers."""
 
     word: Word
     cls: CurveClass
@@ -328,12 +329,6 @@ def apply_r1_neg(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
             new = [Edge((x, 2), (x, 1), u), Edge((x, 3), (x, 0))]
     return Diagram(diagram.surface, (x,) + diagram.crossings,
                    tuple(edges) + tuple(new), tuple(loops))
-
-
-def r1_neg_small_circle_slots(kink_id: str, side: str = "left") -> frozenset[Slot]:
-    """Slots of the small circle split off by the -1 smoothing of the kink."""
-    pair = (1, 2) if side == "left" else (3, 0)
-    return frozenset((kink_id, s) for s in pair)
 
 
 def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:

@@ -55,7 +55,12 @@ inside one diagram's complexes through it.  :func:`mirror_map`,
 :func:`reorder_iso`, :func:`rho_I`, :func:`g_embed` and
 :func:`r3_transports` (the R3 maps ``nu`` and ``f_inf``) build the maps
 between two diagrams through it, each state moved by matching its circles
-by key (:func:`_transport`); :func:`r3_transports` keys circles by their
+by key (:func:`_transport`), as the library did before it matched circles
+through integer anchor tables.  The keys are the library's old ones:
+:func:`rho_I` finds the kink's new circle by
+:func:`r1_neg_small_circle_slots`, :func:`g_embed` keys an R2 pair's
+circles by their external edges (:func:`circle_key`, once
+``R2Pair.circle_key``), and :func:`r3_transports` keys circles by their
 external edges (:func:`_external_edge_keys`) on its own.
 
 :func:`dual_matrices` gives the cochain blocks of a complex, each the
@@ -88,7 +93,6 @@ from bandkh.diagram import (
     apply_r1_neg,
     apply_r3,
     mirror,
-    r1_neg_small_circle_slots,
     reorder_crossings,
 )
 from bandkh.homology import AbelianGroup, HomologyTable
@@ -872,6 +876,12 @@ def reorder_iso(diagram, permutation) -> ChainMap:
     return build(cx, cx2, lambda key: key, entries, "f12")
 
 
+def r1_neg_small_circle_slots(kink_id: str, side: str = "left") -> frozenset:
+    """Slots of the small circle split off by the -1 smoothing of the kink."""
+    pair = (1, 2) if side == "left" else (3, 0)
+    return frozenset((kink_id, s) for s in pair)
+
+
 def rho_I(diagram, site, side="left") -> ChainMap:
     kinked = apply_r1_neg(diagram, site, side)
     kink = kinked.crossings[0]
@@ -897,12 +907,21 @@ def rho_I(diagram, site, side="left") -> ChainMap:
     return build(cx, cx2, _shift(-1, -3), lambda s: [(1, move(s))], "rho_I")
 
 
+def circle_key(pair, circle) -> tuple:
+    """Identify a circle of an R2 pair's diagram by the external edges it
+    traverses."""
+    if circle.key[0] == "loop":
+        return circle.key
+    edges = {pair.diagram.edge_at(slot)[0] for slot in circle.slots}
+    return ("edges", frozenset(edges - pair.internal))
+
+
 def _g_embed_state(pair, s):
     """Transport a tilde state to the (v:+1, w:-1) pattern with a -1 circle."""
     markers = s.markers[:pair.v] + (1,) + s.markers[pair.v + 1:]
     src = pair.tilde.smoothing(s.markers)
-    by_key = {pair.circle_key(c): lab for c, lab in zip(src.circles, s.labels)}
-    keys = [pair.circle_key(c) for c in pair.big.smoothing(markers).circles]
+    by_key = {circle_key(pair, c): lab for c, lab in zip(src.circles, s.labels)}
+    keys = [circle_key(pair, c) for c in pair.big.smoothing(markers).circles]
     small = ("edges", frozenset())
     if keys.count(small) != 1:
         raise ChainMapError("R2 small-circle detection failed")

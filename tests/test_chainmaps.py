@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -450,6 +451,40 @@ def test_row_maps_match_state_by_state_builds():
             nu, f_inf = dense_oracle.r3_transports(d, site)
             _same_map(data.nu, nu)
             _same_map(data.f_inf, f_inf)
+
+
+def test_rho_I_and_reorder_iso_match_state_by_state_builds_at_every_site():
+    """rho_I equals its state-by-state build at every edge and loop site, on
+    both sides, of diagrams with three and four free loops, so kinking a
+    loop that is not the last shifts the loops after it; reorder_iso equals
+    its build under every permutation of three crossings, with free loops."""
+    for d in (twist_pair(PANTS, "a", 2, extra_loops=("b", "", "a")),
+              loops_diagram(PANTS, "a", "", "b", "")):
+        sites = [("edge", k) for k in range(len(d.edges))]
+        sites += [("loop", k) for k in range(len(d.loops))]
+        for site in sites:
+            for side in ("left", "right"):
+                _same_map(rho_I(d, site, side)[0], dense_oracle.rho_I(d, site, side))
+    d = twist_pair(PANTS, "a", 3, extra_loops=("b", ""))
+    for perm in itertools.permutations(range(d.n_crossings)):
+        _same_map(reorder_iso(d, perm), dense_oracle.reorder_iso(d, perm))
+
+
+def test_transport_rejects_circles_that_do_not_correspond():
+    """A wrong anchor table raises ChainMapError, not KeyError: the mirror
+    without its slot rotation (a target circle reaches several source circles)
+    and with no anchors at all (no source circle is matched).  g_embed at the
+    twist bigon of the Hopf link, which is no R2 site, fails its
+    small-circle count."""
+    d = trefoil()
+    cx, cxm = GradedComplex(d), GradedComplex(mirror(d))
+    negate = lambda markers: tuple(-m for m in markers)
+    for anchors in (list(range(12)), [-1] * 12):
+        step = chainmaps._transport(cx, cxm, anchors, negate, negate=True)
+        with pytest.raises(ChainMapError, match="do not correspond"):
+            ChainMap.build(cx, cxm, chainmaps._negate_key, step, "mirror")
+    with pytest.raises(ChainMapError, match="R2 small-circle detection failed"):
+        g_embed(r2_pair(twist_pair(DISK, "", 2), 0, 1, internal_edges=frozenset({0})))
 
 
 def test_row_map_rejects_an_entry_off_its_grading(monkeypatch):

@@ -20,6 +20,7 @@ from bandkh.diagram import (
     smooth_crossing,
 )
 from bandkh import diagram as diagram_module
+from bandkh.chainmaps import mirror_map, r2_pair, r3_data, reorder_iso, rho_I, rho_II
 from bandkh.homology import homology
 from bandkh.skein import kauffman_bracket
 from bandkh.state_complex import GradedComplex
@@ -211,8 +212,9 @@ def test_smoothing_classifies_each_word_once_per_diagram(monkeypatch):
 
 
 def test_bracket_and_homology_build_no_slot_names(monkeypatch):
-    """The state-sum bracket and homology read each circle's kind, class and
-    integer slots: no circle builds its ``slots`` or ``key``."""
+    """The state-sum bracket, homology and the maps between two diagrams
+    read each circle's kind, class and integer slots: no circle builds its
+    ``slots`` or ``key``."""
     reads = []
     for name in ("slots", "key"):
         real = getattr(Circle, name)
@@ -221,6 +223,14 @@ def test_bracket_and_homology_build_no_slot_names(monkeypatch):
     d = twist_pair(PANTS, "a", 4, extra_loops=("b", ""))
     kauffman_bracket(d)
     homology(GradedComplex(d))
+    small = twist_pair(PANTS, "a", 2, extra_loops=("b", ""))
+    mirror_map(small)
+    reorder_iso(small, (1, 0))
+    rho_I(small, ("edge", 0))
+    rho_I(small, ("loop", 0), "right")
+    big = apply_r2(small, ("loop", 1), ("edge", 0))
+    rho_II(r2_pair(big, 0, 1))
+    r3_data(*triangle_closure(PANTS, 1, "a", extra_loops=("b",)))
     assert reads == []
     circle = smooth(d, (1,) * d.n_crossings)[0]
     assert circle.slots and reads == ["slots"]
