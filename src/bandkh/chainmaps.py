@@ -41,7 +41,7 @@ from .linalg import (
     invariant_factors,
     rank_over,
 )
-from .state_complex import GradedComplex, GradingKey
+from .state_complex import ComplexError, GradedComplex, GradingKey, _CodeMap
 from .surface import grading_negate
 
 
@@ -69,27 +69,16 @@ class ChainMap:
     def build(source: GradedComplex, target: GradedComplex,
               grading: Callable[[GradingKey], GradingKey],
               step: Callable, name: str = "") -> "ChainMap":
-        """The map built in one walk over the source's row tables:
-        ``step(markers)`` is None where the map vanishes, else (sign, target
-        markers, codes), sending the state with label code c to ``sign``
-        times the target states with codes ``codes(c)`` (c if ``codes`` is
-        None).  Every entry must land in the target block at ``grading(key)``."""
-        blocks = {key: [[] for _ in range(n)] for key, n in source.sizes.items()}
-        columns = list(blocks.values())
-        tbids = {key: bid for bid, key in enumerate(target._keys)}
-        want = [tbids.get(grading(key), -1) for key in source._keys]
-        for markers, rows in source._rows.items():
-            if (part := step(markers)) is None:
-                continue
-            sign, tmarkers, codes = part
-            trows = target._rows[tmarkers]
-            for code, (bid, col) in enumerate(rows):
-                for got, row in (trows[c] for c in (codes(code) if codes else (code,))):
-                    if got != want[bid]:
-                        raise ChainMapError(
-                            f"{name or 'map'}: state lands in {target._keys[got]}, "
-                            f"expected {grading(source._keys[bid])}")
-                    columns[bid][col].append((row, sign))
+        """The map filled in the source's one walk over its row tables, as d
+        is: ``step(markers)`` is None where the map vanishes, else one part
+        (sign, target markers, code map) of ``GradedComplex._fill``; a code
+        map of None keeps each label code.  An entry off the target block at
+        ``grading(key)`` raises :class:`ChainMapError` naming the map."""
+        try:
+            blocks = source._fill(target, grading,
+                                  lambda m: () if (part := step(m)) is None else (part,))
+        except ComplexError as exc:
+            raise ChainMapError(f"{name or 'map'}: {exc}") from exc
         return ChainMap(source, target, grading, blocks, name)
 
     def columns(self, key: GradingKey) -> Columns:
@@ -173,9 +162,10 @@ def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex, anchors: Sequence[i
     marker vector, each target circle takes the label of the one source
     circle its anchored slots reach through the smoothing's ``at``, or is
     new, labelled -1, if they reach none; ``negate`` then reverses every
-    label, and the states over ``m`` are signed by ``sign(m)``.  Raises
-    :class:`ChainMapError` unless the matched source circles are distinct
-    and cover the source smoothing."""
+    label, and the states over ``m`` are signed by ``sign(m)``.  Its code
+    map keeps the matched circles, and its ``base`` is the image of code 0.
+    Raises :class:`ChainMapError` unless the matched source circles are
+    distinct and cover the source smoothing."""
     n_loops, tloop = len(src_cx.diagram.loops), 4 * tgt_cx.diagram.n_crossings
 
     def step(markers: MarkerVector):
@@ -194,14 +184,8 @@ def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex, anchors: Sequence[i
         if len(pairs) != len(matched) or sorted(matched) != list(range(width_src)):
             raise ChainMapError(f"the circles over markers {markers} do not "
                                 "correspond between the two diagrams")
-
-        def codes(code: int) -> tuple[int]:
-            out = base
-            for s, t in pairs:
-                if code & s:
-                    out ^= t
-            return (out,)
-        return sign(markers), tmarkers, codes
+        return sign(markers), tmarkers, _CodeMap(tmarkers, width, tuple(pairs), 0,
+                                                 {0: (0,)}, base)
     return step
 
 
@@ -211,10 +195,11 @@ def _sign(markers: MarkerVector) -> int:
 
 def _resmooth(cx: GradedComplex, pos: int, sign=lambda m: 1) -> Callable:
     """Turn the +1 marker at ``pos`` into -1, signing the states over ``m``
-    by ``sign(m)``: a step of :meth:`ChainMap.build`."""
+    by ``sign(m)``: a step of :meth:`ChainMap.build`, its code map the flip
+    rule that the sweep of d uses."""
     def step(m: MarkerVector):
         rule = cx._flip(m, pos)
-        return sign(m), rule.target, rule.targets
+        return sign(m), rule.target, rule
     return step
 
 

@@ -118,10 +118,6 @@ class BasisElement:
         return BasisElement(tuple(sorted(acc.items(), key=lambda p: p[0].sort_key)))
 
     @property
-    def size(self) -> int:
-        return sum(m for _, m in self.components)
-
-    @property
     def text(self) -> str:
         if not self.components:
             return "1"

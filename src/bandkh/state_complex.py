@@ -35,8 +35,9 @@ Inside a complex a state is an integer pair: its marker vector's row table
 and its *label code*, the position of its labels in
 ``itertools.product((1, -1), repeat=c)`` -- bit ``c-1-k`` is set iff circle
 ``k`` is labelled -1.  The row table maps each label code to the state's
-(block id, row); each block of d is assembled from these tables in one
-sweep over (marker vector, crossing) and stored as sparse columns.
+(block id, row).  Only this module reads the row tables: one walk over
+them (:meth:`GradedComplex._fill`) assembles every block of d, of d+ and
+of every chain map, each stored as sparse columns.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
 from .linalg import Columns, Matrix, _dense_view, _mat_mul, invariant_factors
@@ -113,13 +114,14 @@ def _mask(circles: Sequence[int], width: int) -> int:
 
 
 @dataclass(frozen=True)
-class _FlipRule:
-    """Turning the +1 marker at one crossing into -1, for every state over
-    one marker vector, on label codes: each untouched circle's source bit
-    becomes its target bit (the pairs in ``kept``), and ``local`` maps the
-    bits of the source circles at the crossing (``code & mask``) to the
-    bits of each allowed labelling of the target circles at it.  It does not
-    depend on the frozen markers, so the complexes of one diagram share it.
+class _CodeMap:
+    """A map on the label codes of the states over one marker vector, into
+    the ``width``-circle smoothing of ``target``: code c goes to ``base``
+    with the target bit of each source bit of c in ``kept`` toggled, joined
+    with each entry of ``local[c & mask]``.  A crossing flip (``base`` 0)
+    relabels the circles at the crossing by the merge/split table; the
+    complexes of one diagram share it, as it ignores the frozen markers.
+    A transport between two diagrams keeps every circle (``mask`` 0).
     """
 
     target: MarkerVector
@@ -127,13 +129,14 @@ class _FlipRule:
     kept: tuple[tuple[int, int], ...]
     mask: int
     local: dict[int, tuple[int, ...]]
+    base: int = 0
 
     def targets(self, code: int) -> list[int]:
-        base = 0
+        out = self.base
         for src, tgt in self.kept:
             if code & src:
-                base |= tgt
-        return [base | new for new in self.local[code & self.mask]]
+                out ^= tgt
+        return [out | new for new in self.local[code & self.mask]]
 
 
 class GradedComplex:
@@ -160,20 +163,18 @@ class GradedComplex:
         self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
-        self._flips: dict[tuple[MarkerVector, int], _FlipRule] = {}
+        self._flips: dict[tuple[MarkerVector, int], _CodeMap] = {}
         if share is not None:
             if share.diagram != diagram:
                 raise ComplexError("a shared complex must be of the same diagram")
             self._class_ids, self._smooth_cache, self._locals, self._flips = (
                 share._class_ids, share._smooth_cache, share._locals, share._flips)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's
-        # key, ``sizes[key]`` its size; ``_rows[markers][code]`` is the
-        # (block id, row) of a state, ``_below[bid]`` the block id of
-        # (i-2, j, s) or -1, ``_blocks[counted]`` d (-1) or d+ (+1) by key.
+        # key, ``sizes[key]`` its size, ``_rows[markers][code]`` a state's
+        # (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
         self._keys: list[GradingKey] = []
         self.sizes: dict[GradingKey, int] = {}
         self._rows: dict[MarkerVector, list[tuple[int, int]]] = {}
-        self._below: list[int] = []
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
@@ -247,7 +248,6 @@ class GradedComplex:
                 rows.append((bid, counts[bid]))
                 counts[bid] += 1
         self.sizes = dict(zip(self._keys, counts))
-        self._below = [bids.get((i - 2, tau + 1, s), -1) for (i, tau, s) in bids]
 
     @property
     def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
@@ -319,13 +319,13 @@ class GradedComplex:
         return [StateKey(rule.target, _labels(code, rule.width))
                 for code in rule.targets(_code(state.labels))]
 
-    def _flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
+    def _flip(self, markers: MarkerVector, pos: int) -> _CodeMap:
         rule = self._flips.get((markers, pos))
         if rule is None:
             rule = self._flips[(markers, pos)] = self._derive_flip(markers, pos)
         return rule
 
-    def _derive_flip(self, markers: MarkerVector, pos: int) -> _FlipRule:
+    def _derive_flip(self, markers: MarkerVector, pos: int) -> _CodeMap:
         """The rule of :meth:`resmoothings` for every state over ``markers``:
         an untouched target circle is the source circle through any one of
         its slots, and free loops come last, so each keeps its bit."""
@@ -341,7 +341,7 @@ class GradedComplex:
         local = self._local_rule(
             tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
             tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))
-        return _FlipRule(flipped, width, tuple(kept), _mask(touched, width_src), local)
+        return _CodeMap(flipped, width, tuple(kept), _mask(touched, width_src), local)
 
     def _local_rule(self, touched: tuple[tuple[int, int], ...],
                     new: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
@@ -376,42 +376,57 @@ class GradedComplex:
                 for bits, tau, psi in outcomes(touched)}
         return rule
 
-    def _sweep(self, counted: int) -> list[Columns]:
-        """Every block of the map lowering ``i`` by 2 with entries
-        ``(-1)^t``, ``t`` counting the free markers equal to ``counted``
-        after the flipped crossing: one pass over (marker vector, free +1
-        crossing), each entry checked to land in the block at (i-2, j, s)."""
+    def _fill(self, target: GradedComplex, grading: Callable[[GradingKey], GradingKey],
+              parts: Callable[[MarkerVector], Iterable[tuple]]) -> dict[GradingKey, Columns]:
+        """Every block of a map to ``target``, by key, from one walk over the
+        row tables: a part (sign, target markers, code map) of
+        ``parts(markers)`` sends label code c to ``sign`` times the target
+        codes ``targets(c)`` of the code map, or c for None.  An entry off
+        the block at ``grading(key)`` raises :class:`ComplexError`."""
         blocks: list[Columns] = [[[] for _ in range(n)] for n in self.sizes.values()]
-        below = self._below
+        bids = {key: bid for bid, key in enumerate(target._keys)}
+        want = [bids.get(grading(key), -1) for key in self._keys]
         for markers, rows in self._rows.items():
-            for pos in self.free:
-                if markers[pos] < 0:
-                    continue
-                rule = self._flip(markers, pos)
-                sign = (-1) ** sum(markers[q] == counted for q in self.free if q > pos)
-                targets = self._rows[rule.target]
-                bases = [(0, 0)]
-                for src, tgt in rule.kept:
-                    bases += [(s | src, t | tgt) for s, t in bases]
-                for touched, news in rule.local.items():
+            for sign, tmarkers, rule in parts(markers):
+                trows = target._rows[tmarkers]
+                if rule is None:
+                    bases, local = [(c, c) for c in range(len(rows))], {0: (0,)}
+                else:
+                    bases, local = [(0, rule.base)], rule.local
+                    for src, tgt in rule.kept:
+                        bases += [(s | src, t ^ tgt) for s, t in bases]
+                for touched, news in local.items():
                     if not news:
                         continue
                     for src, tgt in bases:
                         bid, col = rows[src | touched]
-                        want = below[bid]
-                        column = blocks[bid][col]
+                        column, to = blocks[bid][col], want[bid]
                         for new in news:
-                            got, row = targets[tgt | new]
-                            if got != want:
-                                raise AssertionError("differential leaves the grading "
-                                                     f"{self._keys[bid]}")
+                            got, row = trows[tgt | new]
+                            if got != to:
+                                raise ComplexError(
+                                    f"state lands in {target._keys[got]}, expected "
+                                    f"{grading(self._keys[bid])}, from {self._keys[bid]}")
                             column.append((row, sign))
-        return blocks
+        return dict(zip(self._keys, blocks))
+
+    def _sweep(self, counted: int) -> dict[GradingKey, Columns]:
+        """Every block of the map lowering ``i`` by 2 with entries
+        ``(-1)^t``, ``t`` counting the free markers equal to ``counted``
+        after the flipped crossing: one walk, one part per free +1 crossing
+        with its flip rule, each entry checked to land at (i-2, j, s)."""
+        def parts(markers: MarkerVector) -> Iterator[tuple]:
+            for pos in self.free:
+                if markers[pos] > 0:
+                    rule = self._flip(markers, pos)
+                    yield ((-1) ** sum(markers[q] == counted for q in self.free if q > pos),
+                           rule.target, rule)
+        return self._fill(self, lambda key: (key[0] - 2, key[1], key[2]), parts)
 
     def _dense(self, key: GradingKey, counted: int) -> Matrix:
         """Dense view of a block of the sweep for ``counted``, run once."""
         if counted not in self._blocks:
-            self._blocks[counted] = dict(zip(self._keys, self._sweep(counted)))
+            self._blocks[counted] = self._sweep(counted)
         i, j, s = key
         return _dense_view(self.columns(key, counted), self.dim((i - 2, j, s)))
 

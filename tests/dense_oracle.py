@@ -49,7 +49,7 @@ library did before it built one as a switched negative kink.
 :func:`build` is the state-by-state chain-map builder: it decodes every
 source state and ``locate``s each of its images in the target, as
 ``ChainMap.build`` did before it walked the row tables once per marker
-vector.  :data:`VIRO_MAPS`, :data:`SIGN_MAPS` and :data:`R2_MAPS` build
+vector, in the walk that also fills d and d+.  :data:`VIRO_MAPS`, :data:`SIGN_MAPS` and :data:`R2_MAPS` build
 the skein-triple maps, the sign maps and the second-move maps that stay
 inside one diagram's complexes through it.  :func:`mirror_map`,
 :func:`reorder_iso`, :func:`rho_I`, :func:`g_embed` and

@@ -2,8 +2,10 @@
 
 Every function, class and method defined at module or class level in the
 package must be read by the package itself, exported by ``bandkh``, or
-named in the README.  A helper that only the tests call belongs in
-``tests/helpers.py`` or, as an oracle, in ``tests/dense_oracle.py``.
+named in a code span or code block of the README.  A helper that only the
+tests call belongs in ``tests/helpers.py`` or, as an oracle, in
+``tests/dense_oracle.py``.  The row tables of a complex are read inside
+``state_complex`` only.
 """
 
 import ast
@@ -43,14 +45,32 @@ def _references(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _readme_code_words() -> set[str]:
+    """The words inside the README's fenced code blocks and code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    spans = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"\w+", " ".join(blocks + spans)))
+
+
 def test_src_defines_only_command_and_api_code():
     defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined += [(path.stem, name) for name in _definitions(tree)]
         referenced |= _references(tree)
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    readme = _readme_code_words()
     unused = [f"{module}.{name}" for module, name in defined
               if name not in referenced and name not in bandkh.__all__
               and name not in readme]
     assert not unused, f"defined in src/bandkh but read only outside it: {unused}"
+
+
+def test_only_state_complex_reads_the_row_tables():
+    """The row-table and block-id format (``_rows``, ``_keys``) stays behind
+    ``state_complex``: its one walk fills d, d+ and every chain map."""
+    readers = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               if path.stem != "state_complex"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_keys")]
+    assert not readers, f"row tables read outside state_complex: {readers}"

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh.chainmaps import r2_pair, skein_triple
+from bandkh.cli import main
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
 from bandkh import state_complex
 from bandkh.homology import homology
 from bandkh.linalg import _mat_mul
 from bandkh.state_complex import ComplexError, GradedComplex
 from bandkh.surface import CurveKind, GradingS, inverse_word, parse_word
+from bandkh.textformat import emit_diagram
 
 from helpers import (
     ALL_SURFACES,
@@ -453,6 +455,34 @@ def test_dvdw_on_random_diagrams():
 def test_non_embeddable_input_fails_d_squared():
     with pytest.raises(ComplexError, match=r"square.*\(j=0,s=0\)"):
         GradedComplex(crosscap_shadow()).check_d_squared()
+
+
+def test_sweep_rejects_an_entry_off_its_grading(monkeypatch, tmp_path, capsys):
+    """A flip rule that labels every new circle +1 sends some states of the
+    trefoil off (i-2, j, s): assembling d raises ComplexError naming the
+    source block and the block the state landed in, and ``homology`` exits
+    1 with one error line."""
+    real, corrupted = GradedComplex._derive_flip, []
+
+    def derive_flip(self, markers, pos):
+        rule = real(self, markers, pos)
+        if corrupted:
+            return rule
+        corrupted.append((markers, pos))
+        return dataclasses.replace(rule, local={bits: (0,) for bits in rule.local})
+
+    monkeypatch.setattr(GradedComplex, "_derive_flip", derive_flip)
+    d = twist_pair(DISK, "", 3)
+    cx = GradedComplex(d)
+    with pytest.raises(ComplexError, match=r"^state lands in \(.*\), expected \(.*\), from \("):
+        cx.columns(next(iter(cx.sizes)))
+    assert len(corrupted) == 1
+    corrupted.clear()
+    path = tmp_path / "d.txt"
+    path.write_text(emit_diagram(d))
+    assert main(["homology", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: state lands in (") and err.count("\n") == 1
 
 
 def test_gradings_constant_along_differential():
