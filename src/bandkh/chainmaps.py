@@ -315,8 +315,8 @@ class SkeinTriple:
     """A diagram with a distinguished crossing and its two smoothings.
 
     ``c0``/``cinf`` are the complexes of the +1/-1 smoothings, realised as
-    the full diagram with that crossing frozen; all three complexes share
-    ``cp``'s smoothings.
+    the full diagram with that crossing frozen; both take their states, d
+    and smoothings from ``cp``.
     """
 
     diagram: Diagram
@@ -425,7 +425,8 @@ def long_exact_sequence_check(t: SkeinTriple,
     alpha, beta, gamma_hat = viro_alpha(t), viro_beta(t), viro_gamma_hat(t)
     failures: list[str] = []
     checked = 0
-    tags = fields + ("Z2",)  # the last one decides where homology lives
+    tags = fields if "Z2" in fields else fields + ("Z2",)
+    live = tags.index("Z2")  # the tag that decides where homology lives
     zero = (0,) * len(tags)
 
     def rank_table(cx: GradedComplex) -> dict:
@@ -450,7 +451,7 @@ def long_exact_sequence_check(t: SkeinTriple,
             d_src, h_src = tables[chmap.source].get(key, empty)
             h_tgt = tables[chmap.target].get(t_key, empty)[1]
             # stored columns hold no 0, so any() tells a zero block
-            if h_src[-1] and h_tgt[-1] and any(block := chmap.columns(key)):
+            if h_src[live] and h_tgt[live] and any(block := chmap.columns(key)):
                 (i, j, s), (ti, tj, ts) = key, t_key
                 b_key = (ti + 2, tj, ts)
                 factors = _block_rank(
@@ -475,7 +476,7 @@ def long_exact_sequence_check(t: SkeinTriple,
                 ("D_p", t.cp, key_p, alpha, key_inf, beta),
                 ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
                 ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
-            # zip stops at ``fields``: the Z/2 liveness tag is not checked
+            # zip stops at ``fields``: an appended Z/2 liveness tag is not checked
             for ftag, r_in, r_out, h in zip(fields, induced_rank(into, src_key),
                                             induced_rank(out_of, key),
                                             tables[cx].get(key, empty)[1]):

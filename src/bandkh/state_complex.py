@@ -22,12 +22,13 @@ table) are *derived* from these conditions, never hard-coded.
 
 Frozen markers
 --------------
-A :class:`GradedComplex` may freeze some crossings at a fixed marker.  The
-frozen complex is canonically the complex of the diagram with those
-crossings smoothed away, without rebuilding the diagram: the gradings count
-free crossings only, and the differential never flips a frozen crossing.
-This representation is what the skein-triple and Reidemeister chain maps
-are built on, since all their states live over one common diagram.
+A :class:`GradedComplex` may freeze some crossings at a fixed marker: it is
+then the complex of the diagram with those crossings smoothed away, without
+rebuilding the diagram.  The gradings count free crossings only, and d never
+flips a frozen crossing, so the skein-triple and Reidemeister chain maps
+have all their states over one diagram.  As C(D) is the mapping cone of the
+resmoothing map, a complex built with ``share`` takes its states and d from
+those of ``share``, up to one sign per state.
 
 Label codes
 -----------
@@ -36,8 +37,8 @@ and its *label code*, the position of its labels in
 ``itertools.product((1, -1), repeat=c)`` -- bit ``c-1-k`` is set iff circle
 ``k`` is labelled -1.  The row table maps each label code to the state's
 (block id, row).  Only this module reads the row tables: one walk over
-them (:meth:`GradedComplex._fill`) assembles every block of d, of d+ and
-of every chain map, each stored as sparse columns.
+them (:meth:`GradedComplex._fill`) assembles, as sparse columns, every
+block of d+, of every chain map and of a d not taken from ``share``.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ class GradedComplex:
     (+1 before -1, earliest crossing most significant), then labels in the
     same order per circle, circles in their canonical smoothing order.
 
-    ``share``, a complex of the same diagram, lends this one its smoothing
-    cache, class ids, flip rules and merge/split tables, which then fill for
-    both.
+    ``share``, a complex of the same diagram with a subset of these frozen
+    markers, lends this one its smoothing cache, class ids, flip rules and
+    merge/split tables, which then fill for both, and its states: the row
+    tables and d here are restricted from it, not enumerated and swept.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -165,22 +167,25 @@ class GradedComplex:
         self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._flips: dict[tuple[MarkerVector, int], _CodeMap] = {}
         if share is not None:
-            if share.diagram != diagram:
-                raise ComplexError("a shared complex must be of the same diagram")
+            if share.diagram != diagram or not share.frozen.items() <= self.frozen.items():
+                raise ComplexError("a shared complex must be of the same diagram and "
+                                   "freeze a subset of these markers")
             self._class_ids, self._smooth_cache, self._locals, self._flips = (
                 share._class_ids, share._smooth_cache, share._locals, share._flips)
-        # Block ids number the blocks in order: ``_keys[bid]`` is a block's
-        # key, ``sizes[key]`` its size, ``_rows[markers][code]`` a state's
-        # (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
+        # Block ids number the blocks in order: ``_keys[bid]`` is a block's key
+        # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
+        # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
         self._keys: list[GradingKey] = []
-        self.sizes: dict[GradingKey, int] = {}
         self._rows: dict[MarkerVector, list[tuple[int, int]]] = {}
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
-        self._enumerate()
+        self._share: tuple[GradedComplex, int, dict] | None = None  # read by _slice
+        counts = self._enumerate() if share is None else self._restrict(share)
+        self.sizes: dict[GradingKey, int] = dict(zip(self._keys, counts))
+        self._bids = {key: bid for bid, key in enumerate(self._keys)}
 
     # -- construction ---------------------------------------------------
 
@@ -211,9 +216,9 @@ class GradedComplex:
         key, n = self.locate(markers, labels)
         return self.buckets[key][n]
 
-    def _enumerate(self) -> None:
-        """Fill the row tables and the block sizes.  Per state one group of
-        label-code bits is looked up; ``tau`` and the signed class-id sums
+    def _enumerate(self) -> list[int]:
+        """Fill the row tables; return the block sizes.  Per state one group
+        of label-code bits is looked up; ``tau`` and the signed class-id sums
         naming ``s`` are counted once per (smoothing, group), a ``GradingS``
         is built once per value and a grading key once per block."""
         bids: dict[tuple, int] = {}  # (i, tau, sorted signed class-id sums)
@@ -247,7 +252,42 @@ class GradedComplex:
                         counts.append(0)
                 rows.append((bid, counts[bid]))
                 counts[bid] += 1
-        self.sizes = dict(zip(self._keys, counts))
+        return counts
+
+    def _restrict(self, share: GradedComplex) -> list[int]:
+        """Fill the row tables from those of ``share``, and return the block
+        sizes: its states with these frozen markers, in its order, block
+        (i, j, s) there being (i - x, j - x, s) here, x the sum of the newly
+        frozen markers, each with its sign at the ends of d (:meth:`_slice`)."""
+        new = self.frozen.items() - share.frozen.items()
+        x = sum(mark for _, mark in new)
+        renum: list[list] = [[None] * n for n in share.sizes.values()]
+        blocks: dict[int, list[int]] = {}  # block id there -> [block id, size] here
+        for markers, rows in share._rows.items():
+            if all(markers[pos] == mark for pos, mark in new):
+                sign = (-1) ** sum(markers[:pos].count(-1) for pos, mark in new if mark < 0)
+                table = self._rows[markers] = []
+                for bid, row in rows:
+                    block = blocks.setdefault(bid, [len(blocks), 0])
+                    table.append((block[0], block[1]))
+                    renum[bid][row] = (block[1], sign)
+                    block[1] += 1
+        self._keys = [(i - x, j - x, s) for i, j, s in map(share._keys.__getitem__, blocks)]
+        self._share = (share, x, dict(zip(share._keys, renum)))
+        return [size for _, size in blocks.values()]
+
+    def _slice(self) -> dict[GradingKey, Columns]:
+        """d, read off the stored d of the shared complex: its columns of the
+        states here without the entries elsewhere, each entry times the signs
+        (-1)^t of its two ends, t the -1 markers before a newly frozen -1."""
+        (share, x, renum), self._share = self._share, None
+        blocks: dict[GradingKey, Columns] = {}
+        for i, j, s in self._keys:
+            below, key = renum.get((i + x - 2, j + x, s)), (i + x, j + x, s)
+            blocks[(i, j, s)] = [
+                [(got[0], v * here[1] * got[1]) for r, v in column if (got := below[r])]
+                for column, here in zip(share.columns(key), renum[key]) if here]
+        return blocks
 
     @property
     def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
@@ -384,8 +424,7 @@ class GradedComplex:
         codes ``targets(c)`` of the code map, or c for None.  An entry off
         the block at ``grading(key)`` raises :class:`ComplexError`."""
         blocks: list[Columns] = [[[] for _ in range(n)] for n in self.sizes.values()]
-        bids = {key: bid for bid, key in enumerate(target._keys)}
-        want = [bids.get(grading(key), -1) for key in self._keys]
+        want = [target._bids.get(grading(key), -1) for key in self._keys]
         for markers, rows in self._rows.items():
             for sign, tmarkers, rule in parts(markers):
                 trows = target._rows[tmarkers]
@@ -424,11 +463,11 @@ class GradedComplex:
         return self._fill(self, lambda key: (key[0] - 2, key[1], key[2]), parts)
 
     def _dense(self, key: GradingKey, counted: int) -> Matrix:
-        """Dense view of a block of the sweep for ``counted``, run once."""
+        """Dense view of a block of the sweep for ``counted`` or the slice, run once."""
         if counted not in self._blocks:
-            self._blocks[counted] = self._sweep(counted)
-        i, j, s = key
-        return _dense_view(self.columns(key, counted), self.dim((i - 2, j, s)))
+            self._blocks[counted] = (self._slice() if counted < 0 and self._share
+                                     else self._sweep(counted))
+        return _dense_view(self.columns(key, counted), self.dim((key[0] - 2, key[1], key[2])))
 
     def differential(self, key: GradingKey) -> Matrix:
         """Matrix of d from the bucket at ``key`` to the bucket at i-2: a new

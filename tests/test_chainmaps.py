@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -178,6 +179,49 @@ def test_les_check_matches_every_block_oracle(surface, seed, mutation):
                 want = dense_oracle.les_report(t, fields)
                 assert (got.ok, got.failures, got.positions_checked) \
                     == (want.ok, want.failures, want.positions_checked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(surface=st.sampled_from(ALL_SURFACES), seed=st.integers(0, 10**6),
+       mutation=st.sampled_from(_LES_MUTATIONS),
+       fields=st.sampled_from((("Q",), ("Z2",), ("Z2", "Q"))))
+@example(surface=None, seed=0, mutation=None, fields=("Z2", "Q"))
+@example(surface=None, seed=0, mutation=_LES_MUTATIONS[2], fields=("Z2", "Q"))
+@example(surface=None, seed=0, mutation=_LES_MUTATIONS[2], fields=("Q",))
+def test_les_check_matches_the_oracle_under_each_field_choice(surface, seed, mutation,
+                                                              fields):
+    """The report equals the oracle's under one field alone and with Z/2
+    listed first, with the skein-triple maps unmutated or scaled as in
+    :data:`_LES_MUTATIONS`; ``surface`` None stands for the trefoil."""
+    d = trefoil() if surface is None else random_diagram(
+        surface, random.Random(seed), max_crossings=4)
+    with pytest.MonkeyPatch.context() as mp:
+        if mutation:
+            name, x = mutation
+            real = getattr(chainmaps, name)
+            mp.setattr(chainmaps, name, lambda t: real(t).scale(x))
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p)
+            got = long_exact_sequence_check(t, fields)
+            want = dense_oracle.les_report(t, fields)
+            assert (got.ok, got.failures, got.positions_checked) \
+                == (want.ok, want.failures, want.positions_checked)
+
+
+def test_les_check_reads_each_rank_once_per_field(monkeypatch):
+    """Every factor list goes through ``rank_over`` once per ring: Z/2, which
+    decides where homology lives, is not read twice when it is a field."""
+    tags = []
+    real = chainmaps.rank_over
+    monkeypatch.setattr(chainmaps, "rank_over",
+                        lambda factors, ftag: tags.append(ftag) or real(factors, ftag))
+    d = twist_pair(PANTS, "a", 3)
+    for fields, rings in ((("Q", "Z2"), {"Q", "Z2"}), (("Z2", "Q"), {"Q", "Z2"}),
+                          (("Z2",), {"Z2"}), (("Q",), {"Q", "Z2"})):
+        tags.clear()
+        assert long_exact_sequence_check(skein_triple(d, 1), fields).ok
+        counts = collections.Counter(tags)
+        assert set(counts) == rings and len(set(counts.values())) == 1, counts
 
 
 def _capture_les_maps(mp, mutation=None):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
-from bandkh.chainmaps import r2_pair, skein_triple
+from bandkh import chainmaps
+from bandkh.chainmaps import SkeinTriple, r2_pair, skein_triple
 from bandkh.cli import main
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
 from bandkh import state_complex
@@ -37,6 +38,7 @@ from helpers import (
     surface_words,
     t_count,
     TORUS_HOLE,
+    trefoil,
     twist_pair,
     twist_params,
     two_crossing_classes,
@@ -242,6 +244,52 @@ def test_differential_matches_dense_oracle(seed, surface):
     for cx in _oracle_complexes(seed, surface):
         _check_flip_rules(cx)
         _check_blocks(cx)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_SURFACES + (None,)))
+@example(0, None)
+@example(3, MOEBIUS)
+def test_shared_frozen_complexes_match_their_own_sweep(seed, surface):
+    """The frozen complexes of a skein triple, read off ``cp``, against the
+    ones built without ``share``, which enumerate and sweep themselves: block
+    keys and sizes in order, the row of every state, every block of d with
+    its entry order, the invariant factors and the three Viro maps block by
+    block, at every crossing.  Surface None stands for the trefoil, which
+    has torsion, and the non-embeddable crosscap shadow."""
+    if surface is None:
+        diagrams = [trefoil(), crosscap_shadow()]
+    else:
+        diagrams = [random_diagram(surface, random.Random(seed), max_crossings=4)]
+    for d in diagrams:
+        cp = GradedComplex(d)
+        for p in range(d.n_crossings):
+            got = skein_triple(d, p, cp)
+            want = SkeinTriple(d, p, cp, GradedComplex(d, {p: 1}), GradedComplex(d, {p: -1}))
+            for cx, oracle in ((got.c0, want.c0), (got.cinf, want.cinf)):
+                assert list(cx.sizes.items()) == list(oracle.sizes.items())
+                assert cx._keys == oracle._keys
+                for markers, labels in oracle.index:
+                    assert cx.locate(markers, labels) == oracle.locate(markers, labels)
+                for key in oracle.sizes:
+                    assert cx.columns(key) == oracle.columns(key), (p, key)
+                assert list(cx.factors().items()) == list(oracle.factors().items())
+            for name in ("viro_alpha", "viro_beta", "viro_gamma_hat"):
+                a, b = getattr(chainmaps, name)(got), getattr(chainmaps, name)(want)
+                assert list(a.blocks.items()) == list(b.blocks.items()), (p, name)
+
+
+def test_share_must_freeze_a_subset_of_the_markers():
+    """A complex reads its states off ``share`` only when its frozen markers
+    extend those of ``share``; a nested share reads the same complex."""
+    d = twist_pair(PANTS, "a", 3)
+    c0 = GradedComplex(d, {1: 1}, share=GradedComplex(d))
+    for frozen in ({}, {1: -1}, {0: 1}, {0: -1, 2: 1}):
+        with pytest.raises(ComplexError, match="subset of these markers"):
+            GradedComplex(d, frozen, share=c0)
+    nested, alone = GradedComplex(d, {1: 1, 2: -1}, share=c0), GradedComplex(d, {2: -1, 1: 1})
+    assert list(nested.index) == list(alone.index)
+    assert all(nested.columns(key) == alone.columns(key) for key in alone.sizes)
 
 
 def _fields(state):
