@@ -315,8 +315,8 @@ class SkeinTriple:
     """A diagram with a distinguished crossing and its two smoothings.
 
     ``c0``/``cinf`` are the complexes of the +1/-1 smoothings, realised as
-    the full diagram with that crossing frozen; both take their states, d
-    and smoothings from ``cp``.
+    the full diagram with that crossing frozen; both take their states, d,
+    d+ and smoothings from ``cp``.
     """
 
     diagram: Diagram
@@ -416,9 +416,12 @@ def long_exact_sequence_check(t: SkeinTriple,
     unreduced, as [[0, b], [a, 0]] is block-diagonal.  So does f when its
     source or target key has zero homology over Z/2: for a chain map, rank
     f_* is at most either dimension, and the Z/2 dimension bounds the Q one
-    (universal coefficients).
+    (universal coefficients).  An empty or unknown field raises
+    :class:`ChainMapError`.
     """
     fields = tuple(fields)
+    if not fields:
+        raise ChainMapError("no field to check exactness over")
     for ftag in fields:
         if ftag not in ("Q", "Z2"):
             raise ChainMapError(f"unknown field {ftag!r}")
@@ -526,10 +529,11 @@ class R2Pair:
     ``small`` is the undone diagram's complex, realised as the frozen
     (v:-1, w:+1) pattern (the smoothing that restores the original strands);
     ``tilde`` is the frozen (v:-1, w:-1) pattern (the opposite connection);
-    ``big`` keeps both crossings free.  Extra frozen markers (for triples)
-    are carried along unchanged.  ``internal`` lists the edge indices owned
-    by the site; the small circle created at the site is the unique circle
-    traversing internal edges only.
+    ``big`` keeps both crossings free, and ``small`` and ``tilde`` take their
+    states, d, d+ and smoothings from it.  Extra frozen markers (for
+    triples) are carried along unchanged.  ``internal`` lists the edge
+    indices owned by the site; the small circle created at the site is the
+    unique circle traversing internal edges only.
     """
 
     diagram: Diagram
@@ -554,8 +558,8 @@ def r2_pair(diagram: Diagram, v: int, w: int,
     """
     base = dict(extra_frozen or {})
     big = GradedComplex(diagram, base)
-    small = GradedComplex(diagram, {**base, v: -1, w: 1})
-    tilde = GradedComplex(diagram, {**base, v: -1, w: -1})
+    small = GradedComplex(diagram, {**base, v: -1, w: 1}, share=big)
+    tilde = GradedComplex(diagram, {**base, v: -1, w: -1}, share=big)
     if internal_edges is None:
         cv, cw = diagram.crossings[v], diagram.crossings[w]
         ends = [{(cv, 0), (cw, 2)}, {(cv, 1), (cw, 1)}]

@@ -6,11 +6,9 @@ by the ring rules of :mod:`bandkh.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .linalg import divisor_chain, rank_over, smith_normal_form  # noqa: F401 (re-exported)
 from .state_complex import GradedComplex, GradingKey
-from .surface import GradingS
 
 
 class HomologyError(ValueError):
@@ -122,11 +120,9 @@ def aggregate_handlebody(table: HomologyTable) -> dict[tuple[int, int], AbelianG
 
 
 def table_isomorphic(t1: HomologyTable, t2: HomologyTable,
-                     shift: tuple[int, int] = (0, 0),
-                     s_map: Callable[[GradingS], GradingS] | None = None) -> bool:
-    """Entrywise equality of t1 at (i, j, s) with t2 at (i+di, j+dj, s_map(s))."""
+                     shift: tuple[int, int] = (0, 0)) -> bool:
+    """Entrywise equality of t1 at (i, j, s) with t2 at (i+di, j+dj, s)."""
     di, dj = shift
-    remap = s_map or (lambda s: s)
-    moved = {(i + di, j + dj, remap(s)): g for (i, j, s), g in t1.groups.items()}
+    moved = {(i + di, j + dj, s): g for (i, j, s), g in t1.groups.items()}
     return moved == t2.groups
 

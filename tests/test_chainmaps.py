@@ -437,6 +437,35 @@ def test_skein_triple_shares_the_smoothings_of_cp():
         GradedComplex(trefoil(), share=cx)
 
 
+def test_no_frozen_complex_enumerates_or_sweeps_itself(monkeypatch):
+    """A frozen complex, built with ``share`` or without, reads its states,
+    d and d+ off the complex it extends: ``_enumerate`` and ``_sweep`` run
+    on unfrozen complexes only, and an R2 pair's ``small`` and ``tilde``
+    are read off its ``big``."""
+    for name in ("_enumerate", "_sweep"):
+        def guarded(self, *args, real=getattr(GradedComplex, name), name=name):
+            if self.frozen:
+                raise AssertionError(f"{name} ran on a complex frozen at {self.frozen}")
+            return real(self, *args)
+
+        monkeypatch.setattr(GradedComplex, name, guarded)
+    d = twist_pair(PANTS, "a", 3)
+    big = _r2_big(d, ("edge", 2))
+    pairs = [r2_pair(big, 0, 1), r2_pair(big, 0, 1, {3: -1})]
+    data = r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
+    complexes = [GradedComplex(d, {0: 1})]
+    for t in (skein_triple(d, 1), skein_triple(d, 1, GradedComplex(d)),
+              data.triple, data.triple2):
+        complexes += [t.c0, t.cinf]
+    for pair in pairs + [data.pair, data.pair2]:
+        assert pair.small._share[0] is pair.big and pair.tilde._share[0] is pair.big
+        complexes += [pair.big, pair.small, pair.tilde]
+    for cx in complexes:
+        for key in cx.sizes:
+            cx.differential(key)
+            cx.d_plus(key)
+
+
 def test_les_check_derives_each_flip_rule_once_per_diagram(monkeypatch):
     """A skein triple's frozen complexes reuse the flip rules of ``cp``: the
     checks at every crossing derive one rule per (markers, crossing) with a
@@ -546,6 +575,12 @@ def test_row_map_rejects_an_entry_off_its_grading(monkeypatch):
 def test_les_check_rejects_unknown_field():
     with pytest.raises(ChainMapError, match="unknown field"):
         long_exact_sequence_check(skein_triple(trefoil(), 0), ("Q", "R"))
+
+
+def test_les_check_rejects_an_empty_field_tuple():
+    """With no field there is nothing to check, so no report says ok."""
+    with pytest.raises(ChainMapError, match="no field"):
+        long_exact_sequence_check(skein_triple(trefoil(), 0), ())
 
 
 def test_skein_triple_reuses_only_the_unfrozen_complex_of_its_diagram():

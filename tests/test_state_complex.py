@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh import chainmaps
-from bandkh.chainmaps import SkeinTriple, r2_pair, skein_triple
+from bandkh.chainmaps import r2_pair, skein_triple
 from bandkh.cli import main
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
 from bandkh import state_complex
@@ -250,13 +250,14 @@ def test_differential_matches_dense_oracle(seed, surface):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_SURFACES + (None,)))
 @example(0, None)
 @example(3, MOEBIUS)
-def test_shared_frozen_complexes_match_their_own_sweep(seed, surface):
+def test_skein_triple_complexes_match_the_dense_oracle(seed, surface):
     """The frozen complexes of a skein triple, read off ``cp``, against the
-    ones built without ``share``, which enumerate and sweep themselves: block
-    keys and sizes in order, the row of every state, every block of d with
-    its entry order, the invariant factors and the three Viro maps block by
-    block, at every crossing.  Surface None stands for the trefoil, which
-    has torsion, and the non-embeddable crosscap shadow."""
+    state-by-state oracle at every crossing: block keys and sizes in order
+    and the row of every state (``enumerate_states``), every dense block of
+    d and d+ (``assemble``), the invariant factors of each block of d in
+    order (the oracle's Smith form of its dense block) and the three Viro
+    maps block by block.  Surface None stands for the trefoil, which has
+    torsion, and the non-embeddable crosscap shadow."""
     if surface is None:
         diagrams = [trefoil(), crosscap_shadow()]
     else:
@@ -264,18 +265,19 @@ def test_shared_frozen_complexes_match_their_own_sweep(seed, surface):
     for d in diagrams:
         cp = GradedComplex(d)
         for p in range(d.n_crossings):
-            got = skein_triple(d, p, cp)
-            want = SkeinTriple(d, p, cp, GradedComplex(d, {p: 1}), GradedComplex(d, {p: -1}))
-            for cx, oracle in ((got.c0, want.c0), (got.cinf, want.cinf)):
-                assert list(cx.sizes.items()) == list(oracle.sizes.items())
-                assert cx._keys == oracle._keys
-                for markers, labels in oracle.index:
-                    assert cx.locate(markers, labels) == oracle.locate(markers, labels)
-                for key in oracle.sizes:
-                    assert cx.columns(key) == oracle.columns(key), (p, key)
-                assert list(cx.factors().items()) == list(oracle.factors().items())
+            t = skein_triple(d, p, cp)
+            for cx in (t.c0, t.cinf):
+                buckets, index = dense_oracle.enumerate_states(cx)
+                assert list(cx.sizes.items()) == [(k, len(b)) for k, b in buckets.items()]
+                assert list(cx.index.items()) == list(index.items())
+                for key in set(cx.sizes) | {(i + 2, j, s) for i, j, s in cx.sizes}:
+                    assert cx.differential(key) == dense_oracle.assemble(cx, key), (p, key)
+                    assert cx.d_plus(key) == dense_oracle.assemble(cx, key, 1), (p, key)
+                assert list(cx.factors().items()) == [
+                    (key, tuple(dense_oracle._snf_diagonal(dense_oracle.assemble(cx, key))))
+                    for key in cx.sizes]
             for name in ("viro_alpha", "viro_beta", "viro_gamma_hat"):
-                a, b = getattr(chainmaps, name)(got), getattr(chainmaps, name)(want)
+                a, b = getattr(chainmaps, name)(t), getattr(dense_oracle, name)(t)
                 assert list(a.blocks.items()) == list(b.blocks.items()), (p, name)
 
 
