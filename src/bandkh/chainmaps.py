@@ -315,8 +315,8 @@ class SkeinTriple:
     """A diagram with a distinguished crossing and its two smoothings.
 
     ``c0``/``cinf`` are the complexes of the +1/-1 smoothings, realised as
-    the full diagram with that crossing frozen; both take their states, d,
-    d+ and smoothings from ``cp``.
+    the full diagram with that crossing frozen; both take their states and
+    smoothings from ``cp`` and sweep their own d and d+.
     """
 
     diagram: Diagram
@@ -530,7 +530,7 @@ class R2Pair:
     (v:-1, w:+1) pattern (the smoothing that restores the original strands);
     ``tilde`` is the frozen (v:-1, w:-1) pattern (the opposite connection);
     ``big`` keeps both crossings free, and ``small`` and ``tilde`` take their
-    states, d, d+ and smoothings from it.  Extra frozen markers (for
+    states and smoothings from it.  ``big``'s own frozen markers (for
     triples) are carried along unchanged.  ``internal`` lists the edge
     indices owned by the site; the small circle created at the site is the
     unique circle traversing internal edges only.
@@ -545,10 +545,10 @@ class R2Pair:
     internal: frozenset[int]
 
 
-def r2_pair(diagram: Diagram, v: int, w: int,
-            extra_frozen: dict[int, int] | None = None,
+def r2_pair(big: GradedComplex, v: int, w: int,
             internal_edges: frozenset[int] | None = None) -> R2Pair:
-    """Wrap an R2 crossing pair wired like the apply_r2 output.
+    """Wrap an R2 crossing pair (v, w) of ``big``'s diagram, wired like the
+    apply_r2 output, with ``big``'s frozen markers carried along.
 
     The (v:-1, w:+1) smoothing must be the parallel pattern restoring the
     undone strands (true for apply_r2 results and for even slot rotations
@@ -556,10 +556,9 @@ def r2_pair(diagram: Diagram, v: int, w: int,
     joining v and w are located by their slots; a site routed through extra
     frozen crossings passes its internal edges explicitly.
     """
-    base = dict(extra_frozen or {})
-    big = GradedComplex(diagram, base)
-    small = GradedComplex(diagram, {**base, v: -1, w: 1}, share=big)
-    tilde = GradedComplex(diagram, {**base, v: -1, w: -1}, share=big)
+    diagram = big.diagram
+    small = GradedComplex(diagram, {**big.frozen, v: -1, w: 1}, share=big)
+    tilde = GradedComplex(diagram, {**big.frozen, v: -1, w: -1}, share=big)
     if internal_edges is None:
         cv, cw = diagram.crossings[v], diagram.crossings[w]
         ends = [{(cv, 0), (cw, 2)}, {(cv, 1), (cw, 1)}]
@@ -665,10 +664,10 @@ def r3_data(diagram: Diagram, site: R3Site) -> R3Data:
 
     triple = skein_triple(diagram, 0)
     triple2 = skein_triple(moved, 0)
-    pair = r2_pair(diagram, 1, 2, {0: 1}, frozenset(internal))
+    pair = r2_pair(triple.c0, 1, 2, frozenset(internal))
     # The moved site carries the mirror handedness: its parallel pattern
     # marks the a-over-b crossing (id v, now third) with -1.
-    pair2 = r2_pair(moved, 2, 1, {0: 1}, frozenset(new_internal))
+    pair2 = r2_pair(triple2.c0, 2, 1, frozenset(new_internal))
 
     # Each end of moved edge k < n_ext is that end of edge externals[k].
     slot_of = {name: t for t, name in enumerate(diagram.slot_tables.names)}

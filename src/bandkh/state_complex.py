@@ -27,9 +27,9 @@ then the complex of the diagram with those crossings smoothed away, without
 rebuilding the diagram.  The gradings count free crossings only, and d never
 flips a frozen crossing, so the skein-triple and Reidemeister chain maps
 have all their states over one diagram.  As C(D) is the mapping cone of the
-resmoothing map, a frozen complex reads its states, d and d+ off the one it
-extends (``share``, else its diagram's unfrozen complex), up to a grading
-shift and one sign per state.
+resmoothing map, a frozen complex reads its states off the one it extends
+(``share``, else its diagram's unfrozen complex), up to a grading shift, and
+sweeps its own d and d+ over them, ``t`` counting free markers only.
 
 Label codes
 -----------
@@ -39,7 +39,7 @@ and its *label code*, the position of its labels in
 ``k`` is labelled -1.  The row table maps each label code to the state's
 (block id, row).  Only this module reads the row tables: one walk over
 them (:meth:`GradedComplex._fill`) assembles, as sparse columns, every
-block of every chain map and of d and d+ of an unfrozen complex.
+block of every chain map and of d and d+ of every complex.
 """
 
 from __future__ import annotations
@@ -148,10 +148,11 @@ class GradedComplex:
     (+1 before -1, earliest crossing most significant), then labels in the
     same order per circle, circles in their canonical smoothing order.
 
-    A frozen complex reads its row tables, d and d+ off ``share``, a complex
-    of the same diagram frozen at a subset of these markers, else off its
-    diagram's unfrozen complex, built and kept here, and shares that one's
-    smoothing cache, class ids, flip rules and merge/split tables.
+    A frozen complex reads its row tables off ``share``, a complex of the
+    same diagram frozen at a subset of these markers, else off its diagram's
+    unfrozen complex, built here for that alone, and shares that one's
+    smoothing cache, class ids, flip rules and merge/split tables, but does
+    not keep it.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -185,7 +186,6 @@ class GradedComplex:
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
-        self._share: tuple[GradedComplex, int, dict] | None = None  # read by _slice
         counts = self._enumerate() if share is None else self._restrict(share)
         self.sizes: dict[GradingKey, int] = dict(zip(self._keys, counts))
         self._bids = {key: bid for bid, key in enumerate(self._keys)}
@@ -252,41 +252,19 @@ class GradedComplex:
         """Fill the row tables from those of ``share``, and return the block
         sizes: its states with these frozen markers, in its order, block
         (i, j, s) there being (i - x, j - x, s) here, x the sum of the newly
-        frozen markers, each with its two-end signs for d and d+ (:meth:`_slice`)."""
+        frozen markers."""
         new = self.frozen.items() - share.frozen.items()
         x = sum(mark for _, mark in new)
-        renum: list[list] = [[None] * n for n in share.sizes.values()]
         blocks: dict[int, list[int]] = {}  # block id there -> [block id, size] here
         for markers, rows in share._rows.items():
             if all(markers[pos] == mark for pos, mark in new):
-                signs = [(-1) ** sum(markers[:pos].count(-1) for pos, mark in new
-                                     if mark == counted) for counted in (-1, 1)]
                 table = self._rows[markers] = []
-                for bid, row in rows:
+                for bid, _ in rows:
                     block = blocks.setdefault(bid, [len(blocks), 0])
                     table.append((block[0], block[1]))
-                    renum[bid][row] = (block[1], *signs)
                     block[1] += 1
         self._keys = [(i - x, j - x, s) for i, j, s in map(share._keys.__getitem__, blocks)]
-        self._share = (share, x, dict(zip(share._keys, renum)))
         return [size for _, size in blocks.values()]
-
-    def _slice(self, counted: int) -> dict[GradingKey, Columns]:
-        """d (``counted`` -1) or d+ (+1), read off that of the shared complex:
-        its columns of the states here without the entries elsewhere, each
-        entry times the signs (-1)^t of its two ends, t the -1 markers before
-        each newly frozen marker equal to ``counted``.  Their product is -1
-        to the newly frozen ``counted`` markers after the flip, which the sign
-        of an entry here does not count."""
-        share, x, renum = self._share
-        at = 1 if counted < 0 else 2  # the sign's place in a renum entry
-        blocks: dict[GradingKey, Columns] = {}
-        for i, j, s in self._keys:
-            below, key = renum.get((i + x - 2, j + x, s)), (i + x, j + x, s)
-            blocks[(i, j, s)] = [
-                [(got[0], v * here[at] * got[at]) for r, v in column if (got := below[r])]
-                for column, here in zip(share.columns(key, counted), renum[key]) if here]
-        return blocks
 
     @property
     def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
@@ -450,21 +428,24 @@ class GradedComplex:
 
     def _sweep(self, counted: int) -> dict[GradingKey, Columns]:
         """Every block of the map lowering ``i`` by 2 with entries
-        ``(-1)^t``, ``t`` counting the markers equal to ``counted`` after the
-        flipped crossing (run on unfrozen complexes only): one walk, one part
-        per +1 crossing with its flip rule, each entry checked to land at (i-2, j, s)."""
+        ``(-1)^t``, ``t`` counting the free markers equal to ``counted`` after
+        the flipped crossing: one walk, one part per free +1 crossing with its
+        flip rule, each entry checked to land at (i-2, j, s)."""
+        fixed = [sum(q > pos and mark == counted for q, mark in self.frozen.items())
+                 for pos in range(self.diagram.n_crossings)]
+
         def parts(markers: MarkerVector) -> Iterator[tuple]:
-            for pos, mark in enumerate(markers):
-                if mark > 0:
+            for pos in self.free:
+                if markers[pos] > 0:
                     rule = self._flip(markers, pos)
-                    yield (-1) ** markers[pos + 1:].count(counted), rule.target, rule
+                    yield ((-1) ** (markers[pos + 1:].count(counted) - fixed[pos]),
+                           rule.target, rule)
         return self._fill(self, lambda key: (key[0] - 2, key[1], key[2]), parts)
 
     def _dense(self, key: GradingKey, counted: int) -> Matrix:
-        """Dense view of a block of d or d+ (``counted`` -1 or +1), swept or sliced once."""
+        """Dense view of a block of d or d+ (``counted`` -1 or +1), swept once."""
         if counted not in self._blocks:
-            self._blocks[counted] = (self._slice(counted) if self._share
-                                     else self._sweep(counted))
+            self._blocks[counted] = self._sweep(counted)
         return _dense_view(self.columns(key, counted), self.dim((key[0] - 2, key[1], key[2])))
 
     def differential(self, key: GradingKey) -> Matrix:

@@ -955,8 +955,8 @@ def r3_transports(diagram, site) -> tuple[ChainMap, ChainMap]:
     n_ext = len(externals)
     new_internal = {n_ext, n_ext + 1, n_ext + 2}
     triple, triple2 = skein_triple(diagram, 0), skein_triple(moved, 0)
-    pair = r2_pair(diagram, 1, 2, {0: 1}, frozenset(internal))
-    pair2 = r2_pair(moved, 2, 1, {0: 1}, frozenset(new_internal))
+    pair = r2_pair(triple.c0, 1, 2, frozenset(internal))
+    pair2 = r2_pair(triple2.c0, 2, 1, frozenset(new_internal))
     key_src = _external_edge_keys(diagram, internal)
     raw_tgt = _external_edge_keys(moved, new_internal)
 

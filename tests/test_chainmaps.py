@@ -418,7 +418,7 @@ def test_les_check_builds_no_state_objects(monkeypatch):
     mirror_map(d)
     reorder_iso(d, [2, 0, 3, 1])
     rho_I(d, ("edge", 1), "right")
-    rho_II(r2_pair(_r2_big(d, ("edge", 2)), 0, 1))
+    rho_II(r2_pair(GradedComplex(_r2_big(d, ("edge", 2))), 0, 1))
     data = r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
     for key in data.triple.cp.sizes:
         c_prime_columns(data, key)
@@ -437,33 +437,49 @@ def test_skein_triple_shares_the_smoothings_of_cp():
         GradedComplex(trefoil(), share=cx)
 
 
-def test_no_frozen_complex_enumerates_or_sweeps_itself(monkeypatch):
-    """A frozen complex, built with ``share`` or without, reads its states,
-    d and d+ off the complex it extends: ``_enumerate`` and ``_sweep`` run
-    on unfrozen complexes only, and an R2 pair's ``small`` and ``tilde``
-    are read off its ``big``."""
-    for name in ("_enumerate", "_sweep"):
-        def guarded(self, *args, real=getattr(GradedComplex, name), name=name):
-            if self.frozen:
-                raise AssertionError(f"{name} ran on a complex frozen at {self.frozen}")
-            return real(self, *args)
+def test_no_frozen_complex_enumerates_itself(monkeypatch):
+    """A frozen complex, built with ``share`` or without, reads its states
+    off the complex it extends: ``_enumerate`` runs on unfrozen complexes
+    only, once for each one built (a frozen complex without ``share`` builds
+    its diagram's), so an R2 pair's ``small`` and ``tilde`` enumerate
+    nothing.  Every block of d and d+ of them is then swept."""
+    enumerated = []
 
-        monkeypatch.setattr(GradedComplex, name, guarded)
+    def guarded(self, real=GradedComplex._enumerate):
+        if self.frozen:
+            raise AssertionError(f"_enumerate ran on a complex frozen at {self.frozen}")
+        enumerated.append(self.diagram)
+        return real(self)
+
+    monkeypatch.setattr(GradedComplex, "_enumerate", guarded)
     d = twist_pair(PANTS, "a", 3)
     big = _r2_big(d, ("edge", 2))
-    pairs = [r2_pair(big, 0, 1), r2_pair(big, 0, 1, {3: -1})]
+    pairs = [r2_pair(GradedComplex(big), 0, 1), r2_pair(GradedComplex(big, {3: -1}), 0, 1)]
     data = r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
     complexes = [GradedComplex(d, {0: 1})]
     for t in (skein_triple(d, 1), skein_triple(d, 1, GradedComplex(d)),
               data.triple, data.triple2):
         complexes += [t.c0, t.cinf]
     for pair in pairs + [data.pair, data.pair2]:
-        assert pair.small._share[0] is pair.big and pair.tilde._share[0] is pair.big
         complexes += [pair.big, pair.small, pair.tilde]
+    assert len(enumerated) == 7
+    assert [enumerated.count(x) for x in (d, big, data.diagram, data.moved)] == [3, 2, 1, 1]
     for cx in complexes:
         for key in cx.sizes:
             cx.differential(key)
             cx.d_plus(key)
+
+
+def test_r3_data_enumerates_each_diagram_once(monkeypatch):
+    """``r3_data`` builds one unfrozen complex per diagram: each R2 pair is
+    read off its skein triple's ``c0``."""
+    calls = []
+    real = GradedComplex._enumerate
+    monkeypatch.setattr(GradedComplex, "_enumerate",
+                        lambda self: calls.append(self.diagram) or real(self))
+    data = r3_data(*triangle_closure(TORUS_HOLE, 1, surface_words(TORUS_HOLE)[-1]))
+    assert calls == [data.diagram, data.moved]
+    assert data.pair.big is data.triple.c0 and data.pair2.big is data.triple2.c0
 
 
 def test_les_check_derives_each_flip_rule_once_per_diagram(monkeypatch):
@@ -508,7 +524,7 @@ def test_row_maps_match_state_by_state_builds():
                 _same_map(getattr(chainmaps, name)(t), build(t))
         sites = [("edge", k) for k in range(len(d.edges))]
         sites += [("loop", k) for k in range(len(d.loops))]
-        pair = r2_pair(_r2_big(d, rng.choice(sites)), 0, 1)
+        pair = r2_pair(GradedComplex(_r2_big(d, rng.choice(sites))), 0, 1)
         for name, build in dense_oracle.R2_MAPS.items():
             _same_map(getattr(chainmaps, name)(pair), build(pair))
         _same_map(g_embed(pair), dense_oracle.g_embed(pair))
@@ -557,7 +573,8 @@ def test_transport_rejects_circles_that_do_not_correspond():
         with pytest.raises(ChainMapError, match="do not correspond"):
             ChainMap.build(cx, cxm, chainmaps._negate_key, step, "mirror")
     with pytest.raises(ChainMapError, match="R2 small-circle detection failed"):
-        g_embed(r2_pair(twist_pair(DISK, "", 2), 0, 1, internal_edges=frozenset({0})))
+        g_embed(r2_pair(GradedComplex(twist_pair(DISK, "", 2)), 0, 1,
+                        internal_edges=frozenset({0})))
 
 
 def test_row_map_rejects_an_entry_off_its_grading(monkeypatch):
@@ -877,7 +894,7 @@ def test_rho_II_full_identity_suite():
         if not sites:
             continue
         big = apply_r2(with_loop, ("loop", fresh), rng.choice(sites))
-        pair = r2_pair(big, 0, 1)
+        pair = r2_pair(GradedComplex(big), 0, 1)
         r2m = rho_II(pair)
         assert r2m.commutes()
         assert gamma_r2(pair).commutes()

@@ -229,7 +229,7 @@ def test_bracket_and_homology_build_no_slot_names(monkeypatch):
     rho_I(small, ("edge", 0))
     rho_I(small, ("loop", 0), "right")
     big = apply_r2(small, ("loop", 1), ("edge", 0))
-    rho_II(r2_pair(big, 0, 1))
+    rho_II(r2_pair(GradedComplex(big), 0, 1))
     r3_data(*triangle_closure(PANTS, 1, "a", extra_loops=("b",)))
     assert reads == []
     circle = smooth(d, (1,) * d.n_crossings)[0]

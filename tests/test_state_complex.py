@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -229,8 +231,8 @@ def _oracle_complexes(seed, surface):
     sites += [("loop", k) for k in range(len(d.loops))]
     if sites:
         with_loop = Diagram(d.surface, d.crossings, d.edges, d.loops + ((),))
-        pair = r2_pair(apply_r2(with_loop, ("loop", len(d.loops)),
-                                rng.choice(sites)), 0, 1)
+        pair = r2_pair(GradedComplex(apply_r2(with_loop, ("loop", len(d.loops)),
+                                              rng.choice(sites))), 0, 1)
         complexes += [pair.small, pair.tilde]
     return complexes
 
@@ -292,6 +294,21 @@ def test_share_must_freeze_a_subset_of_the_markers():
     nested, alone = GradedComplex(d, {1: 1, 2: -1}, share=c0), GradedComplex(d, {2: -1, 1: 1})
     assert list(nested.index) == list(alone.index)
     assert all(nested.columns(key) == alone.columns(key) for key in alone.sizes)
+
+
+def test_a_frozen_complex_does_not_keep_its_parent():
+    """Once built, a frozen complex sweeps d and d+ off its own row tables:
+    the complex it was restricted from can be freed."""
+    d = twist_pair(PANTS, "a", 3)
+    cp = GradedComplex(d)
+    c0 = GradedComplex(d, {1: 1}, share=cp)
+    for key in c0.sizes:
+        c0.differential(key)
+        c0.d_plus(key)
+    parent = weakref.ref(cp)
+    del cp
+    gc.collect()
+    assert parent() is None
 
 
 def _fields(state):
