@@ -409,15 +409,18 @@ def long_exact_sequence_check(t: SkeinTriple,
     At each middle term the rank of the incoming induced map plus the rank
     of the outgoing one must equal the homology dimension.  The connecting
     map is gamma_hat restricted to cycles.  The ranks of d and the homology
-    dimensions come from one table per complex, read off ``cx.factors()``
-    once.  A map block f induces the rank of [[f, b], [a, 0]] less rank a
-    and rank b (:func:`_block_rank`): that identity assumes d o d = 0
-    (``run_verify`` checks d^2 first) and a chain map.  A zero f induces 0
-    unreduced, as [[0, b], [a, 0]] is block-diagonal.  So does f when its
-    source or target key has zero homology over Z/2: for a chain map, rank
-    f_* is at most either dimension, and the Z/2 dimension bounds the Q one
-    (universal coefficients).  An empty or unknown field raises
-    :class:`ChainMapError`.
+    dimensions come from each complex's :meth:`GradedComplex.rank_table`,
+    built once per complex and tag tuple.  A map block f induces the rank
+    of [[f, b], [a, 0]] less rank a and rank b (:func:`_block_rank`): that
+    identity assumes d o d = 0 (``run_verify`` checks d^2 first) and a chain
+    map.  A zero f induces 0 unreduced, as [[0, b], [a, 0]] is
+    block-diagonal.  So does f when its source or target key has zero
+    homology over Z/2: for a chain map, rank f_* is at most either
+    dimension, and the Z/2 dimension bounds the Q one (universal
+    coefficients).  Only positions with nonzero homology over some tag are
+    visited; the others are counted in ``positions_checked`` but cannot
+    fail, since both maps at them induce 0.  An empty or unknown field
+    raises :class:`ChainMapError`.
     """
     fields = tuple(fields)
     if not fields:
@@ -427,21 +430,10 @@ def long_exact_sequence_check(t: SkeinTriple,
             raise ChainMapError(f"unknown field {ftag!r}")
     alpha, beta, gamma_hat = viro_alpha(t), viro_beta(t), viro_gamma_hat(t)
     failures: list[str] = []
-    checked = 0
     tags = fields if "Z2" in fields else fields + ("Z2",)
-    live = tags.index("Z2")  # the tag that decides where homology lives
+    live = tags.index("Z2")  # the tag that decides which blocks are reduced
     zero = (0,) * len(tags)
-
-    def rank_table(cx: GradedComplex) -> dict:
-        """key -> (ranks of d out of it, homology dimensions at it), one per
-        tag; a key with no bucket is missing and reads (zero, zero)."""
-        d_ranks = {key: tuple(rank_over(factors, f) for f in tags)
-                   for key, factors in cx.factors().items()}
-        return {key: (r, tuple(cx.dim(key) - a - b for a, b in zip(
-                    r, d_ranks.get((key[0] + 2, key[1], key[2]), zero))))
-                for key, r in d_ranks.items()}
-
-    tables = {cx: rank_table(cx) for cx in (t.cp, t.c0, t.cinf)}
+    tables = {cx: cx.rank_table(tags) for cx in (t.cp, t.c0, t.cinf)}
     empty = (zero, zero)
     ranks: dict[tuple[str, GradingKey], tuple[int, ...]] = {}
 
@@ -465,29 +457,30 @@ def long_exact_sequence_check(t: SkeinTriple,
             ranks[(chmap.name, key)] = got
         return got
 
+    # Each candidate (i, j, s) gives three positions per field: D_p at
+    # (i-1, j-1, s), D_0 at (i-2, j-2, s) and D_inf at (i-2, j, s).
     candidates = {(i + di, j + dj, s)
                   for cx, (di, dj) in ((t.cinf, (0, 0)), (t.cp, (1, 1)),
                                        (t.c0, (2, 2)), (t.cinf, (2, 0)))
                   for (i, j, s) in cx.sizes}
 
-    for (i, j, s) in candidates:
-        key_inf, key_p, key_0 = (i, j, s), (i - 1, j - 1, s), (i - 2, j - 2, s)
-        key_inf2 = (i - 2, j, s)
-        # (position, its complex and key, incoming map and its source key,
-        # outgoing map); the outgoing map starts at the position.
-        for name, cx, key, into, src_key, out_of in (
-                ("D_p", t.cp, key_p, alpha, key_inf, beta),
-                ("D_0", t.c0, key_0, beta, key_p, gamma_hat),
-                ("D_inf", t.cinf, key_inf2, gamma_hat, key_0, alpha)):
-            # zip stops at ``fields``: an appended Z/2 liveness tag is not checked
-            for ftag, r_in, r_out, h in zip(fields, induced_rank(into, src_key),
-                                            induced_rank(out_of, key),
-                                            tables[cx].get(key, empty)[1]):
-                checked += 1
-                if r_in + r_out != h:
-                    failures.append(f"{ftag}: not exact at {name} "
-                                    f"(i={key[0]},j={key[1]},s={key[2].text})")
-    return LESReport(not failures, sorted(set(failures)), checked)
+    # (position, its complex, incoming map, shift from a key to the map's
+    # source key, outgoing map); the outgoing map starts at the position.
+    for name, cx, into, (di, dj), out_of in (
+            ("D_p", t.cp, alpha, (1, 1), beta),
+            ("D_0", t.c0, beta, (1, 1), gamma_hat),
+            ("D_inf", t.cinf, gamma_hat, (0, -2), alpha)):
+        for (i, j, s), (_, h) in tables[cx].items():
+            if not any(h):
+                continue
+            r_in = induced_rank(into, (i + di, j + dj, s))
+            r_out = induced_rank(out_of, (i, j, s))
+            # zip stops at ``fields``: an appended Z/2 tag is not checked
+            failures += [f"{ftag}: not exact at {name} (i={i},j={j},s={s.text})"
+                         for ftag, a, b, dim in zip(fields, r_in, r_out, h)
+                         if a + b != dim]
+    return LESReport(not failures, sorted(set(failures)),
+                     3 * len(fields) * len(candidates))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
-from .linalg import Columns, Matrix, _dense_view, _mat_mul, invariant_factors
+from .linalg import Columns, Matrix, _dense_view, _mat_mul, invariant_factors, rank_over
 from .surface import CurveClass, CurveKind, GradingS
 
 GradingKey = tuple[int, int, GradingS]
@@ -186,6 +186,7 @@ class GradedComplex:
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
+        self._rank_tables: dict[tuple[str, ...], dict[GradingKey, tuple]] = {}
         counts = self._enumerate() if share is None else self._restrict(share)
         self.sizes: dict[GradingKey, int] = dict(zip(self._keys, counts))
         self._bids = {key: bid for bid, key in enumerate(self._keys)}
@@ -504,3 +505,28 @@ class GradedComplex:
                 for (i, j, s) in self.sizes}
         return self._factors
 
+    def rank_table(self, tags: tuple[str, ...]) -> dict[GradingKey, tuple]:
+        """key -> (ranks of d out of it, homology dimensions at it), one per
+        ring of ``tags`` (:func:`~bandkh.linalg.rank_over`), read off
+        :meth:`factors` for each key of ``sizes``; a key with no bucket is
+        missing and reads zero.  Computed once per tag tuple and stored:
+        read the result only.
+
+        >>> from bandkh.diagram import Diagram
+        >>> from bandkh.surface import SurfaceModel
+        >>> cx = GradedComplex(Diagram(SurfaceModel.planar_holes(0), loops=((),)))
+        >>> cx.rank_table(("Q", "Z2"))
+        {(0, 2, GradingS(0)): ((0, 0), (1, 1)), (0, -2, GradingS(0)): ((0, 0), (1, 1))}
+        >>> cx.rank_table(("Q", "Z2")) is cx.rank_table(("Q", "Z2"))
+        True
+        """
+        table = self._rank_tables.get(tags)
+        if table is None:
+            zero = (0,) * len(tags)
+            d_ranks = {key: tuple(rank_over(factors, ring) for ring in tags)
+                       for key, factors in self.factors().items()}
+            table = self._rank_tables[tags] = {
+                key: (r, tuple(self.dim(key) - a - b for a, b in zip(
+                    r, d_ranks.get((key[0] + 2, key[1], key[2]), zero))))
+                for key, r in d_ranks.items()}
+        return table

@@ -1,11 +1,12 @@
 import collections
+import io
 import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bandkh import chainmaps, linalg, state_complex
+from bandkh import chainmaps, cli, linalg, state_complex
 from bandkh.diagram import Diagram, apply_r2, apply_r3, mirror
 from bandkh.homology import COEFFICIENTS, AbelianGroup, homology, table_isomorphic
 from bandkh.linalg import rank_over
@@ -210,11 +211,14 @@ def test_les_check_matches_the_oracle_under_each_field_choice(surface, seed, mut
 
 def test_les_check_reads_each_rank_once_per_field(monkeypatch):
     """Every factor list goes through ``rank_over`` once per ring: Z/2, which
-    decides where homology lives, is not read twice when it is a field."""
+    decides where homology lives, is not read twice when it is a field.  The
+    ranks of d are read in the complex's rank table, the induced ranks in the
+    check, so both bindings are recorded."""
     tags = []
-    real = chainmaps.rank_over
-    monkeypatch.setattr(chainmaps, "rank_over",
-                        lambda factors, ftag: tags.append(ftag) or real(factors, ftag))
+    real = linalg.rank_over
+    for module in (state_complex, chainmaps):
+        monkeypatch.setattr(module, "rank_over",
+                            lambda factors, ftag: tags.append(ftag) or real(factors, ftag))
     d = twist_pair(PANTS, "a", 3)
     for fields, rings in ((("Q", "Z2"), {"Q", "Z2"}), (("Z2", "Q"), {"Q", "Z2"}),
                           (("Z2",), {"Z2"}), (("Q",), {"Q", "Z2"})):
@@ -222,6 +226,62 @@ def test_les_check_reads_each_rank_once_per_field(monkeypatch):
         assert long_exact_sequence_check(skein_triple(d, 1), fields).ok
         counts = collections.Counter(tags)
         assert set(counts) == rings and len(set(counts.values())) == 1, counts
+
+
+class _Tagged(tuple):
+    """A factor list told apart by identity from equal lists of other
+    complexes: an equal plain tuple, such as ``(1,)``, may be one object."""
+
+
+def test_verify_reads_each_rank_of_cp_once_per_ring(monkeypatch):
+    """One ``verify --suite=les`` builds the rank table of its complex once,
+    not once per crossing: each of cp's factor lists goes through
+    ``rank_over`` once per ring."""
+    tagged, calls = {}, collections.Counter()
+    real_factors, real_rank = GradedComplex.factors, state_complex.rank_over
+
+    def factors(cx):
+        if cx.frozen:
+            return real_factors(cx)
+        if id(cx) not in tagged:  # keeps cx, so its id stays its own
+            tagged[id(cx)] = cx, {key: _Tagged(f) for key, f in real_factors(cx).items()}
+        return tagged[id(cx)][1]
+
+    def rank_over(factors, ring):
+        if isinstance(factors, _Tagged):
+            calls[id(factors), ring] += 1
+        return real_rank(factors, ring)
+
+    monkeypatch.setattr(GradedComplex, "factors", factors)
+    monkeypatch.setattr(state_complex, "rank_over", rank_over)
+    d = twist_pair(PANTS, "a", 4)
+    out = io.StringIO()
+    assert cli.run_verify(d, ["les"], out) == 0
+    assert out.getvalue().count("PASS les") == d.n_crossings == 4
+    (_, lists), = tagged.values()
+    assert dict(calls) == {(id(f), ring): 1 for f in lists.values() for ring in ("Q", "Z2")}
+
+
+@pytest.mark.parametrize("mutation", _LES_MUTATIONS)
+def test_les_check_on_one_cp_matches_the_oracle_under_each_tag_tuple(monkeypatch,
+                                                                     mutation):
+    """Checks whose triples share one cp, and so its stored rank tables,
+    report what the oracle does under Q, Z/2, and both in either order, with
+    the skein-triple maps unmutated or scaled as in :data:`_LES_MUTATIONS`.
+    The trefoil has Z/2 torsion, so its Q and Z/2 ranks of d differ."""
+    if mutation:
+        name, x = mutation
+        real = getattr(chainmaps, name)
+        monkeypatch.setattr(chainmaps, name, lambda t: real(t).scale(x))
+    d = trefoil()
+    cp = GradedComplex(d)
+    for fields in (("Q",), ("Z2",), ("Z2", "Q"), ("Q", "Z2")):
+        for p in range(d.n_crossings):
+            t = skein_triple(d, p, cp)
+            got = long_exact_sequence_check(t, fields)
+            want = dense_oracle.les_report(t, fields)
+            assert (got.ok, got.failures, got.positions_checked) \
+                == (want.ok, want.failures, want.positions_checked), (fields, p)
 
 
 def _capture_les_maps(mp, mutation=None):
