@@ -412,15 +412,20 @@ def long_exact_sequence_check(t: SkeinTriple,
     dimensions come from each complex's :meth:`GradedComplex.rank_table`,
     built once per complex and tag tuple.  A map block f induces the rank
     of [[f, b], [a, 0]] less rank a and rank b (:func:`_block_rank`): that
-    identity assumes d o d = 0 (``run_verify`` checks d^2 first) and a chain
-    map.  A zero f induces 0 unreduced, as [[0, b], [a, 0]] is
-    block-diagonal.  So does f when its source or target key has zero
-    homology over Z/2: for a chain map, rank f_* is at most either
-    dimension, and the Z/2 dimension bounds the Q one (universal
-    coefficients).  Only positions with nonzero homology over some tag are
-    visited; the others are counted in ``positions_checked`` but cannot
-    fail, since both maps at them induce 0.  An empty or unknown field
-    raises :class:`ChainMapError`.
+    identity assumes d o d = 0 and a chain map, so the check first runs
+    ``t.cp.check_d_squared()``, which raises :class:`ComplexError`.  That
+    covers ``c0`` and ``cinf`` too: the d of ``c0`` is the diagonal block of
+    ``cp``'s d on the states with +1 at p, and that of ``cinf`` the block on
+    those with -1, conjugated by the sign -1 to the number of -1 markers
+    before p.  d never turns -1 into +1, so these diagonal blocks of d o d
+    are the squares of those blocks.  A zero f induces 0 unreduced, as
+    [[0, b], [a, 0]] is block-diagonal.  So does f when its source or
+    target key has zero homology over Z/2: for a chain map, rank f_* is at
+    most either dimension, and the Z/2 dimension bounds the Q one
+    (universal coefficients).  Only positions with nonzero homology over
+    some tag are visited; the others are counted in ``positions_checked``
+    but cannot fail, since both maps at them induce 0.  An empty or unknown
+    field raises :class:`ChainMapError`.
     """
     fields = tuple(fields)
     if not fields:
@@ -428,6 +433,7 @@ def long_exact_sequence_check(t: SkeinTriple,
     for ftag in fields:
         if ftag not in ("Q", "Z2"):
             raise ChainMapError(f"unknown field {ftag!r}")
+    t.cp.check_d_squared()
     alpha, beta, gamma_hat = viro_alpha(t), viro_beta(t), viro_gamma_hat(t)
     failures: list[str] = []
     tags = fields if "Z2" in fields else fields + ("Z2",)

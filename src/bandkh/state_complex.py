@@ -31,6 +31,17 @@ resmoothing map, a frozen complex reads its states off the one it extends
 (``share``, else its diagram's unfrozen complex), up to a grading shift, and
 sweeps its own d and d+ over them, ``t`` counting free markers only.
 
+Free loops
+----------
+A free loop meets no crossing, so d keeps its label: the complex of a
+diagram with free loops is that of its loop-free core tensored with Z^2 per
+loop (Kunneth; Khovanov's H(L + O) = H(L) (x) A, arXiv:math/9908171).  A
+loop labelled e shifts j by 2e if it is trivial, s by e times its class if
+it is unbounding, and no grading if it bounds a Moebius band.  An unfrozen
+complex with free loops lifts its block sizes, the invariant factors of d
+and the d o d verdicts off its core, and enumerates its own states only
+when something reads them.
+
 Label codes
 -----------
 Inside a complex a state is an integer pair: its marker vector's row table
@@ -50,7 +61,15 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import Circle, Diagram, MarkerVector, smooth
-from .linalg import Columns, Matrix, _dense_view, _mat_mul, invariant_factors, rank_over
+from .linalg import (
+    Columns,
+    Matrix,
+    _dense_view,
+    _mat_mul,
+    divisor_chain,
+    invariant_factors,
+    rank_over,
+)
 from .surface import CurveClass, CurveKind, GradingS
 
 GradingKey = tuple[int, int, GradingS]
@@ -115,6 +134,38 @@ def _mask(circles: Sequence[int], width: int) -> int:
     return sum(1 << width - 1 - k for k in circles)
 
 
+def _direct_sum(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The invariant factors of a direct sum of matrices with these."""
+    if len(parts) == 1:
+        return parts[0]
+    chain = divisor_chain(x for factors in parts for x in factors if x > 1)
+    return (1,) * (sum(map(len, parts)) - len(chain)) + chain
+
+
+class _RowTable:
+    """A row table (``_rows``, ``_keys`` or ``_bids``) of a complex with free
+    loops, which enumerates its states on the first read of any of the
+    three; the enumerated blocks must be its ``sizes``, keys in order, or
+    :class:`ComplexError` is raised.  Every other complex stores its tables
+    when built, and an instance attribute hides this descriptor, so reads
+    cost no call.  (A ``__getattr__`` hook would instead slow every
+    attribute read of every complex, by about 3 % on ``les``.)"""
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, cx: GradedComplex | None, owner: type | None = None):
+        if cx is None:
+            return self
+        rows, keys, counts = cx._enumerate()
+        if list(zip(keys, counts)) != list(cx.sizes.items()):
+            raise ComplexError("the enumerated blocks differ from those lifted off "
+                               "the loop-free core")
+        cx._rows, cx._keys = rows, keys
+        cx._bids = {key: bid for bid, key in enumerate(keys)}
+        return getattr(cx, self.name)
+
+
 @dataclass(frozen=True)
 class _CodeMap:
     """A map on the label codes of the states over one marker vector, into
@@ -153,6 +204,12 @@ class GradedComplex:
     unfrozen complex, built here for that alone, and shares that one's
     smoothing cache, class ids, flip rules and merge/split tables, but does
     not keep it.
+
+    An unfrozen complex of a diagram with free loops keeps the complex of
+    its loop-free core (``_core``) and lifts ``sizes``, :meth:`factors` and
+    :meth:`d_squared_blocks` off it; its own row tables are enumerated when
+    first read, by what names states: ``buckets``, ``index``, ``locate``,
+    d and d+, and the chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -179,17 +236,28 @@ class GradedComplex:
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's key
         # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
         # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
-        self._keys: list[GradingKey] = []
-        self._rows: dict[MarkerVector, list[tuple[int, int]]] = {}
+        # With free loops the first three are filled on first read (_RowTable).
+        self._keys: list[GradingKey]
+        self._rows: dict[MarkerVector, list[tuple[int, int]]]
+        self._bids: dict[GradingKey, int]
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._rank_tables: dict[tuple[str, ...], dict[GradingKey, tuple]] = {}
-        counts = self._enumerate() if share is None else self._restrict(share)
-        self.sizes: dict[GradingKey, int] = dict(zip(self._keys, counts))
-        self._bids = {key: bid for bid, key in enumerate(self._keys)}
+        self._core: GradedComplex | None = None
+        self._lifts: dict[GradingKey, list[GradingKey]] = {}
+        self.sizes: dict[GradingKey, int]
+        if share is None and diagram.loops:
+            self.sizes = self._lift_core()
+        else:
+            self._rows, self._keys, counts = (
+                self._enumerate() if share is None else self._restrict(share))
+            self.sizes = dict(zip(self._keys, counts))
+            self._bids = {key: bid for bid, key in enumerate(self._keys)}
+
+    _rows, _keys, _bids = _RowTable(), _RowTable(), _RowTable()
 
     # -- construction ---------------------------------------------------
 
@@ -212,13 +280,15 @@ class GradedComplex:
         key, n = self.locate(markers, labels)
         return self.buckets[key][n]
 
-    def _enumerate(self) -> list[int]:
-        """Fill the row tables; return the block sizes.  Per state one group
+    def _enumerate(self) -> tuple[dict, list[GradingKey], list[int]]:
+        """The row tables, block keys and block sizes.  Per state one group
         of label-code bits is looked up; ``tau`` and the signed class-id sums
         naming ``s`` are counted once per (smoothing, group), a ``GradingS``
         is built once per value and a grading key once per block."""
         bids: dict[tuple, int] = {}  # (i, tau, sorted signed class-id sums)
         s_values: dict[tuple, GradingS] = {}
+        tables: dict[MarkerVector, list[tuple[int, int]]] = {}
+        keys: list[GradingKey] = []
         counts: list[int] = []
         for markers in self.diagram.marker_vectors():
             data = self.smoothing(markers)
@@ -228,7 +298,7 @@ class GradedComplex:
                    for k, c in enumerate(data.circles) if c.kind is CurveKind.UNBOUNDING]
             unb_bits = sum(bit for bit, _, _ in unb)
             groups: dict[int, int] = {}
-            rows = self._rows[markers] = []
+            rows = tables[markers] = []
             for code in range(1 << width):
                 group = (code & triv).bit_count() << width | code & unb_bits
                 bid = groups.get(group)
@@ -243,29 +313,57 @@ class GradedComplex:
                         if block[2] not in s_values:
                             s_values[block[2]] = GradingS.from_pairs(
                                 (cls, -1 if code & bit else 1) for bit, _, cls in unb)
-                        self._keys.append((i, i + 2 * block[1], s_values[block[2]]))
+                        keys.append((i, i + 2 * block[1], s_values[block[2]]))
                         counts.append(0)
                 rows.append((bid, counts[bid]))
                 counts[bid] += 1
-        return counts
+        return tables, keys, counts
 
-    def _restrict(self, share: GradedComplex) -> list[int]:
-        """Fill the row tables from those of ``share``, and return the block
-        sizes: its states with these frozen markers, in its order, block
-        (i, j, s) there being (i - x, j - x, s) here, x the sum of the newly
-        frozen markers."""
+    def _restrict(self, share: GradedComplex) -> tuple[dict, list[GradingKey], list[int]]:
+        """The row tables, block keys and block sizes read off ``share``:
+        its states with these frozen markers, in its order, block (i, j, s)
+        there being (i - x, j - x, s) here, x the sum of the newly frozen
+        markers."""
         new = self.frozen.items() - share.frozen.items()
         x = sum(mark for _, mark in new)
         blocks: dict[int, list[int]] = {}  # block id there -> [block id, size] here
+        tables: dict[MarkerVector, list[tuple[int, int]]] = {}
         for markers, rows in share._rows.items():
             if all(markers[pos] == mark for pos, mark in new):
-                table = self._rows[markers] = []
+                table = tables[markers] = []
                 for bid, _ in rows:
                     block = blocks.setdefault(bid, [len(blocks), 0])
                     table.append((block[0], block[1]))
                     block[1] += 1
-        self._keys = [(i - x, j - x, s) for i, j, s in map(share._keys.__getitem__, blocks)]
-        return [size for _, size in blocks.values()]
+        keys = [(i - x, j - x, s) for i, j, s in map(share._keys.__getitem__, blocks)]
+        return tables, keys, [size for _, size in blocks.values()]
+
+    def _lift_core(self) -> dict[GradingKey, int]:
+        """The block sizes lifted off the complex of the diagram without its
+        loops (see Free loops above).  Keys come in enumeration order, as
+        loops hold the lowest label-code bits: core keys in core order, each
+        with every loop labelling, +1 before -1, the first loop most
+        significant.  Keeps ``_core`` and ``_lifts``, core key -> its key
+        here under each labelling."""
+        core = self._core = GradedComplex(
+            Diagram(self.diagram.surface, self.diagram.crossings, self.diagram.edges))
+        loops = self.diagram.slot_tables.loops
+        labellings = list(itertools.product((1, -1), repeat=len(loops)))
+        j_shifts = [2 * sum(lab for c, lab in zip(loops, labels) if c.kind is CurveKind.TRIVIAL)
+                    for labels in labellings]
+        s_pairs = [[(c.cls, lab) for c, lab in zip(loops, labels)
+                    if c.kind is CurveKind.UNBOUNDING] for labels in labellings]
+        s_lifts: dict[GradingS, list[GradingS]] = {}  # core s -> s under each labelling
+        sizes: dict[GradingKey, int] = {}
+        for (i, j, s), n in core.sizes.items():
+            if s not in s_lifts:
+                s_lifts[s] = [GradingS.from_pairs([*s.entries, *pairs]) if pairs else s
+                              for pairs in s_pairs]
+            lifted = self._lifts[(i, j, s)] = [
+                (i, j + dj, ls) for dj, ls in zip(j_shifts, s_lifts[s])]
+            for key in lifted:
+                sizes[key] = sizes.get(key, 0) + n
+        return sizes
 
     @property
     def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
@@ -471,15 +569,23 @@ class GradedComplex:
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.  Computed on the first call and
-        stored: read the result only.
+        The keys come in (j, s) order.  With free loops d is the core's d
+        on each loop labelling, so a block's verdict is the AND of the core
+        verdicts lifted onto it.  Computed on the first call and stored:
+        read the result only.
         """
         if self._d2 is None:
-            ok: dict[tuple[int, GradingS], bool] = {}
-            for (i, j, s) in self.gradings():
-                zero = not any(_mat_mul(self.columns((i - 2, j, s)),
-                                        self.columns((i, j, s))))
-                ok[(j, s)] = ok.get((j, s), True) and zero
+            ok = dict.fromkeys(((j, s) for _, j, s in self.gradings()), True)
+            if self._core is not None:
+                core = self._core.d_squared_blocks()
+                for (_, j, s), lifted in self._lifts.items():
+                    if not core[(j, s)]:
+                        for _, lj, ls in lifted:
+                            ok[(lj, ls)] = False
+            else:
+                for (i, j, s) in self.gradings():
+                    if any(_mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s)))):
+                        ok[(j, s)] = False
             self._d2 = ok
         return self._d2
 
@@ -495,14 +601,24 @@ class GradedComplex:
     def factors(self) -> dict[GradingKey, tuple[int, ...]]:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
-        ``sizes``.  Computed on the first call and stored: read the result
-        only.
+        ``sizes``.  With free loops a block of d is the direct sum of the
+        core blocks lifted onto it, so their factors merge: the entries above
+        1 into one divisor chain (:func:`~bandkh.linalg.divisor_chain`), and
+        ones pad it to their total count.  Computed on the first call and
+        stored: read the result only.
         """
         if self._factors is None:
-            self._factors = {
-                (i, j, s): invariant_factors(self.columns((i, j, s)),
-                                             self.dim((i - 2, j, s)))
-                for (i, j, s) in self.sizes}
+            if self._core is not None:
+                parts: dict[GradingKey, list[tuple[int, ...]]] = {key: [] for key in self.sizes}
+                for key, factors in self._core.factors().items():
+                    for lifted in self._lifts[key]:
+                        parts[lifted].append(factors)
+                self._factors = {key: _direct_sum(p) for key, p in parts.items()}
+            else:
+                self._factors = {
+                    (i, j, s): invariant_factors(self.columns((i, j, s)),
+                                                 self.dim((i - 2, j, s)))
+                    for (i, j, s) in self.sizes}
         return self._factors
 
     def rank_table(self, tags: tuple[str, ...]) -> dict[GradingKey, tuple]:

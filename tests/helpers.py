@@ -146,7 +146,7 @@ def self_fold(surface: SurfaceModel, word: str,
     return Diagram(surface, (v, w), edges, tuple(parse_word(t) for t in extra_loops))
 
 
-def crosscap_shadow() -> Diagram:
+def crosscap_shadow(extra_loops: tuple[str, ...] = ()) -> Diagram:
     """A deliberately non-embeddable disk input: the fold with crossed bends.
 
     The slot data is fine but the pattern needs a crosscap, so the
@@ -156,7 +156,7 @@ def crosscap_shadow() -> Diagram:
     v, w = "v", "w"
     edges = (Edge((w, 2), (v, 0)), Edge((w, 1), (v, 1)),
              Edge((v, 2), (w, 3)), Edge((v, 3), (w, 0)))
-    return Diagram(DISK, (v, w), edges)
+    return Diagram(DISK, (v, w), edges, tuple(parse_word(t) for t in extra_loops))
 
 
 def wrap_cross(surface: SurfaceModel, word_x: str, word_y: str,

@@ -56,6 +56,7 @@ from helpers import (
     PANTS,
     TORUS_HOLE,
     c_prime_columns,
+    crosscap_shadow,
     g_conjugates_differentials,
     loops_diagram,
     membership_in_c_prime,
@@ -658,6 +659,18 @@ def test_les_check_rejects_an_empty_field_tuple():
     """With no field there is nothing to check, so no report says ok."""
     with pytest.raises(ChainMapError, match="no field"):
         long_exact_sequence_check(skein_triple(trefoil(), 0), ())
+
+
+@pytest.mark.parametrize("fields", [("Q", "Z2"), ("Q",)])
+@pytest.mark.parametrize("p", [0, 1])
+def test_les_check_refuses_a_complex_whose_d_does_not_square_to_zero(p, fields):
+    """The exactness ranks assume d o d = 0: on the crosscap shadow, where
+    the every-block oracle reports Q failures, the check raises instead of
+    reporting ok."""
+    t = skein_triple(crosscap_shadow(), p)
+    assert not dense_oracle.les_report(t, fields).ok
+    with pytest.raises(ComplexError, match=r"does not square to zero in block \(j=0,s=0\)"):
+        long_exact_sequence_check(t, fields)
 
 
 def test_skein_triple_reuses_only_the_unfrozen_complex_of_its_diagram():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import itertools
 import random
 import weakref
@@ -11,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 import dense_oracle
 from bandkh import chainmaps
 from bandkh.chainmaps import r2_pair, skein_triple
-from bandkh.cli import main
+from bandkh.cli import main, run_euler, run_verify
 from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
 from bandkh import state_complex
-from bandkh.homology import homology
-from bandkh.linalg import _mat_mul
+from bandkh.homology import COEFFICIENTS, homology
+from bandkh.linalg import _mat_mul, invariant_factors
 from bandkh.state_complex import ComplexError, GradedComplex
 from bandkh.surface import CurveKind, GradingS, inverse_word, parse_word
 from bandkh.textformat import emit_diagram
@@ -346,6 +347,119 @@ def test_decoded_states_match_eager_enumeration(seed, surface):
                 cx.locate(*args)
             with pytest.raises(KeyError):
                 cx.make_state(*args)
+
+
+def _enumerated_blocks(cx):
+    """The invariant factors of d out of each key of ``sizes`` and the d o d
+    verdicts in (j, s) order, read off the complex's own enumerated and
+    swept blocks: the path that a complex with free loops replaces."""
+    factors = {(i, j, s): invariant_factors(cx.columns((i, j, s)), cx.dim((i - 2, j, s)))
+               for (i, j, s) in cx.sizes}
+    ok: dict = {}
+    for (i, j, s) in cx.gradings():
+        zero = not any(_mat_mul(cx.columns((i - 2, j, s)), cx.columns((i, j, s))))
+        ok[(j, s)] = ok.get((j, s), True) and zero
+    return factors, ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+@example(0, 0, [0, 0])  # two trivial loops, whose mixed labellings share a key
+@example(2, 1, [1])  # an unbounding loop
+@example(5, 2, [1, 2, 3])  # three unbounding classes on the pants
+@example(3, 4, [2, 1, 0])  # a Moebius-bounding, an unbounding and a trivial loop
+def test_free_loops_split_off_as_full_enumeration_finds(seed, surface, loops):
+    """A complex with free loops lifts its sizes, the invariant factors of
+    its blocks and its d o d verdicts off its loop-free core: each equals,
+    in order, what the complex's own enumerated states and swept blocks
+    give.  Loops of every kind are added to random diagrams on all five
+    surfaces: trivial, unbounding, and Moebius-bounding on the band."""
+    surface = ALL_SURFACES[surface]
+    d = random_diagram(surface, random.Random(seed), max_crossings=4)
+    words = surface_words(surface)
+    d = Diagram(surface, d.crossings, d.edges,
+                d.loops + tuple(parse_word(words[k % len(words)]) for k in loops))
+    cx = GradedComplex(d)
+    sizes = list(cx.sizes.items())
+    factors, d2 = list(cx.factors().items()), list(cx.d_squared_blocks().items())
+    assert cx._core is not None and "_rows" not in vars(cx)
+    buckets, _ = dense_oracle.enumerate_states(cx)
+    assert sizes == [(key, len(bucket)) for key, bucket in buckets.items()]
+    full_factors, full_d2 = _enumerated_blocks(cx)
+    assert factors == list(full_factors.items())
+    assert d2 == list(full_d2.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 12), max_size=4), min_size=1, max_size=4))
+@example([[1, 2], [3]])  # Z/2 + Z/3 is Z/6: the merge adds a unit
+@example([[2], [2], [1]])
+def test_merged_factors_are_those_of_the_direct_sum(diagonals):
+    """Merging the invariant factors of blocks gives those of their direct
+    sum, each block a diagonal matrix on its own rows and columns."""
+    parts = [invariant_factors([[(r, v)] for r, v in enumerate(diag)], len(diag))
+             for diag in diagonals]
+    columns, rows = [], 0
+    for diag in diagonals:
+        columns += [[(rows + r, v)] for r, v in enumerate(diag)]
+        rows += len(diag)
+    assert state_complex._direct_sum(parts) == invariant_factors(columns, rows)
+
+
+@pytest.mark.parametrize("extra_loops", [("",), ("", ""), ("", "", "")])
+def test_crosscap_shadow_with_loops_fails_d_squared_at_the_enumerated_block(extra_loops):
+    """The non-embeddable input with free loops fails d o d at the same
+    (j, s) blocks as its enumerated blocks do, and names the first one."""
+    cx = GradedComplex(crosscap_shadow(extra_loops))
+    with pytest.raises(ComplexError) as failed:
+        cx.check_d_squared()
+    _, full_d2 = _enumerated_blocks(cx)
+    assert list(cx.d_squared_blocks().items()) == list(full_d2.items())
+    j, s = next(block for block, ok in full_d2.items() if not ok)
+    assert str(failed.value) == (
+        f"differential does not square to zero in block (j={j},s={s.text}); "
+        "the diagram is not drawable on the declared surface")
+
+
+def _count_enumerations(monkeypatch) -> list:
+    enumerated = []
+    real = GradedComplex._enumerate
+    monkeypatch.setattr(GradedComplex, "_enumerate",
+                        lambda self: enumerated.append(self.diagram) or real(self))
+    return enumerated
+
+
+@pytest.mark.parametrize("read", ["buckets", "columns", "chain map"])
+def test_homology_of_a_loop_diagram_enumerates_its_core_only(monkeypatch, read):
+    """homology over every ring enumerates the loop-free core only.  The
+    first read that names the states of a complex with loops (its buckets,
+    a block of d, a chain map) enumerates it, once for every later read."""
+    enumerated = _count_enumerations(monkeypatch)
+    d = twist_pair(PANTS, "a", 3, extra_loops=("b", ""))
+    cx = GradedComplex(d)
+    for coefficients in COEFFICIENTS:
+        homology(cx, coefficients)
+    assert enumerated == [cx._core.diagram] and not cx._core.diagram.loops
+    reads = {"buckets": lambda: cx.buckets,
+             "columns": lambda: cx.columns(next(iter(cx.sizes))),
+             "chain map": lambda: chainmaps.eta(cx)}
+    reads[read]()
+    assert enumerated[1:] == [d]
+    for other in reads.values():
+        other()
+    assert enumerated[1:] == [d]
+
+
+def test_euler_and_the_d2_euler_reidemeister_suites_enumerate_loop_free_cores_only(
+        monkeypatch):
+    """Every complex these build, the moved diagrams' included, reads its
+    sizes, factors and d o d verdicts off a loop-free core."""
+    enumerated = _count_enumerations(monkeypatch)
+    d = twist_pair(PANTS, "a", 3, extra_loops=("b", ""))
+    assert run_verify(d, ["d2", "euler", "reidemeister"], io.StringIO()) == 0
+    assert run_euler(d, io.StringIO()) == 0
+    assert enumerated and not any(x.loops for x in enumerated)
 
 
 def test_homology_path_builds_no_state_objects(monkeypatch):
