@@ -24,9 +24,11 @@ Edges are directed only for bookkeeping: traversing an edge from endpoint
 on the direction.
 
 The diagram does not verify that the input is actually drawable on the
-surface beyond slot matching; the caller asserts embeddability.  Feeding a
-non-embeddable diagram to homology raises when the differential fails to
-square to zero.
+surface beyond slot matching; the caller asserts embeddability.  Homology
+of a non-embeddable diagram raises only when the differential fails to
+square to zero, which catches some undrawable input but not all: ``loop :
+a a`` on the annulus, ``loop : a`` beside ``loop : b`` on the torus with
+one hole, and two ``loop : a`` on the Moebius band pass every check.
 """
 
 from __future__ import annotations

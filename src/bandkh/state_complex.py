@@ -31,15 +31,19 @@ resmoothing map, a frozen complex reads its states off the one it extends
 (``share``, else its diagram's unfrozen complex), up to a grading shift, and
 sweeps its own d and d+ over them, ``t`` counting free markers only.
 
-Free loops
-----------
-A free loop meets no crossing, so d keeps its label: the complex of a
-diagram with free loops is that of its loop-free core tensored with Z^2 per
-loop (Kunneth; Khovanov's H(L + O) = H(L) (x) A, arXiv:math/9908171).  A
-loop labelled e shifts j by 2e if it is trivial, s by e times its class if
-it is unbounding, and no grading if it bounds a Moebius band.  An unfrozen
-complex with free loops lifts its block sizes, the invariant factors of d
-and the d o d verdicts off its core, and enumerates its own states only
+Split diagrams
+--------------
+Crossings of different crossing-connected components never touch the same
+circle, so the complex of a split diagram D1 + D2 is C(D1) (x) C(D2), the
+gradings adding (Kunneth; Khovanov, arXiv:math/9908171); the two sign
+conventions differ by a diagonal +-1 change of basis, which changes no
+invariant factor and no d o d verdict.  A free loop is the component
+without crossings: Z^2 with d = 0, its label e shifting j by 2e if it is
+trivial, s by e times its class if it is unbounding, and no grading if it
+bounds a Moebius band.  An unfrozen complex with free loops or two or more
+crossing-connected components lifts its block sizes, the invariant factors
+of d and the d o d verdicts off the complexes of its components, built
+when one of the three is first read, and enumerates its own states only
 when something reads them.
 
 Label codes
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -70,7 +75,7 @@ from .linalg import (
     invariant_factors,
     rank_over,
 )
-from .surface import CurveClass, CurveKind, GradingS
+from .surface import CurveClass, CurveKind, GradingS, grading_add
 
 GradingKey = tuple[int, int, GradingS]
 
@@ -142,14 +147,143 @@ def _direct_sum(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
     return (1,) * (sum(map(len, parts)) - len(chain)) + chain
 
 
-class _RowTable:
-    """A row table (``_rows``, ``_keys`` or ``_bids``) of a complex with free
-    loops, which enumerates its states on the first read of any of the
-    three; the enumerated blocks must be its ``sizes``, keys in order, or
-    :class:`ComplexError` is raised.  Every other complex stores its tables
-    when built, and an instance attribute hides this descriptor, so reads
-    cost no call.  (A ``__getattr__`` hook would instead slow every
-    attribute read of every complex, by about 3 % on ``les``.)"""
+def _order(key: GradingKey) -> tuple:
+    """The sort key of :meth:`GradedComplex.gradings`: (j, s, i)."""
+    return (key[1], key[2].sort_key, key[0])
+
+
+def _crossing_groups(diagram: Diagram) -> list[list[int]]:
+    """The crossing positions of each crossing-connected component, in
+    order of their first crossing."""
+    succ, groups, seen = diagram.slot_tables.succ, [], set()
+    for start in range(diagram.n_crossings):
+        if start not in seen:
+            group, stack = set(), [start]
+            while stack:
+                if (k := stack.pop()) not in group:
+                    group.add(k)
+                    stack += [succ[slot] >> 2 for slot in range(4 * k, 4 * k + 4)]
+            seen |= group
+            groups.append(sorted(group))
+    return groups
+
+
+class _FreeLoop:
+    """A free loop as a component without crossings: Z^2 with d = 0."""
+
+    def __init__(self, loop: Circle):
+        self.sizes: dict[GradingKey, int] = {}
+        for lab in (1, -1):
+            key = (0, 2 * lab if loop.kind is CurveKind.TRIVIAL else 0, GradingS.from_pairs(
+                [(loop.cls, lab)] if loop.kind is CurveKind.UNBOUNDING else []))
+            self.sizes[key] = self.sizes.get(key, 0) + 1
+
+    def factors(self) -> dict[GradingKey, tuple[int, ...]]:
+        return dict.fromkeys(self.sizes, ())
+
+    def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
+        return {(j, s): True for _, j, s in self.sizes}
+
+
+_UNIT: GradingKey = (0, 0, GradingS.zero())  # the key of the empty diagram's state
+
+
+class _Kunneth:
+    """The block sizes, d o d verdicts and invariant factors of a tensor
+    product of complexes, read off those of its ``parts`` (objects with
+    ``sizes``, ``factors()`` and ``d_squared_blocks()``).  A key of the
+    product is the sum of its parts' keys (:meth:`add`), each sum of two s
+    gradings built once."""
+
+    def __init__(self):
+        self.sums: dict[tuple[GradingS, GradingS], GradingS] = {}
+
+    def add(self, a: GradingKey, b: GradingKey) -> GradingKey:
+        (i, j, s), (i2, j2, s2) = a, b
+        if s2.entries:
+            s = (self.sums.get((s, s2)) or self.sums.setdefault((s, s2), grading_add(s, s2))
+                 if s.entries else s2)
+        return (i + i2, j + j2, s)
+
+    def sizes(self, parts: list) -> dict[GradingKey, int]:
+        """The block sizes of the product of ``parts``."""
+        acc = {_UNIT: 1}
+        for part in parts:
+            new: dict[GradingKey, int] = {}
+            for a, m in acc.items():
+                for b, n in part.sizes.items():
+                    key = self.add(a, b)
+                    new[key] = new.get(key, 0) + m * n
+            acc = new
+        return acc
+
+    def d_squared(self, parts: list) -> dict[tuple[int, GradingS], bool]:
+        """The d o d verdict of each (j, s) chain of the product of ``parts``:
+        d o d is d1 o d1 (x) 1 + 1 (x) d2 o d2, so a chain's verdict is the
+        AND of the verdicts of the factor chains that land on it."""
+        acc = {(0, _UNIT[2]): True}
+        for part in parts:
+            new: dict[tuple[int, GradingS], bool] = {}
+            verdicts = part.d_squared_blocks()
+            for (j, s), ok in acc.items():
+                for (j2, s2), ok2 in verdicts.items():
+                    _, lj, ls = self.add((0, j, s), (0, j2, s2))
+                    new[(lj, ls)] = new.get((lj, ls), True) and ok and ok2
+            acc = new
+        return acc
+
+    def factors(self, parts: list) -> dict[GradingKey, tuple[int, ...]]:
+        """The invariant factors of d out of each key of the product of
+        ``parts``, over Z.  Each part splits into free pieces Z[a] and
+        elementary pieces (Z -m-> Z) out of key a, one per invariant factor
+        m out of a; the rest of a is free.  Z (x) Z is free,
+        Z (x) (Z -m-> Z) is (Z -m-> Z), and (Z -m-> Z) (x) (Z -n-> Z) has
+        d out of its top and out of its middle key with one invariant factor
+        gcd(m, n) each, the second being the Tor term.  Per key the moduli
+        merge as a direct sum (:func:`_direct_sum`)."""
+        acc: dict[GradingKey, list] = {_UNIT: [1, {}]}  # key -> [free, {modulus: count}]
+        for part in parts:
+            out, pieces = part.factors(), {}
+            for (i, j, s), n in part.sizes.items():
+                moduli: dict[int, int] = {}
+                for m in (factors := out.get((i, j, s), ())):
+                    moduli[m] = moduli.get(m, 0) + 1
+                pieces[(i, j, s)] = (n - len(factors) - len(out.get((i + 2, j, s), ())), moduli)
+            new: dict[GradingKey, list] = {}
+            for a, (x, ma) in acc.items():
+                for b, (y, mb) in pieces.items():
+                    key = self.add(a, b)
+                    entry = new.get(key) or new.setdefault(key, [0, {}])
+                    entry[0] += x * y
+                    got = entry[1]
+                    for m, count in ma.items():
+                        got[m] = got.get(m, 0) + count * y
+                    for n, count in mb.items():
+                        got[n] = got.get(n, 0) + x * count
+                    if ma and mb:
+                        mid = new.get(below := (key[0] - 2, key[1], key[2])) \
+                            or new.setdefault(below, [0, {}])
+                        for m, c1 in ma.items():
+                            for n, c2 in mb.items():
+                                g = gcd(m, n)
+                                got[g] = got.get(g, 0) + c1 * c2
+                                mid[1][g] = mid[1].get(g, 0) + c1 * c2
+            acc = new
+        return {key: _direct_sum([(m,) * count for m, count in moduli.items() if count])
+                for key, (_, moduli) in acc.items()}
+
+
+class _Lazy:
+    """An attribute of a split complex, filled on first read by ``fill``:
+    ``sizes`` off its components, or the row tables ``_rows``, ``_keys``
+    and ``_bids`` by enumerating its own states.  Every other complex
+    stores them when built, and an instance attribute hides this
+    descriptor, so reads cost no call.  (A ``__getattr__`` hook would
+    instead slow every attribute read of every complex, by about 3 % on
+    ``les``.)"""
+
+    def __init__(self, fill: Callable[[GradedComplex], None]):
+        self.fill = fill
 
     def __set_name__(self, owner: type, name: str):
         self.name = name
@@ -157,13 +291,8 @@ class _RowTable:
     def __get__(self, cx: GradedComplex | None, owner: type | None = None):
         if cx is None:
             return self
-        rows, keys, counts = cx._enumerate()
-        if list(zip(keys, counts)) != list(cx.sizes.items()):
-            raise ComplexError("the enumerated blocks differ from those lifted off "
-                               "the loop-free core")
-        cx._rows, cx._keys = rows, keys
-        cx._bids = {key: bid for bid, key in enumerate(keys)}
-        return getattr(cx, self.name)
+        self.fill(cx)
+        return vars(cx)[self.name]
 
 
 @dataclass(frozen=True)
@@ -192,6 +321,42 @@ class _CodeMap:
         return [out | new for new in self.local[code & self.mask]]
 
 
+def _local_rule(touched: list[tuple[int, int]],
+                new: list[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
+    """The merge/split rule of one shape.
+
+    ``touched`` and ``new`` give the (label-code bit, class id) of the
+    circles through the crossing before and after the flip, class id 0 for
+    trivial circles.  Each labelling of the touched circles (its bits) maps
+    to the bits of every labelling of the new circles that raises the
+    trivial-circle sum by one and conserves the signed label sum of every
+    other class.
+    """
+    def outcomes(places: list[tuple[int, int]]) -> list[tuple]:
+        out = []
+        for labels in itertools.product((1, -1), repeat=len(places)):
+            bits, tau, psi = 0, 0, {}
+            for (bit, c), lab in zip(places, labels):
+                if lab < 0:
+                    bits |= bit
+                if c:
+                    psi[c] = psi.get(c, 0) + lab
+                else:
+                    tau += lab
+            out.append((bits, tau, {c: x for c, x in psi.items() if x}))
+        return out
+
+    after = [(bits, (tau, psi)) for bits, tau, psi in outcomes(new)]
+    return {bits: tuple(b for b, got in after if got == (tau + 1, psi))
+            for bits, tau, psi in outcomes(touched)}
+
+
+#: The merge/split rule of each shape code (see ``_derive_flip``), derived
+#: once per process: a rule depends on its shape alone, so every complex
+#: reads the same table, and two threads that fill one entry store equal rules.
+_LOCAL_RULES: dict[int, dict[int, tuple[int, ...]]] = {}
+
+
 class GradedComplex:
     """The chain complex of a diagram, optionally with frozen markers.
 
@@ -202,14 +367,14 @@ class GradedComplex:
     A frozen complex reads its row tables off ``share``, a complex of the
     same diagram frozen at a subset of these markers, else off its diagram's
     unfrozen complex, built here for that alone, and shares that one's
-    smoothing cache, class ids, flip rules and merge/split tables, but does
-    not keep it.
+    smoothing cache, class ids and flip rules, but does not keep it.
 
-    An unfrozen complex of a diagram with free loops keeps the complex of
-    its loop-free core (``_core``) and lifts ``sizes``, :meth:`factors` and
-    :meth:`d_squared_blocks` off it; its own row tables are enumerated when
-    first read, by what names states: ``buckets``, ``index``, ``locate``,
-    d and d+, and the chain maps.
+    An unfrozen complex of a split diagram (see Split diagrams above) lifts
+    ``sizes``, :meth:`factors` and :meth:`d_squared_blocks` off the parts
+    of :meth:`_components`, built when one of them is first read, and lists
+    ``sizes`` in :meth:`gradings` order.  Its own row tables are enumerated
+    when first read, by what names states: ``buckets``, ``index``,
+    ``locate``, d and d+, and the chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -223,7 +388,6 @@ class GradedComplex:
                           if k not in self.frozen)
         self._class_ids: dict[CurveClass, int] = {}
         self._smooth_cache: dict[MarkerVector, _Smoothing] = {}
-        self._locals: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self._flips: dict[tuple[MarkerVector, int], _CodeMap] = {}
         if share is None and self.frozen:
             share = GradedComplex(diagram)
@@ -231,12 +395,13 @@ class GradedComplex:
             if share.diagram != diagram or not share.frozen.items() <= self.frozen.items():
                 raise ComplexError("a shared complex must be of the same diagram and "
                                    "freeze a subset of these markers")
-            self._class_ids, self._smooth_cache, self._locals, self._flips = (
-                share._class_ids, share._smooth_cache, share._locals, share._flips)
+            self._class_ids, self._smooth_cache, self._flips = (
+                share._class_ids, share._smooth_cache, share._flips)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's key
         # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
         # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
-        # With free loops the first three are filled on first read (_RowTable).
+        # A split complex fills the first four on first read (_Lazy).
+        self.sizes: dict[GradingKey, int]
         self._keys: list[GradingKey]
         self._rows: dict[MarkerVector, list[tuple[int, int]]]
         self._bids: dict[GradingKey, int]
@@ -246,18 +411,54 @@ class GradedComplex:
         self._d2: dict[tuple[int, GradingS], bool] | None = None
         self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._rank_tables: dict[tuple[str, ...], dict[GradingKey, tuple]] = {}
-        self._core: GradedComplex | None = None
-        self._lifts: dict[GradingKey, list[GradingKey]] = {}
-        self.sizes: dict[GradingKey, int]
-        if share is None and diagram.loops:
-            self.sizes = self._lift_core()
+        self._groups: list[list[int]] | None = None
+        self._parts: list | None = None
+        if share is not None:
+            self._store(*self._restrict(share))
+            return
+        groups = _crossing_groups(diagram)
+        if diagram.loops or len(groups) > 1:
+            self._groups = groups  # split: the rest is filled on first read
         else:
-            self._rows, self._keys, counts = (
-                self._enumerate() if share is None else self._restrict(share))
-            self.sizes = dict(zip(self._keys, counts))
-            self._bids = {key: bid for bid, key in enumerate(self._keys)}
+            self._store(*self._enumerate())
 
-    _rows, _keys, _bids = _RowTable(), _RowTable(), _RowTable()
+    def _store(self, rows: dict, keys: list[GradingKey], counts: list[int]) -> None:
+        """Keep the row tables and block sizes.  A split complex lists its
+        sizes in :meth:`gradings` order, and they must be those lifted off
+        its components if these were read first."""
+        self._rows, self._keys = rows, keys
+        self._bids = {key: bid for bid, key in enumerate(keys)}
+        sizes = dict(zip(keys, counts))
+        if self._groups is not None:
+            sizes = dict(sorted(sizes.items(), key=lambda item: _order(item[0])))
+            if vars(self).setdefault("sizes", sizes) != sizes:
+                raise ComplexError("the enumerated blocks differ from those lifted off "
+                                   "the components")
+        self.sizes = sizes
+
+    def _lift(self) -> None:
+        self.sizes = dict(sorted(_Kunneth().sizes(self._components()).items(),
+                                 key=lambda item: _order(item[0])))
+
+    def _components(self) -> list:
+        """The parts of a split complex, built on first call: the complex of
+        each crossing-connected component (same surface, its crossings and
+        the edges between them), then each free loop (:class:`_FreeLoop`)."""
+        if self._parts is None:
+            d, self._parts = self.diagram, []
+            for group in self._groups:
+                ids = {d.crossings[k] for k in group}
+                self._parts.append(GradedComplex(Diagram(
+                    d.surface, tuple(d.crossings[k] for k in group),
+                    tuple(e for e in d.edges if e.a[0] in ids))))
+            self._parts += map(_FreeLoop, d.slot_tables.loops)
+        return self._parts
+
+    def _own_rows(self) -> None:
+        self._store(*self._enumerate())
+
+    sizes = _Lazy(_lift)
+    _rows, _keys, _bids = _Lazy(_own_rows), _Lazy(_own_rows), _Lazy(_own_rows)
 
     # -- construction ---------------------------------------------------
 
@@ -338,39 +539,12 @@ class GradedComplex:
         keys = [(i - x, j - x, s) for i, j, s in map(share._keys.__getitem__, blocks)]
         return tables, keys, [size for _, size in blocks.values()]
 
-    def _lift_core(self) -> dict[GradingKey, int]:
-        """The block sizes lifted off the complex of the diagram without its
-        loops (see Free loops above).  Keys come in enumeration order, as
-        loops hold the lowest label-code bits: core keys in core order, each
-        with every loop labelling, +1 before -1, the first loop most
-        significant.  Keeps ``_core`` and ``_lifts``, core key -> its key
-        here under each labelling."""
-        core = self._core = GradedComplex(
-            Diagram(self.diagram.surface, self.diagram.crossings, self.diagram.edges))
-        loops = self.diagram.slot_tables.loops
-        labellings = list(itertools.product((1, -1), repeat=len(loops)))
-        j_shifts = [2 * sum(lab for c, lab in zip(loops, labels) if c.kind is CurveKind.TRIVIAL)
-                    for labels in labellings]
-        s_pairs = [[(c.cls, lab) for c, lab in zip(loops, labels)
-                    if c.kind is CurveKind.UNBOUNDING] for labels in labellings]
-        s_lifts: dict[GradingS, list[GradingS]] = {}  # core s -> s under each labelling
-        sizes: dict[GradingKey, int] = {}
-        for (i, j, s), n in core.sizes.items():
-            if s not in s_lifts:
-                s_lifts[s] = [GradingS.from_pairs([*s.entries, *pairs]) if pairs else s
-                              for pairs in s_pairs]
-            lifted = self._lifts[(i, j, s)] = [
-                (i, j + dj, ls) for dj, ls in zip(j_shifts, s_lifts[s])]
-            for key in lifted:
-                sizes[key] = sizes.get(key, 0) + n
-        return sizes
-
     @property
     def buckets(self) -> Mapping[GradingKey, list[EnhancedState]]:
         """The enumerated states by grading key, each list in row order:
         decoded from the row tables on first read.  Read only."""
         if self._buckets is None:
-            buckets: list[list] = [[None] * n for n in self.sizes.values()]
+            buckets: list[list] = [[None] * self.sizes[key] for key in self._keys]
             for markers, labels, bid, row in self._states():
                 i, j, s = self._keys[bid]
                 buckets[bid][row] = EnhancedState(markers, labels, i, (j - i) // 2, j, s,
@@ -400,7 +574,7 @@ class GradedComplex:
         return self.sizes.get(key, 0)
 
     def gradings(self) -> list[GradingKey]:
-        return sorted(self.sizes, key=lambda k: (k[1], k[2].sort_key, k[0]))
+        return sorted(self.sizes, key=_order)
 
     def locate(self, markers: MarkerVector, labels: Sequence[int]) -> tuple[GradingKey, int]:
         """The grading key and row of an enumerated state; ``KeyError`` for
@@ -449,48 +623,26 @@ class GradedComplex:
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
         width_src, width = len(src.circles), len(tgt.circles)
-        vslots = range(4 * pos, 4 * pos + 4)
-        touched = sorted({src.at[slot] for slot in vslots})
-        new = sorted({tgt.at[slot] for slot in vslots})
+        touched = sorted({src.at[4 * pos], src.at[4 * pos + 2]})  # on the arcs (0 1), (2 3)
+        new = sorted({tgt.at[4 * pos], tgt.at[4 * pos + 1]})  # on the arcs (3 0), (1 2)
         kept = [(1 << width_src - 1 - src.at[c.ints[0]] if c.ints else 1 << width - 1 - k,
                  1 << width - 1 - k) for k, c in enumerate(tgt.circles) if k not in new]
-        local = self._local_rule(
-            tuple((1 << width_src - 1 - k, src.cids[k]) for k in touched),
-            tuple((1 << width - 1 - k, tgt.cids[k]) for k in new))
+        # The shape as one integer: per side the circle count, then per
+        # circle its label-code bit position (below 2^20, as a smoothing has
+        # fewer circles) and its class id renumbered by first appearance,
+        # as the rule reads only which ids are 0 and which are equal.
+        shape, ids = 0, {0: 0}
+        for width_, data, circles in ((width_src, src, touched), (width, tgt, new)):
+            shape = shape << 2 | len(circles)
+            for k in circles:
+                shape = shape << 24 | width_ - 1 - k << 4 | ids.setdefault(data.cids[k], len(ids))
+        local = _LOCAL_RULES.get(shape)
+        if local is None:
+            local = _LOCAL_RULES[shape] = _local_rule(
+                [(1 << width_src - 1 - k, src.cids[k]) for k in touched],
+                [(1 << width - 1 - k, tgt.cids[k]) for k in new])
         return _CodeMap(flipped, width, tuple(kept), _mask(touched, width_src), local)
 
-    def _local_rule(self, touched: tuple[tuple[int, int], ...],
-                    new: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
-        """The merge/split rule of one shape, derived once per complex.
-
-        ``touched`` and ``new`` give the (label-code bit, class id) of the
-        circles through the crossing before and after the flip, class id 0
-        for trivial circles.  Each labelling of the touched circles (its
-        bits) maps to the bits of every labelling of the new circles that
-        raises the trivial-circle sum by one and conserves the signed label
-        sum of every other class.
-        """
-        rule = self._locals.get((touched, new))
-        if rule is None:
-            def outcomes(places: tuple[tuple[int, int], ...]) -> list[tuple]:
-                out = []
-                for labels in itertools.product((1, -1), repeat=len(places)):
-                    bits, tau, psi = 0, 0, {}
-                    for (bit, c), lab in zip(places, labels):
-                        if lab < 0:
-                            bits |= bit
-                        if c:
-                            psi[c] = psi.get(c, 0) + lab
-                        else:
-                            tau += lab
-                    out.append((bits, tau, {c: x for c, x in psi.items() if x}))
-                return out
-
-            after = [(bits, (tau, psi)) for bits, tau, psi in outcomes(new)]
-            rule = self._locals[(touched, new)] = {
-                bits: tuple(b for b, got in after if got == (tau + 1, psi))
-                for bits, tau, psi in outcomes(touched)}
-        return rule
 
     def _fill(self, target: GradedComplex, grading: Callable[[GradingKey], GradingKey],
               parts: Callable[[MarkerVector], Iterable[tuple]]) -> dict[GradingKey, Columns]:
@@ -499,7 +651,7 @@ class GradedComplex:
         ``parts(markers)`` sends label code c to ``sign`` times the target
         codes ``targets(c)`` of the code map, or c for None.  An entry off
         the block at ``grading(key)`` raises :class:`ComplexError`."""
-        blocks: list[Columns] = [[[] for _ in range(n)] for n in self.sizes.values()]
+        blocks: list[Columns] = [[[] for _ in range(self.sizes[key])] for key in self._keys]
         want = [target._bids.get(grading(key), -1) for key in self._keys]
         for markers, rows in self._rows.items():
             for sign, tmarkers, rule in parts(markers):
@@ -569,19 +721,14 @@ class GradedComplex:
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.  With free loops d is the core's d
-        on each loop labelling, so a block's verdict is the AND of the core
-        verdicts lifted onto it.  Computed on the first call and stored:
-        read the result only.
+        The keys come in (j, s) order.  A split complex ANDs the verdicts of
+        its components' chains that land on each (see :class:`_Kunneth`).
+        Computed on the first call and stored: read the result only.
         """
         if self._d2 is None:
             ok = dict.fromkeys(((j, s) for _, j, s in self.gradings()), True)
-            if self._core is not None:
-                core = self._core.d_squared_blocks()
-                for (_, j, s), lifted in self._lifts.items():
-                    if not core[(j, s)]:
-                        for _, lj, ls in lifted:
-                            ok[(lj, ls)] = False
+            if self._groups is not None:
+                ok.update(_Kunneth().d_squared(self._components()))
             else:
                 for (i, j, s) in self.gradings():
                     if any(_mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s)))):
@@ -601,19 +748,15 @@ class GradedComplex:
     def factors(self) -> dict[GradingKey, tuple[int, ...]]:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
-        ``sizes``.  With free loops a block of d is the direct sum of the
-        core blocks lifted onto it, so their factors merge: the entries above
-        1 into one divisor chain (:func:`~bandkh.linalg.divisor_chain`), and
-        ones pad it to their total count.  Computed on the first call and
+        ``sizes``.  A split complex whose d o d vanishes reads them off its
+        components' factors by the Kunneth formula (see :class:`_Kunneth`),
+        which holds for chain complexes only.  Computed on the first call and
         stored: read the result only.
         """
         if self._factors is None:
-            if self._core is not None:
-                parts: dict[GradingKey, list[tuple[int, ...]]] = {key: [] for key in self.sizes}
-                for key, factors in self._core.factors().items():
-                    for lifted in self._lifts[key]:
-                        parts[lifted].append(factors)
-                self._factors = {key: _direct_sum(p) for key, p in parts.items()}
+            if self._groups is not None and all(self.d_squared_blocks().values()):
+                lifted = _Kunneth().factors(self._components())
+                self._factors = {key: lifted.get(key, ()) for key in self.sizes}
             else:
                 self._factors = {
                     (i, j, s): invariant_factors(self.columns((i, j, s)),
@@ -632,7 +775,7 @@ class GradedComplex:
         >>> from bandkh.surface import SurfaceModel
         >>> cx = GradedComplex(Diagram(SurfaceModel.planar_holes(0), loops=((),)))
         >>> cx.rank_table(("Q", "Z2"))
-        {(0, 2, GradingS(0)): ((0, 0), (1, 1)), (0, -2, GradingS(0)): ((0, 0), (1, 1))}
+        {(0, -2, GradingS(0)): ((0, 0), (1, 1)), (0, 2, GradingS(0)): ((0, 0), (1, 1))}
         >>> cx.rank_table(("Q", "Z2")) is cx.rank_table(("Q", "Z2"))
         True
         """

@@ -277,6 +277,26 @@ def slide_crossing(diagram: Diagram, pos: int, symbol: str) -> Diagram:
                    diagram.loops)
 
 
+def disjoint_union(*diagrams: Diagram, rng: random.Random | None = None) -> Diagram:
+    """The diagrams side by side on the first one's surface: crossing c of
+    diagram n becomes ``c_n``, loops follow in order, and ``rng`` shuffles
+    the crossings so that the components interleave.  Two curves that must
+    meet stay apart, so the union need not be drawable; its complex is the
+    tensor product of theirs all the same."""
+    crossings, edges, loops = [], [], []
+    for n, d in enumerate(diagrams):
+        rename = lambda slot, n=n: (f"{slot[0]}_{n}", slot[1])
+        crossings += [f"{c}_{n}" for c in d.crossings]
+        edges += [Edge(rename(e.a), rename(e.b), e.word) for e in d.edges]
+        loops += d.loops
+    union = Diagram(diagrams[0].surface, tuple(crossings), tuple(edges), tuple(loops))
+    if rng is not None and union.n_crossings > 1:
+        perm = list(range(union.n_crossings))
+        rng.shuffle(perm)
+        union = reorder_crossings(union, perm)
+    return union
+
+
 # ---------------------------------------------------------------------------
 # Random realizable diagrams
 # ---------------------------------------------------------------------------

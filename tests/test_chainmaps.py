@@ -492,7 +492,7 @@ def test_skein_triple_shares_the_smoothings_of_cp():
     t = skein_triple(d, 1, cx)
     for frozen in (t.c0, t.cinf):
         assert frozen._smooth_cache is cx._smooth_cache
-        assert frozen._class_ids is cx._class_ids and frozen._locals is cx._locals
+        assert frozen._class_ids is cx._class_ids
         assert frozen._flips is cx._flips
     with pytest.raises(ComplexError, match="same diagram"):
         GradedComplex(trefoil(), share=cx)

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh import chainmaps
-from bandkh.chainmaps import r2_pair, skein_triple
+from bandkh.chainmaps import mirror_map, r2_pair, reorder_iso, rho_I, skein_triple
 from bandkh.cli import main, run_euler, run_verify
-from bandkh.diagram import Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, smooth
+from bandkh.diagram import (Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2, mirror,
+                            reorder_crossings, smooth)
 from bandkh import state_complex
 from bandkh.homology import COEFFICIENTS, homology
 from bandkh.linalg import _mat_mul, invariant_factors
@@ -31,6 +32,7 @@ from helpers import (
     clasp,
     chain3,
     crosscap_shadow,
+    disjoint_union,
     euler_characteristic_consistent,
     incidence_number,
     loops_diagram,
@@ -380,15 +382,78 @@ def test_free_loops_split_off_as_full_enumeration_finds(seed, surface, loops):
     words = surface_words(surface)
     d = Diagram(surface, d.crossings, d.edges,
                 d.loops + tuple(parse_word(words[k % len(words)]) for k in loops))
-    cx = GradedComplex(d)
-    sizes = list(cx.sizes.items())
+    _assert_split_matches_full_enumeration(GradedComplex(d))
+
+
+def _connected(d: Diagram) -> bool:
+    """Loop-free, with at most one crossing-connected component."""
+    return not d.loops and len(state_complex._crossing_groups(d)) <= 1
+
+
+def _assert_split_matches_full_enumeration(cx):
+    """``sizes`` (as a mapping, listed in ``gradings`` order), the factors
+    and the d o d verdicts of a split complex, lifted off its components,
+    equal what its own enumerated states and swept blocks give."""
+    assert cx._groups is not None and cx._parts is None
+    sizes = dict(cx.sizes)
     factors, d2 = list(cx.factors().items()), list(cx.d_squared_blocks().items())
-    assert cx._core is not None and "_rows" not in vars(cx)
+    assert "_rows" not in vars(cx) or not all(cx.d_squared_blocks().values())
+    assert all(_connected(part.diagram) for part in cx._parts
+               if isinstance(part, GradedComplex))
+    assert list(sizes) == cx.gradings()
     buckets, _ = dense_oracle.enumerate_states(cx)
-    assert sizes == [(key, len(bucket)) for key, bucket in buckets.items()]
+    assert sizes == {key: len(bucket) for key, bucket in buckets.items()}
     full_factors, full_d2 = _enumerated_blocks(cx)
-    assert factors == list(full_factors.items())
     assert d2 == list(full_d2.items())
+    assert factors == list(full_factors.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
+       st.integers(1, 2), st.sampled_from(["crosscap", "none", "trefoil"]),
+       st.lists(st.integers(0, 11), max_size=2))
+@example(0, 0, 1, "trefoil", [])  # the trefoil beside a random disk diagram
+@example(3, 0, 2, "trefoil", [0])  # three components and a trivial loop
+@example(1, 2, 1, "trefoil", [1, 2])  # torsion beside unbounding loops
+@example(7, 0, 1, "crosscap", [])  # the crosscap shadow beside a twist or kink
+@example(4, 4, 2, "crosscap", [2])  # ... on the Moebius band, with a loop
+@example(5, 3, 2, "none", [1])
+def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special, loops):
+    """A diagram with two or three crossing-connected components, and free
+    loops, lifts its sizes, factors and d o d verdicts off its components by
+    the Kunneth formula: each equals what full enumeration gives, in order.
+    The components interleave in the crossing order; the trefoil's twist
+    brings Z/2 torsion, so the Tor term of two such pieces is exercised, and
+    the crosscap shadow fails d o d beside its neighbours."""
+    surface, rng = ALL_SURFACES[surface], random.Random(seed)
+    parts = [random_diagram(surface, rng, max_crossings=2) for _ in range(n_random)]
+    if special == "trefoil":  # Z/2 torsion; two bring (Z -2-> Z) (x) (Z -2-> Z)
+        parts[1:] = [twist_pair(surface, "", 3)] * n_random
+    elif special == "crosscap":
+        parts.append(dataclasses.replace(crosscap_shadow(), surface=surface))
+    words = surface_words(surface)
+    parts.append(Diagram(surface, loops=tuple(parse_word(words[k % len(words)])
+                                               for k in loops)))
+    d = disjoint_union(*parts, rng=rng)
+    if len(state_complex._crossing_groups(d)) + len(d.loops) > 1:
+        _assert_split_matches_full_enumeration(GradedComplex(d))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_crosscap_shadow_beside_a_twist_fails_d_squared_at_the_enumerated_blocks(k):
+    """The crosscap shadow split off beside a twist: d o d fails at the
+    (j, s) chains full enumeration names, and the first one is reported."""
+    d = disjoint_union(twist_pair(DISK, "", k), crosscap_shadow(("",)), rng=random.Random(k))
+    cx = GradedComplex(d)
+    with pytest.raises(ComplexError) as failed:
+        cx.check_d_squared()
+    assert "_rows" not in vars(cx)
+    _, full_d2 = _enumerated_blocks(cx)
+    assert list(cx.d_squared_blocks().items()) == list(full_d2.items())
+    j, s = next(block for block, ok in full_d2.items() if not ok)
+    assert str(failed.value) == (
+        f"differential does not square to zero in block (j={j},s={s.text}); "
+        "the diagram is not drawable on the declared surface")
 
 
 @settings(max_examples=200, deadline=None)
@@ -440,7 +505,7 @@ def test_homology_of_a_loop_diagram_enumerates_its_core_only(monkeypatch, read):
     cx = GradedComplex(d)
     for coefficients in COEFFICIENTS:
         homology(cx, coefficients)
-    assert enumerated == [cx._core.diagram] and not cx._core.diagram.loops
+    assert enumerated == [cx._parts[0].diagram] and _connected(enumerated[0])
     reads = {"buckets": lambda: cx.buckets,
              "columns": lambda: cx.columns(next(iter(cx.sizes))),
              "chain map": lambda: chainmaps.eta(cx)}
@@ -454,12 +519,51 @@ def test_homology_of_a_loop_diagram_enumerates_its_core_only(monkeypatch, read):
 def test_euler_and_the_d2_euler_reidemeister_suites_enumerate_loop_free_cores_only(
         monkeypatch):
     """Every complex these build, the moved diagrams' included, reads its
-    sizes, factors and d o d verdicts off a loop-free core."""
+    sizes, factors and d o d verdicts off its components: only connected,
+    loop-free complexes are enumerated.  A kink on a free loop is a
+    component of its own, whose complex the r1neg check reduces."""
     enumerated = _count_enumerations(monkeypatch)
-    d = twist_pair(PANTS, "a", 3, extra_loops=("b", ""))
-    assert run_verify(d, ["d2", "euler", "reidemeister"], io.StringIO()) == 0
-    assert run_euler(d, io.StringIO()) == 0
-    assert enumerated and not any(x.loops for x in enumerated)
+    kinked_loop = apply_r1_neg(loops_diagram(PANTS, ""), ("loop", 0))
+    for d in (twist_pair(PANTS, "a", 3, extra_loops=("b", "")),
+              disjoint_union(twist_pair(PANTS, "a", 2), kinked_loop, loops_diagram(PANTS, "b", ""),
+                             rng=random.Random(1))):
+        enumerated.clear()
+        assert run_verify(d, ["d2", "euler", "reidemeister"], io.StringIO()) == 0
+        assert run_euler(d, io.StringIO()) == 0
+        assert enumerated and all(_connected(x) for x in enumerated)
+    assert any(x.crossings == ("n1_1",) for x in enumerated)  # the kink on the loop
+
+
+def test_a_split_complex_builds_no_component_it_does_not_read(monkeypatch):
+    """A split complex that is only restricted or mapped enumerates itself,
+    not its components: the unfrozen parent of a frozen complex built
+    without ``share``, and the complexes of ``rho_I``, ``mirror_map`` and
+    ``reorder_iso``.  Its first read of sizes, factors or d o d verdicts
+    builds the components, each once."""
+    enumerated = _count_enumerations(monkeypatch)
+    d = disjoint_union(twist_pair(PANTS, "b", 2), apply_r1_neg(loops_diagram(PANTS, "a"),
+                                                              ("loop", 0)),
+                       loops_diagram(PANTS, ""), rng=random.Random(2))
+    GradedComplex(d, {0: 1})
+    assert enumerated == [d]
+    enumerated.clear()
+    _, kinked = rho_I(d, ("edge", 0))
+    assert enumerated == [d, kinked]
+    enumerated.clear()
+    mirror_map(d)
+    assert enumerated == [d, mirror(d)]
+    enumerated.clear()
+    reorder_iso(d, [2, 0, 1])
+    assert enumerated == [d, reorder_crossings(d, [2, 0, 1])]
+    for read in (lambda cx: cx.sizes, GradedComplex.factors, GradedComplex.d_squared_blocks):
+        enumerated.clear()
+        cx = GradedComplex(d)
+        assert enumerated == []
+        read(cx)
+        cx.sizes, cx.factors(), cx.d_squared_blocks()
+        assert enumerated == [part.diagram for part in cx._parts[:2]]
+        assert all(_connected(x) for x in enumerated) and cx._parts[2:] and \
+            not any(isinstance(part, GradedComplex) for part in cx._parts[2:])
 
 
 def test_homology_path_builds_no_state_objects(monkeypatch):
