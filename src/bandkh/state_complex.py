@@ -41,10 +41,11 @@ invariant factor and no d o d verdict.  A free loop is the component
 without crossings: Z^2 with d = 0, its label e shifting j by 2e if it is
 trivial, s by e times its class if it is unbounding, and no grading if it
 bounds a Moebius band.  An unfrozen complex with free loops or two or more
-crossing-connected components lifts its block sizes, the invariant factors
-of d and the d o d verdicts off the complexes of its components, built
-when one of the three is first read, and enumerates its own states only
-when something reads them.
+crossing-connected components is split: when its block sizes, the
+invariant factors of d or the d o d verdicts are first read, it builds
+its components, and if d o d vanishes on each, lifts all three off them
+together.  Otherwise, or if its own states were read first, it reads
+them off its own blocks, like any connected complex.
 
 Label codes
 -----------
@@ -188,99 +189,63 @@ class _FreeLoop:
 _UNIT: GradingKey = (0, 0, GradingS.zero())  # the key of the empty diagram's state
 
 
-class _Kunneth:
-    """The block sizes, d o d verdicts and invariant factors of a tensor
-    product of complexes, read off those of its ``parts`` (objects with
-    ``sizes``, ``factors()`` and ``d_squared_blocks()``).  A key of the
-    product is the sum of its parts' keys (:meth:`add`), each sum of two s
-    gradings built once."""
-
-    def __init__(self):
-        self.sums: dict[tuple[GradingS, GradingS], GradingS] = {}
-
-    def add(self, a: GradingKey, b: GradingKey) -> GradingKey:
-        (i, j, s), (i2, j2, s2) = a, b
-        if s2.entries:
-            s = (self.sums.get((s, s2)) or self.sums.setdefault((s, s2), grading_add(s, s2))
-                 if s.entries else s2)
-        return (i + i2, j + j2, s)
-
-    def sizes(self, parts: list) -> dict[GradingKey, int]:
-        """The block sizes of the product of ``parts``."""
-        acc = {_UNIT: 1}
-        for part in parts:
-            new: dict[GradingKey, int] = {}
-            for a, m in acc.items():
-                for b, n in part.sizes.items():
-                    key = self.add(a, b)
-                    new[key] = new.get(key, 0) + m * n
-            acc = new
-        return acc
-
-    def d_squared(self, parts: list) -> dict[tuple[int, GradingS], bool]:
-        """The d o d verdict of each (j, s) chain of the product of ``parts``:
-        d o d is d1 o d1 (x) 1 + 1 (x) d2 o d2, so a chain's verdict is the
-        AND of the verdicts of the factor chains that land on it."""
-        acc = {(0, _UNIT[2]): True}
-        for part in parts:
-            new: dict[tuple[int, GradingS], bool] = {}
-            verdicts = part.d_squared_blocks()
-            for (j, s), ok in acc.items():
-                for (j2, s2), ok2 in verdicts.items():
-                    _, lj, ls = self.add((0, j, s), (0, j2, s2))
-                    new[(lj, ls)] = new.get((lj, ls), True) and ok and ok2
-            acc = new
-        return acc
-
-    def factors(self, parts: list) -> dict[GradingKey, tuple[int, ...]]:
-        """The invariant factors of d out of each key of the product of
-        ``parts``, over Z.  Each part splits into free pieces Z[a] and
-        elementary pieces (Z -m-> Z) out of key a, one per invariant factor
-        m out of a; the rest of a is free.  Z (x) Z is free,
-        Z (x) (Z -m-> Z) is (Z -m-> Z), and (Z -m-> Z) (x) (Z -n-> Z) has
-        d out of its top and out of its middle key with one invariant factor
-        gcd(m, n) each, the second being the Tor term.  Per key the moduli
-        merge as a direct sum (:func:`_direct_sum`)."""
-        acc: dict[GradingKey, list] = {_UNIT: [1, {}]}  # key -> [free, {modulus: count}]
-        for part in parts:
-            out, pieces = part.factors(), {}
-            for (i, j, s), n in part.sizes.items():
-                moduli: dict[int, int] = {}
-                for m in (factors := out.get((i, j, s), ())):
-                    moduli[m] = moduli.get(m, 0) + 1
-                pieces[(i, j, s)] = (n - len(factors) - len(out.get((i + 2, j, s), ())), moduli)
-            new: dict[GradingKey, list] = {}
-            for a, (x, ma) in acc.items():
-                for b, (y, mb) in pieces.items():
-                    key = self.add(a, b)
-                    entry = new.get(key) or new.setdefault(key, [0, {}])
-                    entry[0] += x * y
-                    got = entry[1]
-                    for m, count in ma.items():
-                        got[m] = got.get(m, 0) + count * y
-                    for n, count in mb.items():
-                        got[n] = got.get(n, 0) + x * count
-                    if ma and mb:
-                        mid = new.get(below := (key[0] - 2, key[1], key[2])) \
-                            or new.setdefault(below, [0, {}])
-                        for m, c1 in ma.items():
-                            for n, c2 in mb.items():
-                                g = gcd(m, n)
-                                got[g] = got.get(g, 0) + c1 * c2
-                                mid[1][g] = mid[1].get(g, 0) + c1 * c2
-            acc = new
-        return {key: _direct_sum([(m,) * count for m, count in moduli.items() if count])
-                for key, (_, moduli) in acc.items()}
+def _kunneth(parts: list) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
+    """The block size and the invariant factors over Z of d out of each key
+    of the tensor product of ``parts`` (objects with ``sizes`` and
+    ``factors()``, each with d o d = 0), in one pass over their pieces.
+    Each part splits into free pieces Z[a] and elementary pieces
+    (Z -m-> Z) out of key a, one per invariant factor m out of a; the rest
+    of a is free.  Z (x) Z is free, Z (x) (Z -m-> Z) is (Z -m-> Z), and
+    (Z -m-> Z) (x) (Z -n-> Z) has d out of its top and out of its middle
+    key with one invariant factor gcd(m, n) each, the second being the Tor
+    term.  Keys add, each sum of two s gradings built once.  A key's size
+    is its free pieces plus the pieces out of it and into it, and its
+    moduli merge as a direct sum (:func:`_direct_sum`)."""
+    sums: dict[tuple[GradingS, GradingS], GradingS] = {}
+    acc: dict[GradingKey, list] = {_UNIT: [1, {}]}  # key -> [free, {modulus: count}]
+    for part in parts:
+        out, pieces = part.factors(), []
+        for (i, j, s), n in part.sizes.items():
+            moduli: dict[int, int] = {}
+            for m in (factors := out.get((i, j, s), ())):
+                moduli[m] = moduli.get(m, 0) + 1
+            pieces.append((i, j, s, n - len(factors) - len(out.get((i + 2, j, s), ())), moduli))
+        new: dict[GradingKey, list] = {}
+        for (i, j, s), (x, ma) in acc.items():
+            for i2, j2, s2, y, mb in pieces:
+                t = s if not s2.entries else s2 if not s.entries else (
+                    sums.get((s, s2)) or sums.setdefault((s, s2), grading_add(s, s2)))
+                key = (i + i2, j + j2, t)
+                entry = new.get(key) or new.setdefault(key, [0, {}])
+                entry[0] += x * y
+                got = entry[1]
+                for m, count in ma.items():
+                    got[m] = got.get(m, 0) + count * y
+                for n, count in mb.items():
+                    got[n] = got.get(n, 0) + x * count
+                if ma and mb:
+                    mid = new.get(below := (key[0] - 2, key[1], key[2])) \
+                        or new.setdefault(below, [0, {}])
+                    for m, c1 in ma.items():
+                        for n, c2 in mb.items():
+                            g = gcd(m, n)
+                            got[g] = got.get(g, 0) + c1 * c2
+                            mid[1][g] = mid[1].get(g, 0) + c1 * c2
+        acc = new
+    pieces_out = {key: sum(moduli.values()) for key, (_, moduli) in acc.items()}
+    return {(i, j, s): (free + pieces_out[(i, j, s)] + pieces_out.get((i + 2, j, s), 0),
+                        _direct_sum([(m,) * c for m, c in moduli.items() if c]))
+            for (i, j, s), (free, moduli) in acc.items()}
 
 
 class _Lazy:
     """An attribute of a split complex, filled on first read by ``fill``:
-    ``sizes`` off its components, or the row tables ``_rows``, ``_keys``
-    and ``_bids`` by enumerating its own states.  Every other complex
-    stores them when built, and an instance attribute hides this
-    descriptor, so reads cost no call.  (A ``__getattr__`` hook would
-    instead slow every attribute read of every complex, by about 3 % on
-    ``les``.)"""
+    ``sizes``, ``_factors`` and ``_d2`` together (:meth:`GradedComplex._lift`),
+    or the row tables ``_rows``, ``_keys`` and ``_bids`` by enumerating its
+    own states.  Every other complex stores them when built, and an
+    instance attribute hides this descriptor, so reads cost no call.  (A
+    ``__getattr__`` hook would instead slow every attribute read of every
+    complex, by about 3 % on ``les``.)"""
 
     def __init__(self, fill: Callable[[GradedComplex], None]):
         self.fill = fill
@@ -369,12 +334,12 @@ class GradedComplex:
     unfrozen complex, built here for that alone, and shares that one's
     smoothing cache, class ids and flip rules, but does not keep it.
 
-    An unfrozen complex of a split diagram (see Split diagrams above) lifts
-    ``sizes``, :meth:`factors` and :meth:`d_squared_blocks` off the parts
-    of :meth:`_components`, built when one of them is first read, and lists
-    ``sizes`` in :meth:`gradings` order.  Its own row tables are enumerated
-    when first read, by what names states: ``buckets``, ``index``,
-    ``locate``, d and d+, and the chain maps.
+    An unfrozen complex of a split diagram (see Split diagrams above) fills
+    ``sizes``, in :meth:`gradings` order, on its first read (:meth:`_lift`),
+    with :meth:`factors` and :meth:`d_squared_blocks` if it lifts them off
+    its components.  Its own row tables are enumerated when first read, by
+    what names states: ``buckets``, ``index``, ``locate``, d and d+, and
+    the chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -399,17 +364,18 @@ class GradedComplex:
                 share._class_ids, share._smooth_cache, share._flips)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's key
         # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
-        # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
-        # A split complex fills the first four on first read (_Lazy).
+        # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key;
+        # ``_d2`` and ``_factors`` are None until computed.  A split complex
+        # fills the first four and these two on first read (_Lazy).
         self.sizes: dict[GradingKey, int]
         self._keys: list[GradingKey]
         self._rows: dict[MarkerVector, list[tuple[int, int]]]
         self._bids: dict[GradingKey, int]
+        self._d2: dict[tuple[int, GradingS], bool] | None
+        self._factors: dict[GradingKey, tuple[int, ...]] | None
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
-        self._d2: dict[tuple[int, GradingS], bool] | None = None
-        self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._rank_tables: dict[tuple[str, ...], dict[GradingKey, tuple]] = {}
         self._groups: list[list[int]] | None = None
         self._parts: list | None = None
@@ -425,20 +391,31 @@ class GradedComplex:
     def _store(self, rows: dict, keys: list[GradingKey], counts: list[int]) -> None:
         """Keep the row tables and block sizes.  A split complex lists its
         sizes in :meth:`gradings` order, and they must be those lifted off
-        its components if these were read first."""
+        its components if these were read first; else its factors and d o d
+        verdicts are read off its own blocks, as every other complex's."""
         self._rows, self._keys = rows, keys
         self._bids = {key: bid for bid, key in enumerate(keys)}
         sizes = dict(zip(keys, counts))
         if self._groups is not None:
             sizes = dict(sorted(sizes.items(), key=lambda item: _order(item[0])))
-            if vars(self).setdefault("sizes", sizes) != sizes:
-                raise ComplexError("the enumerated blocks differ from those lifted off "
-                                   "the components")
-        self.sizes = sizes
+        if "sizes" not in vars(self):
+            self.sizes, self._factors, self._d2 = sizes, None, None
+        elif self.sizes != sizes:
+            raise ComplexError("the enumerated blocks differ from those lifted off "
+                               "the components")
 
     def _lift(self) -> None:
-        self.sizes = dict(sorted(_Kunneth().sizes(self._components()).items(),
-                                 key=lambda item: _order(item[0])))
+        """Fill ``sizes``, ``_factors`` and ``_d2`` of a split complex.  If
+        d o d vanishes on each of its components, it lifts all three off
+        them (:func:`_kunneth`), every verdict True, as d o d is
+        d1 o d1 (x) 1 +- 1 (x) d2 o d2; else it enumerates its own states."""
+        parts = self._components()
+        if not all(all(part.d_squared_blocks().values()) for part in parts):
+            return self._own_rows()
+        lifted = sorted(_kunneth(parts).items(), key=lambda item: _order(item[0]))
+        self.sizes = {key: size for key, (size, _) in lifted}
+        self._factors = {key: factors for key, (_, factors) in lifted}
+        self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True)
 
     def _components(self) -> list:
         """The parts of a split complex, built on first call: the complex of
@@ -457,7 +434,7 @@ class GradedComplex:
     def _own_rows(self) -> None:
         self._store(*self._enumerate())
 
-    sizes = _Lazy(_lift)
+    sizes, _factors, _d2 = _Lazy(_lift), _Lazy(_lift), _Lazy(_lift)
     _rows, _keys, _bids = _Lazy(_own_rows), _Lazy(_own_rows), _Lazy(_own_rows)
 
     # -- construction ---------------------------------------------------
@@ -721,18 +698,15 @@ class GradedComplex:
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.  A split complex ANDs the verdicts of
-        its components' chains that land on each (see :class:`_Kunneth`).
-        Computed on the first call and stored: read the result only.
+        The keys come in (j, s) order.  A split complex that lifts its sizes
+        has these verdicts too, all True (see :meth:`_lift`).  Computed on
+        the first call and stored: read the result only.
         """
         if self._d2 is None:
             ok = dict.fromkeys(((j, s) for _, j, s in self.gradings()), True)
-            if self._groups is not None:
-                ok.update(_Kunneth().d_squared(self._components()))
-            else:
-                for (i, j, s) in self.gradings():
-                    if any(_mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s)))):
-                        ok[(j, s)] = False
+            for (i, j, s) in self.gradings():
+                if any(_mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s)))):
+                    ok[(j, s)] = False
             self._d2 = ok
         return self._d2
 
@@ -748,20 +722,15 @@ class GradedComplex:
     def factors(self) -> dict[GradingKey, tuple[int, ...]]:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
-        ``sizes``.  A split complex whose d o d vanishes reads them off its
-        components' factors by the Kunneth formula (see :class:`_Kunneth`),
-        which holds for chain complexes only.  Computed on the first call and
-        stored: read the result only.
+        ``sizes``.  A split complex that lifts its sizes has these too, by
+        the Kunneth formula (see :func:`_kunneth`).  Computed on the first
+        call and stored: read the result only.
         """
         if self._factors is None:
-            if self._groups is not None and all(self.d_squared_blocks().values()):
-                lifted = _Kunneth().factors(self._components())
-                self._factors = {key: lifted.get(key, ()) for key in self.sizes}
-            else:
-                self._factors = {
-                    (i, j, s): invariant_factors(self.columns((i, j, s)),
-                                                 self.dim((i - 2, j, s)))
-                    for (i, j, s) in self.sizes}
+            self._factors = {
+                (i, j, s): invariant_factors(self.columns((i, j, s)),
+                                             self.dim((i - 2, j, s)))
+                for (i, j, s) in self.sizes}
         return self._factors
 
     def rank_table(self, tags: tuple[str, ...]) -> dict[GradingKey, tuple]:

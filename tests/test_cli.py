@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bandkh
+import dense_oracle
 from bandkh import cli, state_complex
 from bandkh.chainmaps import ChainMapError
 from bandkh.cli import _find_r3_sites, main
@@ -25,6 +26,7 @@ from helpers import (
     DISK,
     PANTS,
     crosscap_shadow,
+    disjoint_union,
     random_diagram,
     triangle_closure,
     twist_pair,
@@ -320,6 +322,24 @@ edge v.3 w.0 :
     code = run_cli(tmp_path, bad, "homology")
     assert code == 1
     assert "square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cli_d2_and_homology_fail_on_the_crosscap_shadow_beside_a_twist(tmp_path, capsys, k):
+    """A split diagram with an undrawable component: verify --suite=d2
+    prints each (j, s) verdict, and homology the first failing block, that
+    the dense oracle finds on the fully enumerated complex."""
+    d = disjoint_union(twist_pair(DISK, "", k), crosscap_shadow(("",)), rng=random.Random(k))
+    verdicts = dense_oracle.d_squared_blocks(GradedComplex(d))
+    assert run_cli(tmp_path, emit_diagram(d), "verify", "--suite=d2") == 1
+    assert capsys.readouterr() == ("".join(
+        f"{'PASS' if ok else 'FAIL'} d2 (j={j},s={s.text})\n" for (j, s), ok in verdicts.items()),
+        "")
+    j, s = next(block for block, ok in verdicts.items() if not ok)
+    assert run_cli(tmp_path, emit_diagram(d), "homology") == 1
+    assert capsys.readouterr() == ("", (
+        f"error: differential does not square to zero in block (j={j},s={s.text}); "
+        "the diagram is not drawable on the declared surface\n"))
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -393,7 +393,8 @@ def _connected(d: Diagram) -> bool:
 def _assert_split_matches_full_enumeration(cx):
     """``sizes`` (as a mapping, listed in ``gradings`` order), the factors
     and the d o d verdicts of a split complex, lifted off its components,
-    equal what its own enumerated states and swept blocks give."""
+    equal what its own enumerated states and swept blocks give.  Returns
+    the three, as lists in order."""
     assert cx._groups is not None and cx._parts is None
     sizes = dict(cx.sizes)
     factors, d2 = list(cx.factors().items()), list(cx.d_squared_blocks().items())
@@ -406,6 +407,7 @@ def _assert_split_matches_full_enumeration(cx):
     full_factors, full_d2 = _enumerated_blocks(cx)
     assert d2 == list(full_d2.items())
     assert factors == list(full_factors.items())
+    return list(sizes.items()), factors, d2
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,7 +426,10 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
     the Kunneth formula: each equals what full enumeration gives, in order.
     The components interleave in the crossing order; the trefoil's twist
     brings Z/2 torsion, so the Tor term of two such pieces is exercised, and
-    the crosscap shadow fails d o d beside its neighbours."""
+    the crosscap shadow fails d o d beside its neighbours.  A complex that
+    reads its own rows first (its buckets, or a chain map for odd seeds)
+    builds no component and reads all three off its own blocks, with the
+    same result."""
     surface, rng = ALL_SURFACES[surface], random.Random(seed)
     parts = [random_diagram(surface, rng, max_crossings=2) for _ in range(n_random)]
     if special == "trefoil":  # Z/2 torsion; two bring (Z -2-> Z) (x) (Z -2-> Z)
@@ -436,18 +441,24 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
                                                for k in loops)))
     d = disjoint_union(*parts, rng=rng)
     if len(state_complex._crossing_groups(d)) + len(d.loops) > 1:
-        _assert_split_matches_full_enumeration(GradedComplex(d))
+        lifted = _assert_split_matches_full_enumeration(GradedComplex(d))
+        cx = GradedComplex(d)
+        (chainmaps.eta if seed % 2 else lambda cx: cx.buckets)(cx)  # its own rows first
+        assert (list(cx.sizes.items()), list(cx.factors().items()),
+                list(cx.d_squared_blocks().items())) == lifted
+        assert cx._parts is None
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_crosscap_shadow_beside_a_twist_fails_d_squared_at_the_enumerated_blocks(k):
     """The crosscap shadow split off beside a twist: d o d fails at the
-    (j, s) chains full enumeration names, and the first one is reported."""
+    (j, s) chains full enumeration names, and the first one is reported.
+    One component fails d o d, so the complex reads its own blocks."""
     d = disjoint_union(twist_pair(DISK, "", k), crosscap_shadow(("",)), rng=random.Random(k))
     cx = GradedComplex(d)
     with pytest.raises(ComplexError) as failed:
         cx.check_d_squared()
-    assert "_rows" not in vars(cx)
+    assert "_rows" in vars(cx) and not all(all(p.d_squared_blocks().values()) for p in cx._parts)
     _, full_d2 = _enumerated_blocks(cx)
     assert list(cx.d_squared_blocks().items()) == list(full_d2.items())
     j, s = next(block for block, ok in full_d2.items() if not ok)
