@@ -161,8 +161,9 @@ class _SlotTables:
     ``succ[slot]`` is the slot at the other end of its edge and
     ``words[slot]`` the word read leaving along it, ``names[slot]`` its
     (crossing id, s) and ``ends`` maps that name to its (edge index,
-    'a'|'b').  ``classes`` memoizes the class of each reduced word, filled
-    lazily with equal values whoever fills it."""
+    'a'|'b').  ``classes`` is the surface object's reduced word -> class
+    memo, shared by every diagram built on it and filled lazily with equal
+    values whoever fills it."""
 
     def __init__(self, diagram: Diagram):
         self.surface = diagram.surface
@@ -175,7 +176,7 @@ class _SlotTables:
             a, b = index[e.a], index[e.b]
             self.succ[a], self.words[a] = b, e.word
             self.succ[b], self.words[b] = a, inverse_word(e.word)
-        self.classes: dict[Word, CurveClass] = {}
+        self.classes: dict[Word, CurveClass] = diagram.surface._classes
         self.loops = tuple(Circle(w, self.class_of(w), loop=k)
                            for k, w in enumerate(map(free_reduce, diagram.loops)))
 

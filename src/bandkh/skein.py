@@ -4,8 +4,10 @@ The bracket of a diagram is computed as a state sum: each marker vector
 contributes ``A`` to the power of its marker sum times ``-(A^2 + A^-2)`` per
 trivial circle, and the remaining circle classes form a crossingless basis
 element (a multiset of nontrivial curve classes).  A second, recursive
-implementation resolves one crossing at a time and serves as an independent
-oracle for the state sum and for the Euler-characteristic identity.
+implementation resolves one crossing at a time by edge surgery and serves
+as an independent oracle for the state sum and for the Euler-characteristic
+identity.  Both count states by nontrivial classes, A exponent and trivial
+circles, and build each basis element and its polynomial once.
 
 The substitution ``phi`` sends an unbounding class c to ``x_c + x_c^-1`` and
 a Moebius-bounding class to 2; monomials in the x-variables are identified
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
-from .diagram import Diagram, smooth, smooth_crossing
+from .diagram import Circle, Diagram, smooth, smooth_crossing
 from .homology import HomologyTable
 from .surface import CurveClass, CurveKind, GradingS, SurfaceModel
 
@@ -85,9 +87,6 @@ class LaurentPolyA:
 
 
 LOOP_FACTOR = LaurentPolyA.from_dict({2: -1, -2: -1})  # -(A^2 + A^-2)
-A = LaurentPolyA.monomial(1)
-A_INV = LaurentPolyA.monomial(-1)
-ONE = LaurentPolyA.monomial(0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,39 +138,49 @@ def _tidy(expansion: BracketExpansion) -> BracketExpansion:
     return {b: p for b, p in expansion.items() if p}
 
 
+# A bracket count: nontrivial classes -> (A exponent, trivial circles) -> states.
+_Counts = dict[tuple[CurveClass, ...], dict[tuple[int, int], int]]
+
+
+def _count(counts: _Counts, circles: tuple[Circle, ...], exp: int) -> None:
+    classes = tuple(c.cls for c in circles if c.kind is not CurveKind.TRIVIAL)
+    terms, key = counts.setdefault(classes, {}), (exp, len(circles) - len(classes))
+    terms[key] = terms.get(key, 0) + 1
+
+
+def _expansion(counts: _Counts) -> BracketExpansion:
+    """Collect counts by basis element: t trivial circles contribute the
+    loop factor's power, the sum over k of (-1)^t C(t, k) A^(2t - 4k)."""
+    acc: dict[BasisElement, dict[int, int]] = {}
+    for classes, terms in counts.items():
+        coefs = acc.setdefault(BasisElement.from_classes(classes), {})
+        for (exp, t), n in terms.items():
+            for k in range(t + 1):
+                e = exp + 2 * t - 4 * k
+                coefs[e] = coefs.get(e, 0) + (-1) ** t * n * comb(t, k)
+    return _tidy({elt: LaurentPolyA.from_dict(c) for elt, c in acc.items()})
+
+
 def kauffman_bracket(diagram: Diagram) -> BracketExpansion:
     """Full state-sum bracket, collected by crossingless basis element."""
-    out: BracketExpansion = {}
+    counts: _Counts = {}
     for markers in diagram.marker_vectors():
-        poly = LaurentPolyA.monomial(sum(markers))
-        classes = []
-        for circle in smooth(diagram, markers):
-            if circle.kind is CurveKind.TRIVIAL:
-                poly = poly * LOOP_FACTOR
-            else:
-                classes.append(circle.cls)
-        elt = BasisElement.from_classes(classes)
-        out[elt] = out.get(elt, LaurentPolyA.zero()) + poly
-    return _tidy(out)
+        _count(counts, smooth(diagram, markers), sum(markers))
+    return _expansion(counts)
 
 
 def bracket_recursive(diagram: Diagram) -> BracketExpansion:
-    """Independent bracket oracle by resolving one crossing at a time."""
-    if diagram.n_crossings == 0:
-        poly = ONE
-        classes = []
-        for circle in smooth(diagram, ()):
-            if circle.kind is CurveKind.TRIVIAL:
-                poly = poly * LOOP_FACTOR
-            else:
-                classes.append(circle.cls)
-        return {BasisElement.from_classes(classes): poly}
-    out: BracketExpansion = {}
-    for marker, weight in ((1, A), (-1, A_INV)):
-        sub = bracket_recursive(smooth_crossing(diagram, 0, marker))
-        for elt, poly in sub.items():
-            out[elt] = out.get(elt, LaurentPolyA.zero()) + weight * poly
-    return _tidy(out)
+    """Independent bracket oracle by resolving one crossing at a time; each
+    crossingless leaf counts with the marker sum of its path."""
+    counts: _Counts = {}
+    stack = [(diagram, 0)]
+    while stack:
+        d, exp = stack.pop()
+        if d.n_crossings:
+            stack += ((smooth_crossing(d, 0, m), exp + m) for m in (-1, 1))
+        else:
+            _count(counts, smooth(d, ()), exp)
+    return _expansion(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +189,16 @@ def bracket_recursive(diagram: Diagram) -> BracketExpansion:
 
 def phi_of_basis(elt: BasisElement) -> QCoefficients:
     """Expand one basis element into monomials, i.e. s-gradings."""
-    # A monomial is its (class, exponent) pairs, sorted by class.
+    # A monomial is its (class, exponent) pairs in the element's class order,
+    # so the terms of (x_c + x_c^-1)^m extend each monomial to distinct ones.
     acc: dict[tuple, int] = {(): 1}
     for cls, mult in elt.components:
         if cls.kind is CurveKind.MOEBIUS_BOUNDING:
             acc = {key: coef * 2 ** mult for key, coef in acc.items()}
-            continue
-        new_acc: dict[tuple, int] = {}
-        for key, coef in acc.items():
-            for k in range(mult + 1):
-                power = mult - 2 * k
-                nd = dict(key)
-                if power:
-                    nd[cls] = nd.get(cls, 0) + power
-                    if nd[cls] == 0:
-                        del nd[cls]
-                nk = tuple(sorted(nd.items(), key=lambda p: p[0].sort_key))
-                new_acc[nk] = new_acc.get(nk, 0) + coef * comb(mult, k)
-        acc = new_acc
-    out: QCoefficients = {}
-    for key, coef in acc.items():
-        s = GradingS.from_pairs(key)
-        out[s] = out.get(s, LaurentPolyA.zero()) + LaurentPolyA.monomial(0, coef)
-    return out
+        else:
+            acc = {key + (((cls, mult - 2 * k),) if 2 * k != mult else ()):
+                   coef * comb(mult, k) for key, coef in acc.items() for k in range(mult + 1)}
+    return {GradingS(key): LaurentPolyA.monomial(0, coef) for key, coef in acc.items()}
 
 
 def phi_expand(expansion: BracketExpansion) -> QCoefficients:

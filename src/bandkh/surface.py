@@ -155,7 +155,9 @@ class SurfaceModel:
     """A disk-with-bands surface.
 
     ``attachment`` is the cyclic sequence of band-end tokens met along the
-    disk boundary; every band symbol occurs exactly twice.
+    disk boundary; every band symbol occurs exactly twice.  Outside its
+    fields it keeps its generator set and the word -> class memo of its
+    diagrams' smoothings.
     """
 
     bands: tuple[Band, ...]
@@ -184,6 +186,8 @@ class SurfaceModel:
             expected = tuple(s for b in self.bands for s in (b.symbol, b.symbol))
             if self.attachment != expected:
                 raise SurfaceError("planar bands must be attached in the pattern a a b b ...")
+        object.__setattr__(self, "_gens", frozenset(self.generators))
+        object.__setattr__(self, "_classes", {})
 
     # -- constructors -------------------------------------------------------
 
@@ -229,9 +233,8 @@ class SurfaceModel:
         return frozenset(b.symbol for b in self.bands if b.flipped)
 
     def check_word(self, word: Word) -> None:
-        gens = set(self.generators)
         for sym, exp in word:
-            if sym not in gens:
+            if sym not in self._gens:
                 raise SurfaceError(f"word uses generator {sym!r} absent from the surface")
             if exp not in (1, -1):
                 raise SurfaceError(f"bad exponent {exp} in word")

@@ -46,6 +46,14 @@ per call, and every map block reduced (:func:`les_induced_ranks`).
 :func:`apply_r1_pos` spells out the edges of a positive kink, as the
 library did before it built one as a switched negative kink.
 
+:func:`bracket_recursive` builds and multiplies one ``LaurentPolyA`` per
+recursion node, as ``skein.bracket_recursive`` did before both bracket
+paths counted their states and collected the counts once.  Its leaves are
+traced by :func:`smooth`, so it shares no class memo with the library.
+:func:`phi_of_basis` rebuilds and sorts each monomial and sums each
+grading's polynomial, as ``skein.phi_of_basis`` did before it extended
+monomials in the element's class order.
+
 :func:`build` is the state-by-state chain-map builder: it decodes every
 source state and ``locate``s each of its images in the target, as
 ``ChainMap.build`` did before it walked the row tables once per marker
@@ -72,6 +80,7 @@ twin: only the identities of ``rho_II`` read it.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from fractions import Fraction
 
 from bandkh import chainmaps
@@ -94,9 +103,11 @@ from bandkh.diagram import (
     apply_r3,
     mirror,
     reorder_crossings,
+    smooth_crossing,
 )
 from bandkh.homology import AbelianGroup, HomologyTable
 from bandkh.linalg import rank_over, smith_normal_form
+from bandkh.skein import LOOP_FACTOR, BasisElement, BracketExpansion, LaurentPolyA
 from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
 from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
 
@@ -698,6 +709,59 @@ def apply_r1_pos(diagram: Diagram, site: Site, side: str = "left") -> Diagram:
             new = [Edge((x, 1), (x, 0), u), Edge((x, 2), (x, 3))]
     return Diagram(diagram.surface, (x,) + diagram.crossings,
                    tuple(edges) + tuple(new), tuple(loops))
+
+
+# ---------------------------------------------------------------------------
+# The bracket and phi, one polynomial at a time
+# ---------------------------------------------------------------------------
+
+def bracket_recursive(diagram: Diagram) -> BracketExpansion:
+    """The bracket by resolving crossing 0 with ``smooth_crossing`` down to
+    crossingless diagrams, each leaf a product of loop factors and each node
+    the sum of its children times A and A^-1."""
+    if diagram.n_crossings == 0:
+        poly = LaurentPolyA.monomial(0)
+        classes = []
+        for circle in smooth(diagram, ()):
+            if circle.kind is CurveKind.TRIVIAL:
+                poly = poly * LOOP_FACTOR
+            else:
+                classes.append(circle.cls)
+        return {BasisElement.from_classes(classes): poly}
+    out: BracketExpansion = {}
+    for marker in (1, -1):
+        weight = LaurentPolyA.monomial(marker)
+        for elt, poly in bracket_recursive(smooth_crossing(diagram, 0, marker)).items():
+            out[elt] = out.get(elt, LaurentPolyA.zero()) + weight * poly
+    return {elt: poly for elt, poly in out.items() if poly}
+
+
+def phi_of_basis(elt: BasisElement) -> dict[GradingS, LaurentPolyA]:
+    """phi of one basis element, each monomial rebuilt as a class -> exponent
+    dict and sorted, and each grading's polynomial summed term by term."""
+    # A monomial is its (class, exponent) pairs, sorted by class.
+    acc: dict[tuple, int] = {(): 1}
+    for cls, mult in elt.components:
+        if cls.kind is CurveKind.MOEBIUS_BOUNDING:
+            acc = {key: coef * 2 ** mult for key, coef in acc.items()}
+            continue
+        new_acc: dict[tuple, int] = {}
+        for key, coef in acc.items():
+            for k in range(mult + 1):
+                power = mult - 2 * k
+                nd = dict(key)
+                if power:
+                    nd[cls] = nd.get(cls, 0) + power
+                    if nd[cls] == 0:
+                        del nd[cls]
+                nk = tuple(sorted(nd.items(), key=lambda p: p[0].sort_key))
+                new_acc[nk] = new_acc.get(nk, 0) + coef * comb(mult, k)
+        acc = new_acc
+    out: dict[GradingS, LaurentPolyA] = {}
+    for key, coef in acc.items():
+        s = GradingS.from_pairs(key)
+        out[s] = out.get(s, LaurentPolyA.zero()) + LaurentPolyA.monomial(0, coef)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ import spans  # noqa: E402
 from bandkh import chainmaps  # noqa: E402
 from bandkh.homology import homology  # noqa: E402
 from bandkh.state_complex import GradedComplex  # noqa: E402
+from bandkh.surface import SurfaceModel  # noqa: E402
 
 from helpers import DISK, twist_pair  # noqa: E402
 
 
 def test_tracer_wraps_every_span_and_counters_read_blocks():
-    d = twist_pair(DISK, "", 2)
+    # A surface of its own: each surface object memoizes the class of every
+    # word smoothed on it, so on the shared DISK, which earlier tests have
+    # smoothed, surface.classify would never fire.
+    d = twist_pair(SurfaceModel.planar_holes(0), "", 2)
     tracer = spans.Tracer()
     try:
         tracer.install()  # raises TracingError if a target is left unwrapped

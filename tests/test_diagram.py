@@ -20,6 +20,7 @@ from bandkh.diagram import (
     smooth_crossing,
 )
 from bandkh import diagram as diagram_module
+from bandkh.textformat import emit_diagram, parse_diagram
 from bandkh.chainmaps import mirror_map, r2_pair, r3_data, reorder_iso, rho_I, rho_II
 from bandkh.homology import homology
 from bandkh.skein import kauffman_bracket
@@ -33,6 +34,7 @@ from helpers import (
     MOEBIUS,
     PANTS,
     crosscap_shadow,
+    disjoint_union,
     loops_diagram,
     random_diagram,
     surface_words,
@@ -198,17 +200,29 @@ def test_smooth_matches_slot_pair_oracle(seed, surface, loops):
                 smooth(d, bad)
 
 
-def test_smoothing_classifies_each_word_once_per_diagram(monkeypatch):
-    """Every distinct reduced word of a diagram's circles is classified
-    once, however many marker vectors and calls meet it."""
+def test_smoothing_classifies_each_word_once_per_surface(monkeypatch):
+    """The word -> class memo belongs to the surface object: a parsed split
+    diagram, its ``smooth_crossing`` children, a kink of it and its split
+    complex's components classify each distinct word once, however many
+    marker vectors and calls meet it, and a fresh parse classifies again."""
     calls = []
     real = diagram_module.classify
     monkeypatch.setattr(diagram_module, "classify",
                         lambda word, surface: calls.append(word) or real(word, surface))
-    d = twist_pair(PANTS, "a", 4, extra_loops=("b", ""))
+    text = emit_diagram(disjoint_union(twist_pair(PANTS, "a", 3, extra_loops=("b", "")),
+                                       twist_pair(PANTS, "", 2)))
+    runs = []
     for _ in range(2):
-        words = {c.word for m in d.marker_vectors() for c in smooth(d, m)}
-    assert sorted(calls) == sorted(words) and len(words) == 3
+        calls.clear()
+        d = parse_diagram(text)
+        family = [d, smooth_crossing(d, 0, 1), smooth_crossing(d, 0, -1),
+                  apply_r1_neg(d, ("loop", 0))]
+        for _ in range(2):
+            words = {c.word for x in family for m in x.marker_vectors() for c in smooth(x, m)}
+        homology(GradedComplex(d))
+        assert sorted(calls) == sorted(set(calls)) and words <= set(calls)
+        runs.append(list(calls))
+    assert runs[0] == runs[1] and len(runs[0]) >= 3
 
 
 def test_bracket_and_homology_build_no_slot_names(monkeypatch):

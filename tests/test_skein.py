@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bandkh.diagram import Diagram, apply_r1_neg, apply_r1_pos, smooth_crossing
 from bandkh.homology import homology
@@ -21,6 +22,7 @@ from bandkh.skein import (
 from bandkh.state_complex import GradedComplex
 from bandkh.surface import CurveKind, GradingS, classify, parse_word
 
+import dense_oracle
 from helpers import (
     ALL_SURFACES,
     ANNULUS,
@@ -32,6 +34,7 @@ from helpers import (
     loops_diagram,
     random_diagram,
     scale_expansion,
+    surface_words,
     trefoil,
 )
 
@@ -79,6 +82,34 @@ def test_state_sum_equals_recursion():
         for _ in range(4):
             d = random_diagram(surface, rng, max_crossings=5)
             assert kauffman_bracket(d) == bracket_recursive(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(ALL_SURFACES),
+       st.lists(st.integers(0, 3), max_size=2), st.booleans())
+@example(0, MOEBIUS, [2, 1], True)
+@example(3, PANTS, [0, 3], False)
+def test_counted_brackets_match_the_per_node_oracle(seed, surface, loops, kink):
+    """Both counted brackets equal the recursion that builds a polynomial per
+    node, and phi of each basis element equals the expansion that sorts each
+    monomial, on random diagrams of up to five crossings on all five
+    surfaces with extra free loops (on the Moebius band including the
+    Moebius-bounding ``a a``) and, with ``kink``, one more kink."""
+    rng = random.Random(seed)
+    d = random_diagram(surface, rng, max_crossings=5)
+    words = surface_words(surface)
+    d = Diagram(surface, d.crossings, d.edges,
+                d.loops + tuple(parse_word(words[k % len(words)]) for k in loops))
+    sites = [("edge", k) for k in range(len(d.edges))]
+    sites += [("loop", k) for k in range(len(d.loops))]
+    if kink and sites:
+        move = rng.choice((apply_r1_neg, apply_r1_pos))
+        d = move(d, rng.choice(sites), rng.choice(("left", "right")))
+    want = dense_oracle.bracket_recursive(d)
+    assert kauffman_bracket(d) == want
+    assert bracket_recursive(d) == want
+    for elt in want:
+        assert phi_of_basis(elt) == dense_oracle.phi_of_basis(elt)
 
 
 def test_skein_relation():
