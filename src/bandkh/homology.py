@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import divisor_chain, rank_over, smith_normal_form  # noqa: F401 (re-exported)
-from .state_complex import GradedComplex, GradingKey
+from .state_complex import GradedComplex, GradingKey, _order
 
 
 class HomologyError(ValueError):
@@ -64,7 +64,7 @@ class HomologyTable:
         return self.groups.get(key, AbelianGroup(0))
 
     def keys_sorted(self) -> list[GradingKey]:
-        return sorted(self.groups, key=lambda k: (k[1], k[2].sort_key, k[0]))
+        return sorted(self.groups, key=_order)
 
     def to_tsv(self) -> str:
         lines = []

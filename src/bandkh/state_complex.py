@@ -703,10 +703,10 @@ class GradedComplex:
         the first call and stored: read the result only.
         """
         if self._d2 is None:
-            ok = dict.fromkeys(((j, s) for _, j, s in self.gradings()), True)
+            ok: dict[tuple[int, GradingS], bool] = {}
             for (i, j, s) in self.gradings():
-                if any(_mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s)))):
-                    ok[(j, s)] = False
+                ok[(j, s)] = ok.get((j, s), True) and not any(
+                    _mat_mul(self.columns((i - 2, j, s)), self.columns((i, j, s))))
             self._d2 = ok
         return self._d2
 

@@ -32,6 +32,8 @@ and of its inverse, after free and cyclic reduction.  Letters are ordered
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from string import ascii_lowercase
@@ -275,18 +277,15 @@ class CurveClass:
     sided: int  # +1 two-sided, -1 one-sided
 
     def __post_init__(self):
-        # Hashed once, and pickled by fields: string hashes vary by process.
+        # Hashed and ranked once, and pickled by fields: string hashes vary by process.
         object.__setattr__(self, "_hash", hash((self.canonical, self.kind, self.sided)))
+        object.__setattr__(self, "sort_key", (len(self.canonical), _word_rank(self.canonical)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return CurveClass, (self.canonical, self.kind, self.sided)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (len(self.canonical), _word_rank(self.canonical))
 
     def __lt__(self, other: "CurveClass") -> bool:
         return self.sort_key < other.sort_key
@@ -321,25 +320,41 @@ def classify(word: Word, surface: SurfaceModel) -> CurveClass:
 # The s-grading: finite signed sums of unbounding classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: Every live ``GradingS``, keyed by its entries and held weakly, so a value
+#: no one holds leaves the table.  Inserts take the lock: ``setdefault`` of a
+#: ``WeakValueDictionary`` is not atomic.  Lookups take none.
+_GRADINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_GRADINGS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GradingS:
-    """Element of the free abelian group on unbounding curve classes."""
+    """Element of the free abelian group on unbounding curve classes, hash-consed
+    in ``_GRADINGS``: equal live values are one object, validated and ranked once.
 
-    entries: tuple[tuple[CurveClass, int], ...] = ()
+    >>> GradingS.from_pairs([]) is GradingS.zero()
+    True
+    """
 
-    def __post_init__(self):
-        for cls, coef in self.entries:
-            if cls.kind is not CurveKind.UNBOUNDING:
+    entries: tuple[tuple[CurveClass, int], ...]
+    sort_key: tuple
+
+    def __new__(cls, entries: tuple[tuple[CurveClass, int], ...] = ()) -> "GradingS":
+        if (got := _GRADINGS.get(entries)) is not None:
+            return got
+        for c, coef in entries:
+            if c.kind is not CurveKind.UNBOUNDING:
                 raise ValueError("s-grading keys must be unbounding classes")
             if coef == 0:
                 raise ValueError("zero coefficients must be dropped")
-        keys = [cls.sort_key for cls, _ in self.entries]
+        keys = [c.sort_key for c, _ in entries]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("entries must be strictly sorted by class")
-        object.__setattr__(self, "_hash", hash(self.entries))  # as in CurveClass
-
-    def __hash__(self) -> int:
-        return self._hash
+        new = object.__new__(cls)
+        object.__setattr__(new, "entries", entries)
+        object.__setattr__(new, "sort_key", tuple((c.sort_key, coef) for c, coef in entries))
+        with _GRADINGS_LOCK:
+            return _GRADINGS.setdefault(entries, new)
 
     def __reduce__(self):
         return GradingS, (self.entries,)
@@ -362,10 +377,6 @@ class GradingS:
         if not self.entries:
             return "0"
         return ",".join(f"{cls.text}:{coef:+d}" for cls, coef in self.entries)
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple((cls.sort_key, coef) for cls, coef in self.entries)
 
     def __repr__(self):
         return f"GradingS({self.text})"

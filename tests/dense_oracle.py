@@ -75,6 +75,11 @@ external edges (:func:`_external_edge_keys`) on its own.
 transpose (:func:`_transpose`) of a block of d.  :func:`iota_embed`, the
 embedding of the (v:-1, w:-1) pattern in the second move, has no library
 twin: only the identities of ``rho_II`` read it.
+
+:func:`class_sort_key` and :func:`grading_sort_key` rebuild a curve class's
+and an s-grading's sort key from their words on every call, as
+``CurveClass.sort_key`` and ``GradingS.sort_key`` did before both were
+stored when a value is built.
 """
 
 from __future__ import annotations
@@ -110,6 +115,16 @@ from bandkh.linalg import rank_over, smith_normal_form
 from bandkh.skein import LOOP_FACTOR, BasisElement, BracketExpansion, LaurentPolyA
 from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
 from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
+
+
+def class_sort_key(cls) -> tuple:
+    """A curve class by length, then by its word, ``a < a' < b < ...``."""
+    return (len(cls.canonical), tuple((sym, 0 if exp > 0 else 1) for sym, exp in cls.canonical))
+
+
+def grading_sort_key(s: GradingS) -> tuple:
+    """An s-grading by its classes' keys and coefficients, in entry order."""
+    return tuple((class_sort_key(cls), coef) for cls, coef in s.entries)
 
 
 def _arc_partner(slot: int, marker: int) -> int:
@@ -411,7 +426,7 @@ def d_squared_blocks(complex_):
         lower = assemble(complex_, (i, j, s))
         zero = not any(any(row) for row in _mat_mul(lower, upper))
         ok[(j, s)] = ok.get((j, s), True) and zero
-    return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], k[1].sort_key))}
+    return {k: ok[k] for k in sorted(ok, key=lambda k: (k[0], grading_sort_key(k[1])))}
 
 
 def _snf_diagonal(mat):
@@ -754,7 +769,7 @@ def phi_of_basis(elt: BasisElement) -> dict[GradingS, LaurentPolyA]:
                     nd[cls] = nd.get(cls, 0) + power
                     if nd[cls] == 0:
                         del nd[cls]
-                nk = tuple(sorted(nd.items(), key=lambda p: p[0].sort_key))
+                nk = tuple(sorted(nd.items(), key=lambda p: class_sort_key(p[0])))
                 new_acc[nk] = new_acc.get(nk, 0) + coef * comb(mult, k)
         acc = new_acc
     out: dict[GradingS, LaurentPolyA] = {}

@@ -20,7 +20,8 @@ from bandkh.homology import COEFFICIENTS, homology
 from bandkh.linalg import _mat_mul, invariant_factors
 from bandkh.state_complex import ComplexError, GradedComplex
 from bandkh.surface import CurveKind, GradingS, inverse_word, parse_word
-from bandkh.textformat import emit_diagram
+from bandkh.skein import kauffman_bracket, phi_expand
+from bandkh.textformat import emit_diagram, parse_diagram
 
 from helpers import (
     ALL_SURFACES,
@@ -447,6 +448,48 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
         assert (list(cx.sizes.items()), list(cx.factors().items()),
                 list(cx.d_squared_blocks().items())) == lifted
         assert cx._parts is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1), st.booleans())
+@example(5, 2, True)  # unbounding classes on the pants, two components
+@example(3, 4, False)  # the Moebius band
+def test_equal_gradings_are_one_object_in_the_oracle_order(seed, surface, split):
+    """A random diagram parsed twice, so on two surface objects: equal s
+    values in both complexes' ``sizes``, both homology tables and both
+    ``phi_expand`` results are one object, with the sort key of the old
+    formula.  ``gradings()`` lists ``sizes`` in the oracle's (j, s, i)
+    order for connected, split and frozen complexes, and the d o d
+    verdicts follow that order."""
+    surface, rng = ALL_SURFACES[surface], random.Random(seed)
+    d = random_diagram(surface, rng, max_crossings=4)
+    if split:
+        d = disjoint_union(d, random_diagram(surface, rng, max_crossings=2), rng=rng)
+    text = emit_diagram(d)
+    diagrams = [parse_diagram(text), parse_diagram(text)]
+    assert diagrams[0].surface is not diagrams[1].surface
+    tops, complexes, tables, expansions = [], [], [], []
+    for diagram in diagrams:
+        tops.append(cx := GradedComplex(diagram))
+        tables.append(homology(cx).groups)
+        expansions.append(phi_expand(kauffman_bracket(diagram)))
+        complexes += [cx] + [p for p in cx._parts or () if isinstance(p, GradedComplex)]
+        if diagram.n_crossings:
+            complexes.append(GradedComplex(diagram, {0: -1}, share=cx))
+    assert list(tops[0].sizes.items()) == list(tops[1].sizes.items())
+    assert tables[0] == tables[1] and expansions[0] == expansions[1]
+    ids: dict[tuple, set] = {}
+    for s in [s for cx in tops for _, _, s in cx.sizes] + [
+            s for groups in tables for _, _, s in groups] + [
+            s for expansion in expansions for s in expansion]:
+        assert s.sort_key == dense_oracle.grading_sort_key(s)
+        value = tuple((c.canonical, c.kind, c.sided, coef) for c, coef in s.entries)
+        ids.setdefault(value, set()).add(id(s))
+    assert all(len(objects) == 1 for objects in ids.values())
+    for cx in complexes:
+        want = sorted(cx.sizes, key=lambda k: (k[1], dense_oracle.grading_sort_key(k[2]), k[0]))
+        assert cx.gradings() == want
+        assert list(cx.d_squared_blocks()) == list(dict.fromkeys((j, s) for _, j, s in want))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -2,11 +2,13 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bandkh
+from bandkh import surface
 from bandkh.surface import (
     Catalogue,
     CurveKind,
@@ -131,10 +133,27 @@ def test_grading_rejects_non_unbounding_keys():
         GradingS.from_pairs([(classify((), DISK), 1)])
 
 
+def test_invalid_gradings_raise_on_every_construction():
+    """Entries on a non-unbounding class, with a zero coefficient or out of
+    class order raise ``ValueError`` each time they are built, as before
+    hash-consing: no invalid value enters the intern table."""
+    a, b = classify(parse_word("a"), PANTS), classify(parse_word("b"), PANTS)
+    bad = {((classify((), PANTS), 1),): "s-grading keys must be unbounding classes",
+           ((a, 1), (b, 0)): "zero coefficients must be dropped",
+           ((b, 1), (a, 1)): "entries must be strictly sorted by class",
+           ((a, 1), (a, 2)): "entries must be strictly sorted by class"}
+    for entries, message in bad.items():
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GradingS(entries)
+        assert entries not in surface._GRADINGS
+
+
 def test_classes_and_gradings_pickle_without_their_stored_hash():
-    """CurveClass and GradingS store their hash when built, but pickle by
-    their fields: unpickled under another string-hash seed, a value hashes
-    like an equal value built there."""
+    """CurveClass stores its hash when built and GradingS is hash-consed,
+    but both pickle by their fields: unpickled under another string-hash
+    seed, a value hashes like an equal value built there, and a GradingS
+    unpickled in the process that pickled it is the interned object."""
     cls = classify(parse_word("a b"), PANTS)
     values = (cls, GradingS.from_pairs([(cls, 2), (classify(parse_word("a"), PANTS), -1)]))
     for value in values:
@@ -142,6 +161,7 @@ def test_classes_and_gradings_pickle_without_their_stored_hash():
         assert b"_hash" not in data
         back = pickle.loads(data)
         assert back == value and hash(back) == hash(value)
+    assert pickle.loads(pickle.dumps(values[1])) is values[1]
     src = os.path.dirname(os.path.dirname(bandkh.__file__))
     probe = ("import pickle, sys\n"
              "from bandkh.surface import GradingS, SurfaceModel, classify, parse_word\n"
@@ -158,3 +178,52 @@ def test_classes_and_gradings_pickle_without_their_stored_hash():
         run = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(values),
                              env=env, capture_output=True, timeout=60)
         assert run.stdout.decode() == "True 1 True\n", run.stderr.decode()
+
+
+def test_threads_that_build_one_grading_get_one_object():
+    """Threads that build the same new values at once, each from classes of
+    its own surface, get one object per value: the intern table's lookups
+    take no lock, but a miss inserts under one."""
+    coefficients = range(10**6, 10**6 + 2000)
+    got: dict[int, list[GradingS]] = {}
+    start = threading.Barrier(6)
+
+    def build(n: int) -> None:
+        torus = SurfaceModel.orientable(1, 1)
+        a, ab = classify(parse_word("a"), torus), classify(parse_word("a b"), torus)
+        start.wait(timeout=30)
+        got[n] = [GradingS.from_pairs([(ab, k), (a, -k)]) for k in coefficients]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(got) == 6
+    assert all(x is y for row in got.values() for x, y in zip(got[0], row, strict=True))
+
+
+def test_the_intern_table_holds_only_live_gradings():
+    """The intern table holds its values weakly: values no one holds leave
+    it, so a run over many distinct s values does not grow it, and a value
+    built again after its last holder let go is built, validated and
+    ranked anew, and equals the old one by value."""
+    torus = SurfaceModel.orientable(1, 1)
+    a, ab = classify(parse_word("a"), torus), classify(parse_word("a b"), torus)
+    kept = GradingS.from_pairs([(ab, 3), (a, -5)])
+    before = len(surface._GRADINGS)
+    for k in range(2 * 10**6, 2 * 10**6 + 2000):
+        s = GradingS.from_pairs([(ab, k), (a, -k)])
+        assert s.sort_key == ((a.sort_key, -k), (ab.sort_key, k))
+    del s
+    assert len(surface._GRADINGS) <= before
+    assert GradingS(((a, -5), (ab, 3))) is kept
+    text, key = kept.text, kept.sort_key
+    del kept
+    again = GradingS.from_pairs([(a, -5), (ab, 3)])
+    assert (again.text, again.sort_key) == (text, key) and surface._GRADINGS[again.entries] is again
