@@ -8,10 +8,11 @@ is reduced once, over Z, to its invariant factors
 pivots on the sparse columns: each step is a unimodular row-and-column
 operation (a Schur complement on a unit pivot), so each pivot is one
 invariant factor 1.  What survives is a small dense residue, reduced by
-:func:`smith_normal_form`, which ends with :func:`divisor_chain`, the one
-routine that builds divisor chains.  Every ring reads its answer off the
-factors (:func:`rank_over`): Z its rank and torsion, Q their count and Z/2
-the count of odd ones.  Exact integer arithmetic; no modular shortcuts.
+:func:`smith_normal_form`, which ends with :func:`_direct_sum` and so with
+:func:`divisor_chain`, the one routine that builds divisor chains.  Each
+ring reads its answer off the factors (:func:`rank_over`): Z its rank and
+torsion, Q their count and Z/2 the count of odd ones.  Exact integer
+arithmetic; no modular shortcuts.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def divisor_chain(orders: Iterable[int]) -> tuple[int, ...]:
 
 def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr (all positive, r = rank): the
-    diagonal left by row and column steps, normalized by :func:`divisor_chain`.
+    diagonal left by row and column steps, normalized by :func:`_direct_sum`.
 
     >>> smith_normal_form([[2, 0], [0, 0]])
     (2,)
@@ -224,9 +225,16 @@ def smith_normal_form(matrix: Matrix) -> tuple[int, ...]:
                 break
         diagonal.append(abs(m[top][top]))
         top += 1
-    # Most residues are empty or all units, and need no normalizing.
-    chain = divisor_chain(diagonal) if diagonal.count(1) < len(diagonal) else ()
-    return (1,) * (len(diagonal) - len(chain)) + chain
+    return _direct_sum(diagonal)
+
+
+def _direct_sum(factors: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors of a direct sum of matrices whose invariant
+    factors, all together, are ``factors``: the entries above 1 merged by
+    :func:`divisor_chain`, preceded by ones up to their total count."""
+    factors = list(factors)
+    chain = divisor_chain(x for x in factors if x > 1)
+    return (1,) * (len(factors) - len(chain)) + chain
 
 
 def invariant_factors(columns: Columns, rows: int) -> tuple[int, ...]:

@@ -86,9 +86,6 @@ class LaurentPolyA:
         return f"LaurentPolyA({self.text})"
 
 
-LOOP_FACTOR = LaurentPolyA.from_dict({2: -1, -2: -1})  # -(A^2 + A^-2)
-
-
 # ---------------------------------------------------------------------------
 # Basis elements and expansions
 # ---------------------------------------------------------------------------

@@ -41,11 +41,12 @@ invariant factor and no d o d verdict.  A free loop is the component
 without crossings: Z^2 with d = 0, its label e shifting j by 2e if it is
 trivial, s by e times its class if it is unbounding, and no grading if it
 bounds a Moebius band.  An unfrozen complex with free loops or two or more
-crossing-connected components is split: when its block sizes, the
-invariant factors of d or the d o d verdicts are first read, it builds
-its components, and if d o d vanishes on each, lifts all three off them
-together.  Otherwise, or if its own states were read first, it reads
-them off its own blocks, like any connected complex.
+crossing-connected components is split: on the first read of its factors,
+its d o d verdicts, or its block sizes before its own states, it builds
+the complex of each crossing-connected component, and if d o d vanishes on
+each, lifts all three off them and the free loops, the sizes having to
+equal those of its own states once both are read; else it reads them off
+its own blocks.
 
 Label codes
 -----------
@@ -71,8 +72,8 @@ from .linalg import (
     Columns,
     Matrix,
     _dense_view,
+    _direct_sum,
     _mat_mul,
-    divisor_chain,
     invariant_factors,
     rank_over,
 )
@@ -140,14 +141,6 @@ def _mask(circles: Sequence[int], width: int) -> int:
     return sum(1 << width - 1 - k for k in circles)
 
 
-def _direct_sum(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The invariant factors of a direct sum of matrices with these."""
-    if len(parts) == 1:
-        return parts[0]
-    chain = divisor_chain(x for factors in parts for x in factors if x > 1)
-    return (1,) * (sum(map(len, parts)) - len(chain)) + chain
-
-
 def _order(key: GradingKey) -> tuple:
     """The sort key of :meth:`GradedComplex.gradings`: (j, s, i)."""
     return (key[1], key[2].sort_key, key[0])
@@ -169,30 +162,24 @@ def _crossing_groups(diagram: Diagram) -> list[list[int]]:
     return groups
 
 
-class _FreeLoop:
-    """A free loop as a component without crossings: Z^2 with d = 0."""
-
-    def __init__(self, loop: Circle):
-        self.sizes: dict[GradingKey, int] = {}
-        for lab in (1, -1):
-            key = (0, 2 * lab if loop.kind is CurveKind.TRIVIAL else 0, GradingS.from_pairs(
-                [(loop.cls, lab)] if loop.kind is CurveKind.UNBOUNDING else []))
-            self.sizes[key] = self.sizes.get(key, 0) + 1
-
-    def factors(self) -> dict[GradingKey, tuple[int, ...]]:
-        return dict.fromkeys(self.sizes, ())
-
-    def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
-        return {(j, s): True for _, j, s in self.sizes}
+def _loop_sizes(loop: Circle) -> dict[GradingKey, int]:
+    """The block sizes of a free loop, the component without crossings:
+    Z^2 with d = 0, one state per label."""
+    sizes: dict[GradingKey, int] = {}
+    for lab in (1, -1):
+        key = (0, 2 * lab if loop.kind is CurveKind.TRIVIAL else 0, GradingS.from_pairs(
+            [(loop.cls, lab)] if loop.kind is CurveKind.UNBOUNDING else []))
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
 
 
 _UNIT: GradingKey = (0, 0, GradingS.zero())  # the key of the empty diagram's state
 
 
-def _kunneth(parts: list) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
+def _kunneth(parts: list[tuple[dict, dict]]) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
     """The block size and the invariant factors over Z of d out of each key
-    of the tensor product of ``parts`` (objects with ``sizes`` and
-    ``factors()``, each with d o d = 0), in one pass over their pieces.
+    of the tensor product of ``parts`` (each a table of block sizes and one
+    of factors, with d o d = 0), in one pass over their pieces.
     Each part splits into free pieces Z[a] and elementary pieces
     (Z -m-> Z) out of key a, one per invariant factor m out of a; the rest
     of a is free.  Z (x) Z is free, Z (x) (Z -m-> Z) is (Z -m-> Z), and
@@ -203,9 +190,9 @@ def _kunneth(parts: list) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
     moduli merge as a direct sum (:func:`_direct_sum`)."""
     sums: dict[tuple[GradingS, GradingS], GradingS] = {}
     acc: dict[GradingKey, list] = {_UNIT: [1, {}]}  # key -> [free, {modulus: count}]
-    for part in parts:
-        out, pieces = part.factors(), []
-        for (i, j, s), n in part.sizes.items():
+    for sizes, out in parts:
+        pieces = []
+        for (i, j, s), n in sizes.items():
             moduli: dict[int, int] = {}
             for m in (factors := out.get((i, j, s), ())):
                 moduli[m] = moduli.get(m, 0) + 1
@@ -234,18 +221,18 @@ def _kunneth(parts: list) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
         acc = new
     pieces_out = {key: sum(moduli.values()) for key, (_, moduli) in acc.items()}
     return {(i, j, s): (free + pieces_out[(i, j, s)] + pieces_out.get((i + 2, j, s), 0),
-                        _direct_sum([(m,) * c for m, c in moduli.items() if c]))
+                        _direct_sum(m for m, c in moduli.items() for _ in range(c)))
             for (i, j, s), (free, moduli) in acc.items()}
 
 
 class _Lazy:
     """An attribute of a split complex, filled on first read by ``fill``:
-    ``sizes``, ``_factors`` and ``_d2`` together (:meth:`GradedComplex._lift`),
-    or the row tables ``_rows``, ``_keys`` and ``_bids`` by enumerating its
-    own states.  Every other complex stores them when built, and an
-    instance attribute hides this descriptor, so reads cost no call.  (A
-    ``__getattr__`` hook would instead slow every attribute read of every
-    complex, by about 3 % on ``les``.)"""
+    ``_factors``, ``_d2`` and ``sizes`` (:meth:`GradedComplex._lift`), or
+    ``sizes`` and the row tables ``_rows``, ``_keys`` and ``_bids`` by
+    enumerating its own states.  Every other complex stores them when
+    built, and an instance attribute hides this descriptor, so reads cost
+    no call.  (A ``__getattr__`` hook would instead slow every attribute
+    read of every complex, by about 3 % on ``les``.)"""
 
     def __init__(self, fill: Callable[[GradedComplex], None]):
         self.fill = fill
@@ -334,12 +321,12 @@ class GradedComplex:
     unfrozen complex, built here for that alone, and shares that one's
     smoothing cache, class ids and flip rules, but does not keep it.
 
-    An unfrozen complex of a split diagram (see Split diagrams above) fills
-    ``sizes``, in :meth:`gradings` order, on its first read (:meth:`_lift`),
-    with :meth:`factors` and :meth:`d_squared_blocks` if it lifts them off
-    its components.  Its own row tables are enumerated when first read, by
-    what names states: ``buckets``, ``index``, ``locate``, d and d+, and
-    the chain maps.
+    An unfrozen complex of a split diagram (see Split diagrams above) lifts
+    :meth:`factors` and :meth:`d_squared_blocks` off its components if each
+    passes d o d (:meth:`_lift`), and lists ``sizes`` in :meth:`gradings`
+    order.  Its own row tables are enumerated when first read, by what
+    names states: ``buckets``, ``index``, ``locate``, d and d+, and the
+    chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -366,7 +353,7 @@ class GradedComplex:
         # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
         # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key;
         # ``_d2`` and ``_factors`` are None until computed.  A split complex
-        # fills the first four and these two on first read (_Lazy).
+        # fills all six on first read (_Lazy).
         self.sizes: dict[GradingKey, int]
         self._keys: list[GradingKey]
         self._rows: dict[MarkerVector, list[tuple[int, int]]]
@@ -378,7 +365,7 @@ class GradedComplex:
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
         self._rank_tables: dict[tuple[str, ...], dict[GradingKey, tuple]] = {}
         self._groups: list[list[int]] | None = None
-        self._parts: list | None = None
+        self._parts: list[GradedComplex] | None = None
         if share is not None:
             self._store(*self._restrict(share))
             return
@@ -389,38 +376,46 @@ class GradedComplex:
             self._store(*self._enumerate())
 
     def _store(self, rows: dict, keys: list[GradingKey], counts: list[int]) -> None:
-        """Keep the row tables and block sizes.  A split complex lists its
-        sizes in :meth:`gradings` order, and they must be those lifted off
-        its components if these were read first; else its factors and d o d
-        verdicts are read off its own blocks, as every other complex's."""
+        """Keep the row tables and block sizes.  A split complex's factors
+        and d o d verdicts are filled by :meth:`_lift` alone."""
         self._rows, self._keys = rows, keys
         self._bids = {key: bid for bid, key in enumerate(keys)}
-        sizes = dict(zip(keys, counts))
-        if self._groups is not None:
-            sizes = dict(sorted(sizes.items(), key=lambda item: _order(item[0])))
+        if self._groups is None:
+            self.sizes, self._factors, self._d2 = dict(zip(keys, counts)), None, None
+        else:
+            self._keep_sizes(dict(zip(keys, counts)))
+
+    def _keep_sizes(self, sizes: dict[GradingKey, int]) -> None:
+        """Keep a split complex's block sizes, enumerated or lifted, whichever
+        come first, in :meth:`gradings` order; the other must equal them."""
         if "sizes" not in vars(self):
-            self.sizes, self._factors, self._d2 = sizes, None, None
+            self.sizes = dict(sorted(sizes.items(), key=lambda item: _order(item[0])))
         elif self.sizes != sizes:
             raise ComplexError("the enumerated blocks differ from those lifted off "
                                "the components")
 
     def _lift(self) -> None:
-        """Fill ``sizes``, ``_factors`` and ``_d2`` of a split complex.  If
-        d o d vanishes on each of its components, it lifts all three off
-        them (:func:`_kunneth`), every verdict True, as d o d is
-        d1 o d1 (x) 1 +- 1 (x) d2 o d2; else it enumerates its own states."""
+        """Fill ``_factors`` and ``_d2`` of a split complex, and ``sizes`` if
+        not yet filled: if d o d vanishes on each component, lift all three
+        off them and the free loops (:func:`_kunneth`), every verdict True,
+        as d o d is d1 o d1 (x) 1 +- 1 (x) d2 o d2; else enumerate its own
+        states, if not yet, and compute the other two off its own blocks."""
         parts = self._components()
-        if not all(all(part.d_squared_blocks().values()) for part in parts):
-            return self._own_rows()
-        lifted = sorted(_kunneth(parts).items(), key=lambda item: _order(item[0]))
-        self.sizes = {key: size for key, (size, _) in lifted}
-        self._factors = {key: factors for key, (_, factors) in lifted}
-        self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True)
+        if all(all(part.d_squared_blocks().values()) for part in parts):
+            lifted = _kunneth([(part.sizes, part.factors()) for part in parts] + [
+                (_loop_sizes(loop), {}) for loop in self.diagram.slot_tables.loops])
+            self._keep_sizes({key: size for key, (size, _) in lifted.items()})
+            self._factors = {key: lifted[key][1] for key in self.sizes}
+            self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True)
+        else:
+            if "sizes" not in vars(self):
+                self._own_rows()
+            self._factors = self._d2 = None
 
-    def _components(self) -> list:
-        """The parts of a split complex, built on first call: the complex of
-        each crossing-connected component (same surface, its crossings and
-        the edges between them), then each free loop (:class:`_FreeLoop`)."""
+    def _components(self) -> list[GradedComplex]:
+        """The complex of each crossing-connected component of a split
+        complex (same surface, its crossings and the edges between them),
+        built on first call."""
         if self._parts is None:
             d, self._parts = self.diagram, []
             for group in self._groups:
@@ -428,7 +423,6 @@ class GradedComplex:
                 self._parts.append(GradedComplex(Diagram(
                     d.surface, tuple(d.crossings[k] for k in group),
                     tuple(e for e in d.edges if e.a[0] in ids))))
-            self._parts += map(_FreeLoop, d.slot_tables.loops)
         return self._parts
 
     def _own_rows(self) -> None:
@@ -698,8 +692,8 @@ class GradedComplex:
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.  A split complex that lifts its sizes
-        has these verdicts too, all True (see :meth:`_lift`).  Computed on
+        The keys come in (j, s) order.  A split complex whose components
+        pass d o d lifts these, all True (see :meth:`_lift`).  Computed on
         the first call and stored: read the result only.
         """
         if self._d2 is None:
@@ -722,8 +716,8 @@ class GradedComplex:
     def factors(self) -> dict[GradingKey, tuple[int, ...]]:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
-        ``sizes``.  A split complex that lifts its sizes has these too, by
-        the Kunneth formula (see :func:`_kunneth`).  Computed on the first
+        ``sizes``.  A split complex whose components pass d o d lifts these
+        by the Kunneth formula (see :func:`_kunneth`).  Computed on the first
         call and stored: read the result only.
         """
         if self._factors is None:

@@ -80,6 +80,10 @@ twin: only the identities of ``rho_II`` read it.
 and an s-grading's sort key from their words on every call, as
 ``CurveClass.sort_key`` and ``GradingS.sort_key`` did before both were
 stored when a value is built.
+
+:data:`LOOP_FACTOR` is the bracket of a trivial loop, -(A^2 + A^-2), the
+factor ``skein`` multiplied in per trivial circle before it counted bracket
+monomials.
 """
 
 from __future__ import annotations
@@ -112,9 +116,11 @@ from bandkh.diagram import (
 )
 from bandkh.homology import AbelianGroup, HomologyTable
 from bandkh.linalg import rank_over, smith_normal_form
-from bandkh.skein import LOOP_FACTOR, BasisElement, BracketExpansion, LaurentPolyA
+from bandkh.skein import BasisElement, BracketExpansion, LaurentPolyA
 from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
 from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
+
+LOOP_FACTOR = LaurentPolyA.from_dict({2: -1, -2: -1})  # -(A^2 + A^-2), a trivial loop
 
 
 def class_sort_key(cls) -> tuple:

@@ -1,9 +1,10 @@
 """``src/bandkh`` holds command and API code only.
 
 Every function, class and method defined at module or class level in the
-package must be read by the package itself, exported by ``bandkh``, or
-named in a code span or code block of the README.  A helper that only the
-tests call belongs in ``tests/helpers.py`` or, as an oracle, in
+package, and every name assigned at module level, must be read by the
+package itself, exported by ``bandkh``, or named in a code span or code
+block of the README.  A helper or constant that only the tests read
+belongs in ``tests/helpers.py`` or, as an oracle, in
 ``tests/dense_oracle.py``.  The row tables of a complex are read inside
 ``state_complex`` only.
 """
@@ -20,25 +21,29 @@ SRC = ROOT / "src" / "bandkh"
 
 def _definitions(tree: ast.Module) -> list[str]:
     """Names of the functions, classes and methods at module or class level,
-    dunders left out."""
+    and of the names assigned at module level, dunders left out."""
     out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [name.id for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name)]
     scopes = [tree.body]
     while scopes:
         for node in scopes.pop():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    out.append(node.name)
+                out.append(node.name)
                 if isinstance(node, ast.ClassDef):
                     scopes.append(node.body)
-    return out
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
 
 
 def _references(tree: ast.Module) -> set[str]:
-    """Names read through a ``Name`` or ``Attribute`` node; imports and
-    docstrings hold neither."""
+    """Names read through a ``Name`` or ``Attribute`` node, a ``Name`` only
+    where it is loaded, not assigned; imports and docstrings hold neither."""
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)

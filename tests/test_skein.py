@@ -7,7 +7,6 @@ from bandkh.diagram import Diagram, apply_r1_neg, apply_r1_pos, smooth_crossing
 from bandkh.homology import homology
 from bandkh.skein import (
     BasisElement,
-    LOOP_FACTOR,
     LaurentPolyA,
     SkeinError,
     bracket_recursive,
@@ -23,6 +22,7 @@ from bandkh.state_complex import GradedComplex
 from bandkh.surface import CurveKind, GradingS, classify, parse_word
 
 import dense_oracle
+from dense_oracle import LOOP_FACTOR
 from helpers import (
     ALL_SURFACES,
     ANNULUS,

@@ -17,7 +17,7 @@ from bandkh.diagram import (Diagram, Edge, apply_r1_neg, apply_r1_pos, apply_r2,
                             reorder_crossings, smooth)
 from bandkh import state_complex
 from bandkh.homology import COEFFICIENTS, homology
-from bandkh.linalg import _mat_mul, invariant_factors
+from bandkh.linalg import _direct_sum, _mat_mul, invariant_factors
 from bandkh.state_complex import ComplexError, GradedComplex
 from bandkh.surface import CurveKind, GradingS, inverse_word, parse_word
 from bandkh.skein import kauffman_bracket, phi_expand
@@ -429,8 +429,8 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
     brings Z/2 torsion, so the Tor term of two such pieces is exercised, and
     the crosscap shadow fails d o d beside its neighbours.  A complex that
     reads its own rows first (its buckets, or a chain map for odd seeds)
-    builds no component and reads all three off its own blocks, with the
-    same result."""
+    builds the same components on its first read of factors or verdicts,
+    and gives the same result."""
     surface, rng = ALL_SURFACES[surface], random.Random(seed)
     parts = [random_diagram(surface, rng, max_crossings=2) for _ in range(n_random)]
     if special == "trefoil":  # Z/2 torsion; two bring (Z -2-> Z) (x) (Z -2-> Z)
@@ -442,12 +442,13 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
                                                for k in loops)))
     d = disjoint_union(*parts, rng=rng)
     if len(state_complex._crossing_groups(d)) + len(d.loops) > 1:
-        lifted = _assert_split_matches_full_enumeration(GradedComplex(d))
+        lifted = _assert_split_matches_full_enumeration(first := GradedComplex(d))
         cx = GradedComplex(d)
         (chainmaps.eta if seed % 2 else lambda cx: cx.buckets)(cx)  # its own rows first
+        assert cx._parts is None
         assert (list(cx.sizes.items()), list(cx.factors().items()),
                 list(cx.d_squared_blocks().items())) == lifted
-        assert cx._parts is None
+        assert [p.diagram for p in cx._parts] == [p.diagram for p in first._parts]
 
 
 @settings(max_examples=60, deadline=None)
@@ -523,7 +524,7 @@ def test_merged_factors_are_those_of_the_direct_sum(diagonals):
     for diag in diagonals:
         columns += [[(rows + r, v)] for r, v in enumerate(diag)]
         rows += len(diag)
-    assert state_complex._direct_sum(parts) == invariant_factors(columns, rows)
+    assert _direct_sum(x for factors in parts for x in factors) == invariant_factors(columns, rows)
 
 
 @pytest.mark.parametrize("extra_loops", [("",), ("", ""), ("", "", "")])
@@ -539,6 +540,29 @@ def test_crosscap_shadow_with_loops_fails_d_squared_at_the_enumerated_block(extr
     assert str(failed.value) == (
         f"differential does not square to zero in block (j={j},s={s.text}); "
         "the diagram is not drawable on the declared surface")
+
+
+@pytest.mark.parametrize("rows_first", [False, True])
+def test_lifted_sizes_that_differ_from_the_enumerated_ones_raise(monkeypatch, rows_first):
+    """A split complex whose block sizes lifted off its components differ
+    from those of its own states raises :class:`ComplexError` in either
+    read order: its rows enumerated after the lift, or the lift after its
+    rows."""
+    real = state_complex._kunneth
+
+    def shifted(parts):
+        lifted = real(parts)
+        key, (size, factors) = next(iter(lifted.items()))
+        return {**lifted, key: (size + 1, factors)}
+
+    monkeypatch.setattr(state_complex, "_kunneth", shifted)
+    cx = GradedComplex(twist_pair(PANTS, "a", 2, extra_loops=("b", "")))
+    reads = [lambda: cx.buckets, cx.factors]
+    first, second = reads if rows_first else reads[::-1]
+    first()
+    with pytest.raises(ComplexError, match="^the enumerated blocks differ from those "
+                                           "lifted off the components$"):
+        second()
 
 
 def _count_enumerations(monkeypatch) -> list:
@@ -593,7 +617,8 @@ def test_a_split_complex_builds_no_component_it_does_not_read(monkeypatch):
     not its components: the unfrozen parent of a frozen complex built
     without ``share``, and the complexes of ``rho_I``, ``mirror_map`` and
     ``reorder_iso``.  Its first read of sizes, factors or d o d verdicts
-    builds the components, each once."""
+    builds the complexes of its two crossing-connected components, each
+    once; the free loop builds none."""
     enumerated = _count_enumerations(monkeypatch)
     d = disjoint_union(twist_pair(PANTS, "b", 2), apply_r1_neg(loops_diagram(PANTS, "a"),
                                                               ("loop", 0)),
@@ -615,9 +640,8 @@ def test_a_split_complex_builds_no_component_it_does_not_read(monkeypatch):
         assert enumerated == []
         read(cx)
         cx.sizes, cx.factors(), cx.d_squared_blocks()
-        assert enumerated == [part.diagram for part in cx._parts[:2]]
-        assert all(_connected(x) for x in enumerated) and cx._parts[2:] and \
-            not any(isinstance(part, GradedComplex) for part in cx._parts[2:])
+        assert enumerated == [part.diagram for part in cx._parts] and len(cx._parts) == 2
+        assert all(_connected(x) for x in enumerated)
 
 
 def test_homology_path_builds_no_state_objects(monkeypatch):
