@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import divisor_chain, rank_over, smith_normal_form  # noqa: F401 (re-exported)
-from .state_complex import GradedComplex, GradingKey, _order
+from .state_complex import GradedComplex, GradingKey, _order, _Pieces
 
 
 class HomologyError(ValueError):
@@ -86,9 +86,18 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
     block's invariant factors over Z (``cx.factors()``, reduced once per
     complex) serve as d_out of its own key and d_in of the key two steps
     below.  Every ring reads its ranks off those factors.
+
+    A split complex whose components pass d o d reads neither its own
+    factors nor its d o d verdicts: it pairs the pieces of its components'
+    homology alone (see :func:`_split_groups`).  If a component fails, the
+    complex checks its own blocks, which raises the error of full
+    enumeration.
     """
     if coefficients not in COEFFICIENTS:
         raise HomologyError(f"unknown coefficients {coefficients!r}")
+    pieces = cx._homology_pieces()
+    if pieces is not None:
+        return HomologyTable(_split_groups(pieces, coefficients), coefficients)
     cx.check_d_squared()
     factors = cx.factors()
     groups: dict[GradingKey, AbelianGroup] = {}
@@ -102,6 +111,34 @@ def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
         if rank or torsion:
             groups[(i, j, s)] = AbelianGroup(rank, torsion)
     return HomologyTable(groups, coefficients)
+
+
+_NO_PIECE = (0, {})
+
+
+def _split_groups(pieces: _Pieces, coefficients: str) -> dict[GradingKey, AbelianGroup]:
+    """The groups of a split complex, in :meth:`GradedComplex.gradings`
+    order, off its free pieces and its elementary pieces (Z -m-> Z) of
+    modulus m above 1 (``cx._homology_pieces()``; a modulus 1 is skipped):
+    a free piece is Z at its key, a piece out of key + 2 is Z/m at the key,
+    and mod 2 a piece of even m is Z/2 at both its ends.  So Z reads rank
+    ``free`` and the divisor chain of the moduli at key + 2, Q ``free``,
+    and Z/2 ``free`` plus the even moduli at the key and at key + 2."""
+    keys = set(pieces)
+    keys.update((i - 2, j, s) for (i, j, s), (_, moduli) in pieces.items() if moduli)
+    groups: dict[GradingKey, AbelianGroup] = {}
+    for (i, j, s) in sorted(keys, key=_order):
+        rank, out = pieces.get((i, j, s), _NO_PIECE)
+        into = pieces.get((i + 2, j, s), _NO_PIECE)[1]
+        torsion: tuple[int, ...] = ()
+        if coefficients == "Z":
+            torsion = divisor_chain(m for m, count in into.items() for _ in range(count))
+        elif coefficients == "Z2":
+            rank += sum(count for m, count in out.items() if not m & 1) + sum(
+                count for m, count in into.items() if not m & 1)
+        if rank or torsion:
+            groups[(i, j, s)] = AbelianGroup(rank, torsion)
+    return groups
 
 
 def aggregate_handlebody(table: HomologyTable) -> dict[tuple[int, int], AbelianGroup]:

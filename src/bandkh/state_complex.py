@@ -41,12 +41,18 @@ invariant factor and no d o d verdict.  A free loop is the component
 without crossings: Z^2 with d = 0, its label e shifting j by 2e if it is
 trivial, s by e times its class if it is unbounding, and no grading if it
 bounds a Moebius band.  An unfrozen complex with free loops or two or more
-crossing-connected components is split: on the first read of its factors,
-its d o d verdicts, or its block sizes before its own states, it builds
-the complex of each crossing-connected component, and if d o d vanishes on
-each, lifts all three off them and the free loops, the sizes having to
-equal those of its own states once both are read; else it reads them off
-its own blocks.
+crossing-connected components is split: it builds the complex of each
+crossing-connected component on first need, and each read lifts only what
+it needs off them and the free loops, through one pairing loop
+(:func:`_kunneth`) over one table of pieces per tensor factor.  ``sizes``
+pairs every state as a free piece, a convolution that reduces no block;
+the d o d verdicts are all True if d o d vanishes on each component;
+:meth:`~GradedComplex.factors` pairs every piece of the components'
+factors; and homology pairs only the pieces it sees
+(:meth:`~GradedComplex._homology_pieces`).  If a component fails d o d,
+the verdicts and factors are read off the complex's own blocks instead.
+Its lifted block sizes must equal those of its own states once both are
+read.
 
 Label codes
 -----------
@@ -162,49 +168,74 @@ def _crossing_groups(diagram: Diagram) -> list[list[int]]:
     return groups
 
 
-def _loop_sizes(loop: Circle) -> dict[GradingKey, int]:
-    """The block sizes of a free loop, the component without crossings:
-    Z^2 with d = 0, one state per label."""
+#: A tensor factor's pieces over Z (see :func:`_kunneth`): key -> (free
+#: pieces Z at it, {modulus: count} of the elementary pieces out of it).
+_Pieces = dict[GradingKey, tuple[int, dict[int, int]]]
+
+
+_NO_MODULI: dict[int, int] = {}  # shared by the pieces with no modulus: read only
+
+
+def _free(sizes: Mapping[GradingKey, int]) -> _Pieces:
+    """Every state a free piece: pairing these tables convolves the block
+    sizes."""
+    return {key: (n, _NO_MODULI) for key, n in sizes.items()}
+
+
+def _pieces(sizes: Mapping[GradingKey, int], out: Mapping[GradingKey, tuple[int, ...]],
+            units: bool) -> _Pieces:
+    """The pieces of a complex with these block sizes and invariant factors
+    of d out of each key (d o d = 0): one elementary piece (Z -m-> Z) out
+    of key a per invariant factor m out of a, and the rest of a free.
+    Without ``units`` the unit pieces (Z -1-> Z), which homology never
+    sees, are dropped, and so are the keys left with no piece."""
+    table: _Pieces = {}
+    for (i, j, s), n in sizes.items():
+        factors = out.get((i, j, s), ())
+        free = n - len(factors) - len(out.get((i + 2, j, s), ()))
+        moduli: dict[int, int] = {}
+        for m in factors if units else factors[factors.count(1):]:
+            moduli[m] = moduli.get(m, 0) + 1
+        if units or free or moduli:
+            table[(i, j, s)] = (free, moduli)
+    return table
+
+
+def _loop_pieces(loop: Circle) -> _Pieces:
+    """The pieces of a free loop, the component without crossings: Z^2
+    with d = 0, one free piece per label."""
     sizes: dict[GradingKey, int] = {}
     for lab in (1, -1):
         key = (0, 2 * lab if loop.kind is CurveKind.TRIVIAL else 0, GradingS.from_pairs(
             [(loop.cls, lab)] if loop.kind is CurveKind.UNBOUNDING else []))
         sizes[key] = sizes.get(key, 0) + 1
-    return sizes
+    return _free(sizes)
 
 
 _UNIT: GradingKey = (0, 0, GradingS.zero())  # the key of the empty diagram's state
 
 
-def _kunneth(parts: list[tuple[dict, dict]]) -> dict[GradingKey, tuple[int, tuple[int, ...]]]:
-    """The block size and the invariant factors over Z of d out of each key
-    of the tensor product of ``parts`` (each a table of block sizes and one
-    of factors, with d o d = 0), in one pass over their pieces.
-    Each part splits into free pieces Z[a] and elementary pieces
-    (Z -m-> Z) out of key a, one per invariant factor m out of a; the rest
-    of a is free.  Z (x) Z is free, Z (x) (Z -m-> Z) is (Z -m-> Z), and
-    (Z -m-> Z) (x) (Z -n-> Z) has d out of its top and out of its middle
-    key with one invariant factor gcd(m, n) each, the second being the Tor
-    term.  Keys add, each sum of two s gradings built once.  A key's size
-    is its free pieces plus the pieces out of it and into it, and its
-    moduli merge as a direct sum (:func:`_direct_sum`)."""
+def _kunneth(tables: list[_Pieces]) -> _Pieces:
+    """The pieces of the tensor product of complexes with these pieces (each
+    with d o d = 0), in one pass over them: Z (x) Z is free,
+    Z (x) (Z -m-> Z) is (Z -m-> Z), and (Z -m-> Z) (x) (Z -n-> Z) has d
+    out of its top and out of its middle key with one invariant factor
+    gcd(m, n) each, the second being the Tor term.  Keys add, each sum of
+    two s gradings built once.  A modulus 1 may appear when two moduli are
+    coprime."""
     sums: dict[tuple[GradingS, GradingS], GradingS] = {}
-    acc: dict[GradingKey, list] = {_UNIT: [1, {}]}  # key -> [free, {modulus: count}]
-    for sizes, out in parts:
-        pieces = []
-        for (i, j, s), n in sizes.items():
-            moduli: dict[int, int] = {}
-            for m in (factors := out.get((i, j, s), ())):
-                moduli[m] = moduli.get(m, 0) + 1
-            pieces.append((i, j, s, n - len(factors) - len(out.get((i + 2, j, s), ())), moduli))
+    acc: _Pieces = {_UNIT: (1, _NO_MODULI)}
+    for pieces in tables:
         new: dict[GradingKey, list] = {}
         for (i, j, s), (x, ma) in acc.items():
-            for i2, j2, s2, y, mb in pieces:
+            for (i2, j2, s2), (y, mb) in pieces.items():
                 t = s if not s2.entries else s2 if not s.entries else (
                     sums.get((s, s2)) or sums.setdefault((s, s2), grading_add(s, s2)))
                 key = (i + i2, j + j2, t)
                 entry = new.get(key) or new.setdefault(key, [0, {}])
                 entry[0] += x * y
+                if not (ma or mb):
+                    continue
                 got = entry[1]
                 for m, count in ma.items():
                     got[m] = got.get(m, 0) + count * y
@@ -219,20 +250,18 @@ def _kunneth(parts: list[tuple[dict, dict]]) -> dict[GradingKey, tuple[int, tupl
                             got[g] = got.get(g, 0) + c1 * c2
                             mid[1][g] = mid[1].get(g, 0) + c1 * c2
         acc = new
-    pieces_out = {key: sum(moduli.values()) for key, (_, moduli) in acc.items()}
-    return {(i, j, s): (free + pieces_out[(i, j, s)] + pieces_out.get((i + 2, j, s), 0),
-                        _direct_sum(m for m, c in moduli.items() for _ in range(c)))
-            for (i, j, s), (free, moduli) in acc.items()}
+    return acc
 
 
 class _Lazy:
     """An attribute of a split complex, filled on first read by ``fill``:
-    ``_factors``, ``_d2`` and ``sizes`` (:meth:`GradedComplex._lift`), or
-    ``sizes`` and the row tables ``_rows``, ``_keys`` and ``_bids`` by
-    enumerating its own states.  Every other complex stores them when
-    built, and an instance attribute hides this descriptor, so reads cost
-    no call.  (A ``__getattr__`` hook would instead slow every attribute
-    read of every complex, by about 3 % on ``les``.)"""
+    ``sizes``, ``_d2`` and ``_factors``, each by its own lift
+    (:meth:`GradedComplex._lift_sizes` and the two after it), or the row
+    tables ``_rows``, ``_keys`` and ``_bids``, with ``sizes`` if not yet
+    filled, by enumerating its own states.  Every other complex stores
+    them when built, and an instance attribute hides this descriptor, so
+    reads cost no call.  (A ``__getattr__`` hook would instead slow every
+    attribute read of every complex, by about 3 % on ``les``.)"""
 
     def __init__(self, fill: Callable[[GradedComplex], None]):
         self.fill = fill
@@ -322,9 +351,9 @@ class GradedComplex:
     smoothing cache, class ids and flip rules, but does not keep it.
 
     An unfrozen complex of a split diagram (see Split diagrams above) lifts
-    :meth:`factors` and :meth:`d_squared_blocks` off its components if each
-    passes d o d (:meth:`_lift`), and lists ``sizes`` in :meth:`gradings`
-    order.  Its own row tables are enumerated when first read, by what
+    ``sizes`` off its components, and :meth:`factors` and
+    :meth:`d_squared_blocks` too if each passes d o d, each read alone,
+    and lists ``sizes`` in :meth:`gradings` order.  Its own row tables are enumerated when first read, by what
     names states: ``buckets``, ``index``, ``locate``, d and d+, and the
     chain maps.
     """
@@ -377,7 +406,8 @@ class GradedComplex:
 
     def _store(self, rows: dict, keys: list[GradingKey], counts: list[int]) -> None:
         """Keep the row tables and block sizes.  A split complex's factors
-        and d o d verdicts are filled by :meth:`_lift` alone."""
+        and d o d verdicts are filled by :meth:`_lift_factors` and
+        :meth:`_lift_d2` alone."""
         self._rows, self._keys = rows, keys
         self._bids = {key: bid for bid, key in enumerate(keys)}
         if self._groups is None:
@@ -394,23 +424,58 @@ class GradedComplex:
             raise ComplexError("the enumerated blocks differ from those lifted off "
                                "the components")
 
-    def _lift(self) -> None:
-        """Fill ``_factors`` and ``_d2`` of a split complex, and ``sizes`` if
-        not yet filled: if d o d vanishes on each component, lift all three
-        off them and the free loops (:func:`_kunneth`), every verdict True,
-        as d o d is d1 o d1 (x) 1 +- 1 (x) d2 o d2; else enumerate its own
-        states, if not yet, and compute the other two off its own blocks."""
-        parts = self._components()
-        if all(all(part.d_squared_blocks().values()) for part in parts):
-            lifted = _kunneth([(part.sizes, part.factors()) for part in parts] + [
-                (_loop_sizes(loop), {}) for loop in self.diagram.slot_tables.loops])
-            self._keep_sizes({key: size for key, (size, _) in lifted.items()})
-            self._factors = {key: lifted[key][1] for key in self.sizes}
-            self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True)
-        else:
-            if "sizes" not in vars(self):
-                self._own_rows()
-            self._factors = self._d2 = None
+    def _lift_sizes(self) -> None:
+        """Fill a split complex's ``sizes``: its components' and free loops'
+        block sizes paired as free pieces (:func:`_kunneth`), a convolution
+        that reduces no block."""
+        self._keep_sizes({key: free for key, (free, _) in _kunneth(
+            self._tables(lambda part: _free(part.sizes))).items()})
+
+    def _lift_d2(self) -> None:
+        """Fill a split complex's ``_d2``: if d o d vanishes on each
+        component, every verdict is True, one per (j, s) of ``sizes``, as
+        d o d is d1 o d1 (x) 1 +- 1 (x) d2 o d2; else None, and
+        :meth:`d_squared_blocks` reads them off its own blocks."""
+        self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True) \
+            if self._parts_pass() else None
+
+    def _lift_factors(self) -> None:
+        """Fill a split complex's ``_factors``: if d o d vanishes on each
+        component, pair every piece of its components and free loops
+        (:func:`_kunneth`).  A key's size, its free pieces plus the pieces
+        out of it and into it, must equal ``sizes`` (:meth:`_keep_sizes`),
+        and its moduli merge as a direct sum (:func:`_direct_sum`).  Else
+        None, and :meth:`factors` reduces its own blocks."""
+        if not self._parts_pass():
+            self._factors = None
+            return
+        product = _kunneth(self._tables(lambda part: _pieces(part.sizes, part.factors(), True)))
+        out = {key: sum(moduli.values()) for key, (_, moduli) in product.items()}
+        self._keep_sizes({(i, j, s): free + out[(i, j, s)] + out.get((i + 2, j, s), 0)
+                          for (i, j, s), (free, _) in product.items()})
+        self._factors = {key: _direct_sum(m for m, c in product[key][1].items()
+                                          for _ in range(c)) for key in self.sizes}
+
+    def _homology_pieces(self) -> _Pieces | None:
+        """What homology sees of a split complex whose components pass
+        d o d: the free pieces and the elementary pieces of modulus above 1
+        out of each key, paired off those of its components and free loops
+        (:func:`_kunneth`).  A unit piece (Z -1-> Z) paired with any piece
+        gives unit pieces alone, so dropping them is exact.  None for any
+        other complex."""
+        if self._groups is None or not self._parts_pass():
+            return None
+        return _kunneth(self._tables(lambda part: _pieces(part.sizes, part.factors(), False)))
+
+    def _tables(self, pieces: Callable[[GradedComplex], _Pieces]) -> list[_Pieces]:
+        """One table per tensor factor of a split complex: ``pieces`` of
+        each crossing-connected component, then those of each free loop."""
+        return [pieces(part) for part in self._components()] + [
+            _loop_pieces(loop) for loop in self.diagram.slot_tables.loops]
+
+    def _parts_pass(self) -> bool:
+        """Whether d o d vanishes on each component of a split complex."""
+        return all(all(part.d_squared_blocks().values()) for part in self._components())
 
     def _components(self) -> list[GradedComplex]:
         """The complex of each crossing-connected component of a split
@@ -428,7 +493,7 @@ class GradedComplex:
     def _own_rows(self) -> None:
         self._store(*self._enumerate())
 
-    sizes, _factors, _d2 = _Lazy(_lift), _Lazy(_lift), _Lazy(_lift)
+    sizes, _d2, _factors = _Lazy(_lift_sizes), _Lazy(_lift_d2), _Lazy(_lift_factors)
     _rows, _keys, _bids = _Lazy(_own_rows), _Lazy(_own_rows), _Lazy(_own_rows)
 
     # -- construction ---------------------------------------------------
@@ -693,7 +758,7 @@ class GradedComplex:
         """Whether d composed with itself vanishes on each (j, s) block.
 
         The keys come in (j, s) order.  A split complex whose components
-        pass d o d lifts these, all True (see :meth:`_lift`).  Computed on
+        pass d o d lifts these, all True (see :meth:`_lift_d2`).  Computed on
         the first call and stored: read the result only.
         """
         if self._d2 is None:
@@ -717,7 +782,7 @@ class GradedComplex:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
         ``sizes``.  A split complex whose components pass d o d lifts these
-        by the Kunneth formula (see :func:`_kunneth`).  Computed on the first
+        by the Kunneth formula (see :meth:`_lift_factors`).  Computed on the first
         call and stored: read the result only.
         """
         if self._factors is None:

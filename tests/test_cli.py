@@ -24,9 +24,11 @@ from bandkh.textformat import ParseError, emit_diagram, load_diagram, parse_diag
 from helpers import (
     ALL_SURFACES,
     DISK,
+    MOEBIUS,
     PANTS,
     crosscap_shadow,
     disjoint_union,
+    loops_diagram,
     random_diagram,
     triangle_closure,
     twist_pair,
@@ -167,6 +169,39 @@ def test_package_import_leaves_the_cli_unloaded():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: bandkh") and not run.stderr
+
+
+def test_split_diagram_output_does_not_depend_on_the_hash_seed(tmp_path, capsys):
+    """A split diagram's tables are lifted off dictionaries keyed by
+    ``GradingS`` objects, which hash by identity: ``python -m bandkh.cli``
+    prints the same bytes under PYTHONHASHSEED 0 and 1 as ``main`` does
+    in-process, for homology over Z and Z/2, euler and verify --suite=d2,
+    on two twists with Z/2 torsion side by side and on a Moebius-band
+    diagram with free loops."""
+    src = os.path.dirname(os.path.dirname(bandkh.__file__))
+    diagrams = [disjoint_union(twist_pair(PANTS, "a", 3), twist_pair(PANTS, "", 3),
+                               rng=random.Random(5)),
+                disjoint_union(twist_pair(MOEBIUS, "a", 2),
+                               loops_diagram(MOEBIUS, "a", "a a", ""), rng=random.Random(6))]
+    commands = [["homology"], ["homology", "--coefficients=Z2"], ["euler"],
+                ["verify", "--suite=d2"]]
+    outputs = []
+    for n, d in enumerate(diagrams):
+        path = tmp_path / f"d{n}.txt"
+        path.write_text(emit_diagram(d))
+        for command in commands:
+            argv = [command[0], str(path), *command[1:]]
+            code = main(argv)
+            want = (code, *capsys.readouterr())
+            assert code == 0 and want[1]
+            outputs.append(want[1])
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                    filter(None, (src, os.environ.get("PYTHONPATH")))))
+                run = subprocess.run([sys.executable, "-m", "bandkh.cli", *argv], env=env,
+                                     capture_output=True, text=True, timeout=60)
+                assert (run.returncode, run.stdout, run.stderr) == want, (seed, argv)
+    assert any(line.split("\t")[-1] != "-" for line in outputs[0].splitlines())  # torsion
 
 
 def test_cli_verify_all_passes(tmp_path, capsys):

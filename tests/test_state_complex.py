@@ -411,26 +411,9 @@ def _assert_split_matches_full_enumeration(cx):
     return list(sizes.items()), factors, d2
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
-       st.integers(1, 2), st.sampled_from(["crosscap", "none", "trefoil"]),
-       st.lists(st.integers(0, 11), max_size=2))
-@example(0, 0, 1, "trefoil", [])  # the trefoil beside a random disk diagram
-@example(3, 0, 2, "trefoil", [0])  # three components and a trivial loop
-@example(1, 2, 1, "trefoil", [1, 2])  # torsion beside unbounding loops
-@example(7, 0, 1, "crosscap", [])  # the crosscap shadow beside a twist or kink
-@example(4, 4, 2, "crosscap", [2])  # ... on the Moebius band, with a loop
-@example(5, 3, 2, "none", [1])
-def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special, loops):
-    """A diagram with two or three crossing-connected components, and free
-    loops, lifts its sizes, factors and d o d verdicts off its components by
-    the Kunneth formula: each equals what full enumeration gives, in order.
-    The components interleave in the crossing order; the trefoil's twist
-    brings Z/2 torsion, so the Tor term of two such pieces is exercised, and
-    the crosscap shadow fails d o d beside its neighbours.  A complex that
-    reads its own rows first (its buckets, or a chain map for odd seeds)
-    builds the same components on its first read of factors or verdicts,
-    and gives the same result."""
+def _split_union(seed, surface, n_random, special, loops) -> Diagram:
+    """Random diagrams beside the trefoil's twists or the crosscap shadow,
+    and free loops, their crossings interleaved."""
     surface, rng = ALL_SURFACES[surface], random.Random(seed)
     parts = [random_diagram(surface, rng, max_crossings=2) for _ in range(n_random)]
     if special == "trefoil":  # Z/2 torsion; two bring (Z -2-> Z) (x) (Z -2-> Z)
@@ -440,7 +423,45 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
     words = surface_words(surface)
     parts.append(Diagram(surface, loops=tuple(parse_word(words[k % len(words)])
                                                for k in loops)))
-    d = disjoint_union(*parts, rng=rng)
+    return disjoint_union(*parts, rng=rng)
+
+
+def _state_count(d: Diagram) -> int:
+    """The number of states of the complex of ``d``."""
+    return sum(GradedComplex(d).sizes.values())
+
+
+#: The most states of a drawn union in the test below.  Its time grows with
+#: the state count, about 30 us a state, and draws reached 86 400 states
+#: and 2.6 s each, so the test took 5 to 30 s by the hypothesis seed.  The
+#: explicit examples are not bounded: one has 43 200 states.
+SPLIT_DRAW_STATES = 10_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
+                 st.integers(1, 2), st.sampled_from(["crosscap", "none", "trefoil"]),
+                 st.lists(st.integers(0, 11), max_size=2)).filter(
+    lambda args: _state_count(_split_union(*args)) <= SPLIT_DRAW_STATES))
+@example((0, 0, 1, "trefoil", []))  # the trefoil beside a random disk diagram
+@example((3, 0, 2, "trefoil", [0]))  # three components and a trivial loop
+@example((1, 2, 1, "trefoil", [1, 2]))  # torsion beside unbounding loops
+@example((7, 0, 1, "crosscap", []))  # the crosscap shadow beside a twist or kink
+@example((4, 4, 2, "crosscap", [2]))  # ... on the Moebius band, with a loop
+@example((5, 3, 2, "none", [1]))
+def test_split_diagrams_match_full_enumeration(args):
+    """A diagram with two or three crossing-connected components, and free
+    loops, lifts its sizes, factors and d o d verdicts off its components by
+    the Kunneth formula: each equals what full enumeration gives, in order.
+    The components interleave in the crossing order; the trefoil's twist
+    brings Z/2 torsion, so the Tor term of two such pieces is exercised, and
+    the crosscap shadow fails d o d beside its neighbours.  A complex that
+    reads its own rows first (its buckets, or a chain map for odd seeds)
+    builds the same components on its first read of factors or verdicts,
+    and gives the same result.  Drawn unions have at most
+    ``SPLIT_DRAW_STATES`` states."""
+    seed = args[0]
+    d = _split_union(*args)
     if len(state_complex._crossing_groups(d)) + len(d.loops) > 1:
         lifted = _assert_split_matches_full_enumeration(first := GradedComplex(d))
         cx = GradedComplex(d)
@@ -449,6 +470,78 @@ def test_split_diagrams_match_full_enumeration(seed, surface, n_random, special,
         assert (list(cx.sizes.items()), list(cx.factors().items()),
                 list(cx.d_squared_blocks().items())) == lifted
         assert [p.diagram for p in cx._parts] == [p.diagram for p in first._parts]
+
+
+def _twists_beside(seed, surface, twists, loops) -> Diagram:
+    """Per entry of ``twists``, the trefoil's twist (True) or a random
+    diagram, and free loops, their crossings interleaved."""
+    surface, rng = ALL_SURFACES[surface], random.Random(seed)
+    parts = [twist_pair(surface, "", 3) if twist else random_diagram(surface, rng, max_crossings=2)
+             for twist in twists]
+    words = surface_words(surface)
+    parts.append(Diagram(surface, loops=tuple(parse_word(words[k % len(words)])
+                                               for k in loops)))
+    return disjoint_union(*parts, rng=rng)
+
+
+#: The most states of a drawn union in the test below, whose dense oracle
+#: reduces each block of the whole union: two twists side by side, 900
+#: states, take about 0.4 s over the three rings.
+LIFT_DRAW_STATES = 1_000
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
+                 st.lists(st.booleans(), min_size=1, max_size=3),
+                 st.lists(st.integers(0, 11), max_size=2)).filter(
+    lambda args: _state_count(_twists_beside(*args)) <= LIFT_DRAW_STATES))
+@example((0, 0, [True, True], []))  # (Z -2-> Z) (x) (Z -2-> Z): the Tor term, on the disk
+@example((1, 4, [True, True], []))  # ... on the Moebius band
+@example((2, 2, [True, False], [1, 2]))  # a twist beside a random diagram and unbounding loops
+@example((3, 4, [False], [1, 2]))  # one random component and loops on the Moebius band
+@example((4, 3, [True], [1]))  # a twist and an unbounding loop on the punctured torus
+def test_split_homology_lifts_as_the_dense_oracle_finds(args):
+    """homology of a split complex whose components pass d o d pairs only
+    the pieces that homology sees, and enumerates no state of its own: over
+    Z, Q and Z/2 its table equals what the dense oracle reads off the
+    complex's own enumerated blocks, its groups in ``gradings`` order.  One
+    to three components, each the trefoil's twist (Z/2 torsion; two bring
+    the Tor term) or a random diagram, and zero to two free loops, on all
+    five surfaces.  Drawn unions have at most ``LIFT_DRAW_STATES`` states."""
+    cx = GradedComplex(_twists_beside(*args))
+    split = cx._groups is not None
+    tables = [homology(cx, ring) for ring in COEFFICIENTS]
+    assert not split or "_rows" not in vars(cx)
+    for table, ring in zip(tables, COEFFICIENTS):
+        assert table == dense_oracle.block_homology(cx, ring)
+        if split:
+            assert list(table.groups) == [key for key in cx.gradings() if key in table.groups]
+
+
+def test_the_d2_suite_sizes_and_gradings_of_a_split_complex_reduce_no_component_block(
+        monkeypatch):
+    """verify --suite=d2 on a split diagram reads no component's invariant
+    factors, and its verdicts are those of the dense oracle; ``sizes`` and
+    ``gradings()`` of a split complex sweep no component block either: the
+    sizes convolve the components', and every verdict is True as each
+    component passes d o d."""
+    d = disjoint_union(twist_pair(PANTS, "a", 2), twist_pair(PANTS, "", 2),
+                       loops_diagram(PANTS, "b", ""), rng=random.Random(3))
+    want = "".join(f"{'PASS' if ok else 'FAIL'} d2 (j={j},s={s.text})\n" for (j, s), ok
+                   in dense_oracle.d_squared_blocks(GradedComplex(d)).items())
+    built = []
+    real = GradedComplex.__init__
+    monkeypatch.setattr(GradedComplex, "__init__",
+                        lambda self, *args, **kw: built.append(self) or real(self, *args, **kw))
+    out = io.StringIO()
+    assert run_verify(d, ["d2"], out) == 0 and out.getvalue() == want
+    top, *parts = built
+    assert top._parts == parts and len(parts) == 2
+    assert all(part._factors is None for part in parts)
+    cx = GradedComplex(d)
+    assert list(cx.sizes) == cx.gradings()
+    assert all(part._factors is None and part._d2 is None and not part._blocks
+               for part in cx._parts)
 
 
 @settings(max_examples=60, deadline=None)
