@@ -62,7 +62,10 @@ and its *label code*, the position of its labels in
 ``k`` is labelled -1.  The row table maps each label code to the state's
 (block id, row).  Only this module reads the row tables: one walk over
 them (:meth:`GradedComplex._fill`) assembles, as sparse columns, every
-block of every chain map and of d and d+ of every complex.
+block of every chain map and of d and d+ of every complex.  The local
+work is done once per process: each flip shape's code map, with its
+(source code, target code) pairs, is kept in ``_FLIP_MAPS``, and each
+smoothing signature's label recipe in ``_LABEL_RECIPES``.
 """
 
 from __future__ import annotations
@@ -285,6 +288,9 @@ class _CodeMap:
     relabels the circles at the crossing by the merge/split table; the
     complexes of one diagram share it, as it ignores the frozen markers.
     A transport between two diagrams keeps every circle (``mask`` 0).
+    ``images`` lists every (source code, target code) pair in source code
+    order, derived from the other fields when not given; a flip shares it
+    with every flip of its shape (``_FLIP_MAPS``).
     """
 
     target: MarkerVector
@@ -293,6 +299,13 @@ class _CodeMap:
     mask: int
     local: dict[int, tuple[int, ...]]
     base: int = 0
+    images: tuple[tuple[int, int], ...] | None = None
+
+    def __post_init__(self):
+        if self.images is None:
+            object.__setattr__(self, "images", tuple(
+                (code, new) for code in range(1 << len(self.kept) + self.mask.bit_count())
+                for new in self.targets(code)))
 
     def targets(self, code: int) -> list[int]:
         out = self.base
@@ -332,10 +345,34 @@ def _local_rule(touched: list[tuple[int, int]],
             for bits, tau, psi in outcomes(touched)}
 
 
-#: The merge/split rule of each shape code (see ``_derive_flip``), derived
-#: once per process: a rule depends on its shape alone, so every complex
-#: reads the same table, and two threads that fill one entry store equal rules.
-_LOCAL_RULES: dict[int, dict[int, tuple[int, ...]]] = {}
+def _label_recipe(width: int, trivial: int, unbounding: tuple[tuple[int, int], ...]
+                  ) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """The label recipe of a smoothing signature: its ``width``, the code
+    bits of its ``trivial`` circles and the (code bit, local class id) of
+    its ``unbounding`` ones.  A local block is a (tau, sorted signed
+    local-class sums) pair; the recipe lists them in order of their first
+    code, each as (tau, sums, first code, size), and gives each label code,
+    in code order, its (local block, rank inside that block)."""
+    blocks: dict[tuple, list[int]] = {}  # local block -> [index, first code, size]
+    codes = []
+    for code in range(1 << width):
+        sums: dict[int, int] = {}
+        for bit, lid in unbounding:
+            sums[lid] = sums.get(lid, 0) + (-1 if code & bit else 1)
+        local = (trivial.bit_count() - 2 * (code & trivial).bit_count(),
+                 tuple(sorted((lid, x) for lid, x in sums.items() if x)))
+        block = blocks.get(local) or blocks.setdefault(local, [len(blocks), code, 0])
+        codes.append((block[0], block[2]))
+        block[2] += 1
+    return [(*local, first, size) for local, (_, first, size) in blocks.items()], codes
+
+
+#: Each flip shape code's code map, its target empty (``_derive_flip``), and
+#: each smoothing signature's label recipe (``_enumerate``), derived once per
+#: process: an entry depends on its key alone, so every complex reads the
+#: same tables, and two threads that fill one entry store equal values.
+_FLIP_MAPS: dict[int, _CodeMap] = {}
+_LABEL_RECIPES: dict[tuple, tuple[list, list[tuple[int, int]]]] = {}
 
 
 class GradedComplex:
@@ -351,11 +388,11 @@ class GradedComplex:
     smoothing cache, class ids and flip rules, but does not keep it.
 
     An unfrozen complex of a split diagram (see Split diagrams above) lifts
-    ``sizes`` off its components, and :meth:`factors` and
-    :meth:`d_squared_blocks` too if each passes d o d, each read alone,
-    and lists ``sizes`` in :meth:`gradings` order.  Its own row tables are enumerated when first read, by what
-    names states: ``buckets``, ``index``, ``locate``, d and d+, and the
-    chain maps.
+    ``sizes`` off its components, and :meth:`factors`, the d o d verdicts
+    and homology too if each passes d o d, each read lifting only what it
+    needs, and lists ``sizes`` in :meth:`gradings` order.  Its own row
+    tables are enumerated when first read, by what names states:
+    ``buckets``, ``index``, ``locate``, d and d+, and the chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -518,10 +555,11 @@ class GradedComplex:
         return self.buckets[key][n]
 
     def _enumerate(self) -> tuple[dict, list[GradingKey], list[int]]:
-        """The row tables, block keys and block sizes.  Per state one group
-        of label-code bits is looked up; ``tau`` and the signed class-id sums
-        naming ``s`` are counted once per (smoothing, group), a ``GradingS``
-        is built once per value and a grading key once per block."""
+        """The row tables, block keys and block sizes.  A smoothing's label
+        codes follow the recipe of its signature (:func:`_label_recipe`),
+        read off ``_LABEL_RECIPES``: each local block of the recipe maps to
+        a block id, a ``GradingS`` is built once per value and a grading key
+        once per block."""
         bids: dict[tuple, int] = {}  # (i, tau, sorted signed class-id sums)
         s_values: dict[tuple, GradingS] = {}
         tables: dict[MarkerVector, list[tuple[int, int]]] = {}
@@ -530,30 +568,28 @@ class GradedComplex:
         for markers in self.diagram.marker_vectors():
             data = self.smoothing(markers)
             i, width = sum(markers), len(data.circles)
-            triv = _mask([k for k, cid in enumerate(data.cids) if not cid], width)
             unb = [(1 << width - 1 - k, data.cids[k], c.cls)
                    for k, c in enumerate(data.circles) if c.kind is CurveKind.UNBOUNDING]
-            unb_bits = sum(bit for bit, _, _ in unb)
-            groups: dict[int, int] = {}
-            rows = tables[markers] = []
-            for code in range(1 << width):
-                group = (code & triv).bit_count() << width | code & unb_bits
-                bid = groups.get(group)
-                if bid is None:
-                    sums: dict[int, int] = {}
-                    for bit, cid, _ in unb:
-                        sums[cid] = sums.get(cid, 0) + (-1 if code & bit else 1)
-                    block = (i, triv.bit_count() - 2 * (group >> width),
-                             tuple(sorted((c, x) for c, x in sums.items() if x)))
-                    bid = groups[group] = bids.setdefault(block, len(counts))
-                    if bid == len(counts):
-                        if block[2] not in s_values:
-                            s_values[block[2]] = GradingS.from_pairs(
-                                (cls, -1 if code & bit else 1) for bit, _, cls in unb)
-                        keys.append((i, i + 2 * block[1], s_values[block[2]]))
-                        counts.append(0)
-                rows.append((bid, counts[bid]))
-                counts[bid] += 1
+            ids: dict[int, int] = {}  # class id -> local class id, by first appearance
+            signature = (width, _mask([k for k, cid in enumerate(data.cids) if not cid], width),
+                         tuple((bit, ids.setdefault(cid, len(ids))) for bit, cid, _ in unb))
+            recipe = _LABEL_RECIPES.get(signature)
+            if recipe is None:
+                recipe = _LABEL_RECIPES[signature] = _label_recipe(*signature)
+            cids, bid_of, start = list(ids), [], []
+            for tau, sums, first, size in recipe[0]:
+                block = (i, tau, tuple(sorted((cids[lid], x) for lid, x in sums)))
+                bid = bids.setdefault(block, len(counts))
+                if bid == len(counts):
+                    if block[2] not in s_values:
+                        s_values[block[2]] = GradingS.from_pairs(
+                            (cls, -1 if first & bit else 1) for bit, _, cls in unb)
+                    keys.append((i, i + 2 * tau, s_values[block[2]]))
+                    counts.append(0)
+                bid_of.append(bid)
+                start.append(counts[bid])
+                counts[bid] += size
+            tables[markers] = [(bid_of[lb], start[lb] + rank) for lb, rank in recipe[1]]
         return tables, keys, counts
 
     def _restrict(self, share: GradedComplex) -> tuple[dict, list[GradingKey], list[int]]:
@@ -652,65 +688,59 @@ class GradedComplex:
         return rule
 
     def _derive_flip(self, markers: MarkerVector, pos: int) -> _CodeMap:
-        """The rule of :meth:`resmoothings` for every state over ``markers``:
-        an untouched target circle is the source circle through any one of
-        its slots, and free loops come last, so each keeps its bit."""
+        """The rule of :meth:`resmoothings` for every state over ``markers``,
+        its code map but the target read off ``_FLIP_MAPS``.  Untouched
+        circles keep their slots, so their order by smallest slot, and free
+        loops come last: ``kept`` pairs them in order."""
         src = self.smoothing(markers)
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
         width_src, width = len(src.circles), len(tgt.circles)
         touched = sorted({src.at[4 * pos], src.at[4 * pos + 2]})  # on the arcs (0 1), (2 3)
         new = sorted({tgt.at[4 * pos], tgt.at[4 * pos + 1]})  # on the arcs (3 0), (1 2)
-        kept = [(1 << width_src - 1 - src.at[c.ints[0]] if c.ints else 1 << width - 1 - k,
-                 1 << width - 1 - k) for k, c in enumerate(tgt.circles) if k not in new]
-        # The shape as one integer: per side the circle count, then per
-        # circle its label-code bit position (below 2^20, as a smoothing has
-        # fewer circles) and its class id renumbered by first appearance,
-        # as the rule reads only which ids are 0 and which are equal.
-        shape, ids = 0, {0: 0}
+        # The shape as one integer: the source width, then per side the
+        # circle count, then per circle its label-code bit position (below
+        # 2^20, as a smoothing has fewer circles) and its class id renumbered
+        # by first appearance, as the rule reads only which ids are 0 and
+        # which are equal.
+        shape, ids = width_src, {0: 0}
         for width_, data, circles in ((width_src, src, touched), (width, tgt, new)):
             shape = shape << 2 | len(circles)
             for k in circles:
                 shape = shape << 24 | width_ - 1 - k << 4 | ids.setdefault(data.cids[k], len(ids))
-        local = _LOCAL_RULES.get(shape)
-        if local is None:
-            local = _LOCAL_RULES[shape] = _local_rule(
-                [(1 << width_src - 1 - k, src.cids[k]) for k in touched],
-                [(1 << width - 1 - k, tgt.cids[k]) for k in new])
-        return _CodeMap(flipped, width, tuple(kept), _mask(touched, width_src), local)
+        rule = _FLIP_MAPS.get(shape)
+        if rule is None:
+            rule = _FLIP_MAPS[shape] = _CodeMap((), width, tuple(
+                (1 << width_src - 1 - a, 1 << width - 1 - b) for a, b in zip(
+                    (k for k in range(width_src) if k not in touched),
+                    (k for k in range(width) if k not in new))),
+                _mask(touched, width_src), _local_rule(
+                    [(1 << width_src - 1 - k, src.cids[k]) for k in touched],
+                    [(1 << width - 1 - k, tgt.cids[k]) for k in new]))
+        return _CodeMap(flipped, width, rule.kept, rule.mask, rule.local, 0, rule.images)
 
 
     def _fill(self, target: GradedComplex, grading: Callable[[GradingKey], GradingKey],
               parts: Callable[[MarkerVector], Iterable[tuple]]) -> dict[GradingKey, Columns]:
         """Every block of a map to ``target``, by key, from one walk over the
         row tables: a part (sign, target markers, code map) of
-        ``parts(markers)`` sends label code c to ``sign`` times the target
-        codes ``targets(c)`` of the code map, or c for None.  An entry off
-        the block at ``grading(key)`` raises :class:`ComplexError`."""
+        ``parts(markers)`` sends label code c to ``sign`` times each target
+        code paired with c in the code map's ``images``, or to c for None.
+        An entry off the block at ``grading(key)`` raises
+        :class:`ComplexError`."""
         blocks: list[Columns] = [[[] for _ in range(self.sizes[key])] for key in self._keys]
         want = [target._bids.get(grading(key), -1) for key in self._keys]
         for markers, rows in self._rows.items():
             for sign, tmarkers, rule in parts(markers):
                 trows = target._rows[tmarkers]
-                if rule is None:
-                    bases, local = [(c, c) for c in range(len(rows))], {0: (0,)}
-                else:
-                    bases, local = [(0, rule.base)], rule.local
-                    for src, tgt in rule.kept:
-                        bases += [(s | src, t ^ tgt) for s, t in bases]
-                for touched, news in local.items():
-                    if not news:
-                        continue
-                    for src, tgt in bases:
-                        bid, col = rows[src | touched]
-                        column, to = blocks[bid][col], want[bid]
-                        for new in news:
-                            got, row = trows[tgt | new]
-                            if got != to:
-                                raise ComplexError(
-                                    f"state lands in {target._keys[got]}, expected "
-                                    f"{grading(self._keys[bid])}, from {self._keys[bid]}")
-                            column.append((row, sign))
+                for src, tgt in enumerate(range(len(rows))) if rule is None else rule.images:
+                    bid, col = rows[src]
+                    got, row = trows[tgt]
+                    if got != want[bid]:
+                        raise ComplexError(
+                            f"state lands in {target._keys[got]}, expected "
+                            f"{grading(self._keys[bid])}, from {self._keys[bid]}")
+                    blocks[bid][col].append((row, sign))
         return dict(zip(self._keys, blocks))
 
     def _sweep(self, counted: int) -> dict[GradingKey, Columns]:

@@ -22,6 +22,10 @@ path the library used before its one-sweep sparse assembly.
 :func:`mat_add` are the dense matrix helpers the library used before its
 differentials and chain maps became sparse columns.
 
+:func:`derive_flip` derives one flip's code map per (markers, crossing),
+and :func:`enumerate_rows` a complex's row tables label code by label
+code, as the library did before it kept one code map per flip shape and
+one label recipe per smoothing signature.
 :func:`enumerate_states` is the eager enumeration that built every
 ``EnhancedState`` and ``index`` entry before the library kept only row
 tables and block sizes and decoded its ``buckets`` and ``index`` on first
@@ -117,6 +121,7 @@ from bandkh.diagram import (
 from bandkh.homology import AbelianGroup, HomologyTable
 from bandkh.linalg import rank_over, smith_normal_form
 from bandkh.skein import BasisElement, BracketExpansion, LaurentPolyA
+from bandkh import state_complex
 from bandkh.state_complex import EnhancedState, GradedComplex, StateKey
 from bandkh.surface import CurveKind, GradingS, classify, free_reduce, grading_negate
 
@@ -277,6 +282,72 @@ def flip_rule(complex_, markers, pos):
             sum(tgt_bit(k) for k in new if t.labels[k] < 0)
             for t in resmoothings(complex_, state, pos))
     return flipped, len(tgt), kept, sum(map(src_bit, touched)), local
+
+
+def derive_flip(complex_, markers, pos):
+    """(target, width, kept, mask, local, base, images) of the complex's
+    flip at ``pos`` over ``markers``, derived for this (markers, crossing)
+    alone, as ``GradedComplex._derive_flip`` did before it read each flip
+    shape's code map off one process-wide table: ``kept`` matches each
+    untouched target circle to the source circle through one of its slots,
+    ``local`` is derived by ``_local_rule`` with no table, and ``images``
+    expands ``kept`` into (source base, target base) pairs per map, as
+    ``GradedComplex._fill`` did, its pairs sorted by source code."""
+    src = complex_.smoothing(markers)
+    flipped = markers[:pos] + (-1,) + markers[pos + 1:]
+    tgt = complex_.smoothing(flipped)
+    width_src, width = len(src.circles), len(tgt.circles)
+    touched = sorted({src.at[4 * pos], src.at[4 * pos + 2]})
+    new = sorted({tgt.at[4 * pos], tgt.at[4 * pos + 1]})
+    kept = tuple((1 << width_src - 1 - src.at[c.ints[0]] if c.ints else 1 << width - 1 - k,
+                  1 << width - 1 - k) for k, c in enumerate(tgt.circles) if k not in new)
+    local = state_complex._local_rule([(1 << width_src - 1 - k, src.cids[k]) for k in touched],
+                                      [(1 << width - 1 - k, tgt.cids[k]) for k in new])
+    bases = [(0, 0)]
+    for s_bit, t_bit in kept:
+        bases += [(s | s_bit, t ^ t_bit) for s, t in bases]
+    pairs = [(s | bits, t | n) for bits, news in local.items() for s, t in bases for n in news]
+    mask = sum(1 << width_src - 1 - k for k in touched)
+    return (flipped, width, kept, mask, local, 0,
+            tuple(sorted(pairs, key=lambda pair: pair[0])))
+
+
+def enumerate_rows(complex_):
+    """(row tables, block keys, block sizes) of an unfrozen complex,
+    enumerated label code by label code, as ``GradedComplex._enumerate`` did
+    before it read each smoothing's labels off a recipe per signature: per
+    code one group of label-code bits (its trivial -1 count and its
+    unbounding bits) is looked up, ``tau`` and the signed class-id sums
+    counted once per group."""
+    bids, s_values, tables, keys, counts = {}, {}, {}, [], []
+    for markers in complex_.diagram.marker_vectors():
+        data = complex_.smoothing(markers)
+        i, width = sum(markers), len(data.circles)
+        triv = sum(1 << width - 1 - k for k, cid in enumerate(data.cids) if not cid)
+        unb = [(1 << width - 1 - k, data.cids[k], c.cls)
+               for k, c in enumerate(data.circles) if c.kind is CurveKind.UNBOUNDING]
+        unb_bits = sum(bit for bit, _, _ in unb)
+        groups = {}
+        rows = tables[markers] = []
+        for code in range(1 << width):
+            group = (code & triv).bit_count() << width | code & unb_bits
+            bid = groups.get(group)
+            if bid is None:
+                sums = {}
+                for bit, cid, _ in unb:
+                    sums[cid] = sums.get(cid, 0) + (-1 if code & bit else 1)
+                block = (i, triv.bit_count() - 2 * (group >> width),
+                         tuple(sorted((c, x) for c, x in sums.items() if x)))
+                bid = groups[group] = bids.setdefault(block, len(counts))
+                if bid == len(counts):
+                    if block[2] not in s_values:
+                        s_values[block[2]] = GradingS.from_pairs(
+                            (cls, -1 if code & bit else 1) for bit, _, cls in unb)
+                    keys.append((i, i + 2 * block[1], s_values[block[2]]))
+                    counts.append(0)
+            rows.append((bid, counts[bid]))
+            counts[bid] += 1
+    return tables, keys, counts
 
 
 def resmoothings(complex_, state, pos):

@@ -811,6 +811,51 @@ def test_flip_rules_match_key_matching_oracle(seed, surface, loops):
                         == dense_oracle.flip_rule(c, markers, pos)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_SURFACES + (None,)),
+       st.lists(st.integers(0, 7), max_size=3))
+@example(0, None, [])
+@example(5, MOEBIUS, [2, 5, 1])
+@example(1, PANTS, [1, 2])
+def test_shape_maps_and_label_recipes_match_per_state_derivation(seed, surface, loops):
+    """The code maps read off one table per flip shape, field by field, and
+    the row tables read off one label recipe per smoothing signature, code
+    by code with the block keys and sizes in bucket order, against their
+    derivation per (markers, crossing) and per label code: random diagrams
+    on all five surfaces with extra free loops (an odd ``k`` adds a freely
+    trivial, unreduced word) and a twist beside them, the frozen complexes
+    of a skein triple, and the crosscap shadow (surface None)."""
+    rng = random.Random(seed)
+    if surface is None:
+        diagrams = [crosscap_shadow()]
+    else:
+        d = random_diagram(surface, rng, max_crossings=4)
+        options = [parse_word(w) for w in surface_words(surface)]
+        words = [options[k % len(options)] for k in loops]
+        words = [w + inverse_word(w) if k % 2 else w for k, w in zip(loops, words)]
+        d = Diagram(surface, d.crossings, d.edges, d.loops + tuple(words))
+        w, k = twist_params(surface)[seed % len(twist_params(surface))]
+        diagrams = [d, disjoint_union(d, twist_pair(surface, w, k), rng=rng)]
+    for d in diagrams:
+        cx = GradedComplex(d)
+        rows, keys, counts = dense_oracle.enumerate_rows(cx)
+        assert list(cx._rows.items()) == list(rows.items())
+        assert cx._keys == list(cx.buckets) == keys
+        assert [cx.sizes[key] for key in keys] == counts
+        complexes = [cx]
+        if d.n_crossings:
+            triple = skein_triple(d, rng.randrange(d.n_crossings), cx)
+            complexes += [triple.c0, triple.cinf]
+        for c in complexes:
+            for markers in c._rows:
+                for pos in c.free:
+                    if markers[pos] > 0:
+                        rule = c._flip(markers, pos)
+                        assert (rule.target, rule.width, rule.kept, rule.mask, rule.local,
+                                rule.base, rule.images) \
+                            == dense_oracle.derive_flip(c, markers, pos)
+
+
 # ---------------------------------------------------------------------------
 # d^2 = 0 and commuting partial derivatives
 # ---------------------------------------------------------------------------
@@ -925,7 +970,10 @@ def test_sweep_rejects_an_entry_off_its_grading(monkeypatch, tmp_path, capsys):
         if corrupted:
             return rule
         corrupted.append((markers, pos))
-        return dataclasses.replace(rule, local={bits: (0,) for bits in rule.local})
+        # ``images=None`` derives the map's code pairs again, from the new
+        # ``local``, instead of sharing those of the flip shape.
+        return dataclasses.replace(rule, local={bits: (0,) for bits in rule.local},
+                                   images=None)
 
     monkeypatch.setattr(GradedComplex, "_derive_flip", derive_flip)
     d = twist_pair(DISK, "", 3)
