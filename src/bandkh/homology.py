@@ -1,13 +1,13 @@
-"""Exact homology of the graded integer complexes, read off the invariant
-factors of the blocks of d (:meth:`~bandkh.state_complex.GradedComplex.factors`)
-by the ring rules of :mod:`bandkh.linalg`.
+"""Exact homology of the graded integer complexes, read over every ring off
+one table of pieces over Z
+(:meth:`~bandkh.state_complex.GradedComplex._homology_pieces`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import divisor_chain, rank_over, smith_normal_form  # noqa: F401 (re-exported)
+from .linalg import divisor_chain, smith_normal_form  # noqa: F401 (re-exported)
 from .state_complex import GradedComplex, GradingKey, _order, _Pieces
 
 
@@ -29,11 +29,11 @@ class AbelianGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise HomologyError("negative rank")
+        if any(t <= 1 for t in self.torsion):
+            raise HomologyError("torsion entries must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise HomologyError("torsion must form a divisor chain")
-        if any(t <= 1 for t in self.torsion):
-            raise HomologyError("torsion entries must exceed 1")
 
     @property
     def trivial(self) -> bool:
@@ -79,51 +79,37 @@ COEFFICIENTS = ("Z", "Q", "Z2")
 
 
 def homology(cx: GradedComplex, coefficients: str = "Z") -> HomologyTable:
-    """Homology of every (i, j, s) block.
+    """Homology of every (i, j, s) block, its groups in
+    :meth:`~bandkh.state_complex.GradedComplex.gradings` order.
 
     Over Z the result is rank plus torsion divisor chain; over Q and Z/2 the
-    rank field holds the dimension and torsion is empty.  Each differential
-    block's invariant factors over Z (``cx.factors()``, reduced once per
-    complex) serve as d_out of its own key and d_in of the key two steps
-    below.  Every ring reads its ranks off those factors.
-
-    A split complex whose components pass d o d reads neither its own
-    factors nor its d o d verdicts: it pairs the pieces of its components'
-    homology alone (see :func:`_split_groups`).  If a component fails, the
-    complex checks its own blocks, which raises the error of full
-    enumeration.
+    rank field holds the dimension and torsion is empty.  Every ring reads
+    its groups off one table of pieces over Z
+    (:meth:`~bandkh.state_complex.GradedComplex._homology_pieces`): the
+    free pieces at each key and the elementary pieces (Z -m-> Z) of
+    modulus m above 1 out of it (see :func:`_groups`).  A connected complex
+    checks d o d and reads its pieces off the invariant factors of its
+    blocks (``cx.factors()``, reduced once per complex); a split complex
+    whose components pass d o d pairs the pieces of its components'
+    homology alone, and reads neither its own factors nor its d o d
+    verdicts.
     """
     if coefficients not in COEFFICIENTS:
         raise HomologyError(f"unknown coefficients {coefficients!r}")
-    pieces = cx._homology_pieces()
-    if pieces is not None:
-        return HomologyTable(_split_groups(pieces, coefficients), coefficients)
-    cx.check_d_squared()
-    factors = cx.factors()
-    groups: dict[GradingKey, AbelianGroup] = {}
-    for (i, j, s), out in factors.items():
-        # No bucket at i + 2 means d_in has no columns.
-        into = factors.get((i + 2, j, s), ())
-        rank = (cx.dim((i, j, s)) - rank_over(out, coefficients)
-                - rank_over(into, coefficients))
-        # The factors are a divisor chain: those above 1 are the torsion.
-        torsion = tuple(t for t in into if t > 1) if coefficients == "Z" else ()
-        if rank or torsion:
-            groups[(i, j, s)] = AbelianGroup(rank, torsion)
-    return HomologyTable(groups, coefficients)
+    return HomologyTable(_groups(cx._homology_pieces(), coefficients), coefficients)
 
 
 _NO_PIECE = (0, {})
 
 
-def _split_groups(pieces: _Pieces, coefficients: str) -> dict[GradingKey, AbelianGroup]:
-    """The groups of a split complex, in :meth:`GradedComplex.gradings`
-    order, off its free pieces and its elementary pieces (Z -m-> Z) of
-    modulus m above 1 (``cx._homology_pieces()``; a modulus 1 is skipped):
-    a free piece is Z at its key, a piece out of key + 2 is Z/m at the key,
-    and mod 2 a piece of even m is Z/2 at both its ends.  So Z reads rank
-    ``free`` and the divisor chain of the moduli at key + 2, Q ``free``,
-    and Z/2 ``free`` plus the even moduli at the key and at key + 2."""
+def _groups(pieces: _Pieces, coefficients: str) -> dict[GradingKey, AbelianGroup]:
+    """The groups of a complex, in :meth:`GradedComplex.gradings` order, off
+    its free pieces and its elementary pieces (Z -m-> Z) of modulus m above
+    1 (``cx._homology_pieces()``): a free piece is Z at its key, a piece out
+    of key + 2 is Z/m at the key, and mod 2 a piece of even m is Z/2 at both
+    its ends.  So Z reads rank ``free`` and the divisor chain of the moduli
+    at key + 2, Q ``free``, and Z/2 ``free`` plus the even moduli at the key
+    and at key + 2."""
     keys = set(pieces)
     keys.update((i - 2, j, s) for (i, j, s), (_, moduli) in pieces.items() if moduli)
     groups: dict[GradingKey, AbelianGroup] = {}

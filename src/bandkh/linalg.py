@@ -9,9 +9,9 @@ pivots on the sparse columns: each step is a unimodular row-and-column
 operation (a Schur complement on a unit pivot), so each pivot is one
 invariant factor 1.  What survives is a small dense residue, reduced by
 :func:`smith_normal_form`, which ends with :func:`_direct_sum` and so with
-:func:`divisor_chain`, the one routine that builds divisor chains.  Each
-ring reads its answer off the factors (:func:`rank_over`): Z its rank and
-torsion, Q their count and Z/2 the count of odd ones.  Exact integer
+:func:`divisor_chain`, the one routine that builds divisor chains.  The
+rank over each ring is read off the factors (:func:`rank_over`): over Z
+and Q their count, over Z/2 the count of odd ones.  Exact integer
 arithmetic; no modular shortcuts.
 """
 

@@ -49,10 +49,10 @@ pairs every state as a free piece, a convolution that reduces no block;
 the d o d verdicts are all True if d o d vanishes on each component;
 :meth:`~GradedComplex.factors` pairs every piece of the components'
 factors; and homology pairs only the pieces it sees
-(:meth:`~GradedComplex._homology_pieces`).  If a component fails d o d,
-the verdicts and factors are read off the complex's own blocks instead.
-Its lifted block sizes must equal those of its own states once both are
-read.
+(:meth:`~GradedComplex._homology_pieces`, the one table homology reads
+of any complex).  If a component fails d o d, the verdicts, factors and
+pieces are read off the complex's own blocks instead.  Its lifted block
+sizes must equal those of its own states once both are read.
 
 Label codes
 -----------
@@ -387,12 +387,14 @@ class GradedComplex:
     unfrozen complex, built here for that alone, and shares that one's
     smoothing cache, class ids and flip rules, but does not keep it.
 
-    An unfrozen complex of a split diagram (see Split diagrams above) lifts
-    ``sizes`` off its components, and :meth:`factors`, the d o d verdicts
-    and homology too if each passes d o d, each read lifting only what it
-    needs, and lists ``sizes`` in :meth:`gradings` order.  Its own row
-    tables are enumerated when first read, by what names states:
-    ``buckets``, ``index``, ``locate``, d and d+, and the chain maps.
+    Homology reads every complex off one table of pieces
+    (:meth:`_homology_pieces`).  An unfrozen complex of a split diagram
+    (see Split diagrams above) lifts ``sizes`` off its components, and
+    :meth:`factors`, the d o d verdicts and that table too if each passes
+    d o d, each read lifting only what it needs, and lists ``sizes`` in
+    :meth:`gradings` order.  Its own row tables are enumerated when first
+    read, by what names states: ``buckets``, ``index``, ``locate``, d and
+    d+, and the chain maps.
     """
 
     def __init__(self, diagram: Diagram, frozen: Mapping[int, int] | None = None,
@@ -493,16 +495,18 @@ class GradedComplex:
         self._factors = {key: _direct_sum(m for m, c in product[key][1].items()
                                           for _ in range(c)) for key in self.sizes}
 
-    def _homology_pieces(self) -> _Pieces | None:
-        """What homology sees of a split complex whose components pass
-        d o d: the free pieces and the elementary pieces of modulus above 1
-        out of each key, paired off those of its components and free loops
-        (:func:`_kunneth`).  A unit piece (Z -1-> Z) paired with any piece
-        gives unit pieces alone, so dropping them is exact.  None for any
-        other complex."""
-        if self._groups is None or not self._parts_pass():
-            return None
-        return _kunneth(self._tables(lambda part: _pieces(part.sizes, part.factors(), False)))
+    def _homology_pieces(self) -> _Pieces:
+        """What homology sees of the complex: its free pieces and its
+        elementary pieces of modulus above 1 out of each key.  A split
+        complex whose components pass d o d pairs those of its components
+        and free loops (:func:`_kunneth`): a unit piece (Z -1-> Z) paired
+        with any piece gives unit pieces alone, so dropping them is exact.
+        Any other complex checks d o d on its own blocks, which raises the
+        error of full enumeration, and reads its pieces off :meth:`factors`."""
+        if self._groups is not None and self._parts_pass():
+            return _kunneth(self._tables(GradedComplex._homology_pieces))
+        self.check_d_squared()
+        return _pieces(self.sizes, self.factors(), False)
 
     def _tables(self, pieces: Callable[[GradedComplex], _Pieces]) -> list[_Pieces]:
         """One table per tensor factor of a split complex: ``pieces`` of

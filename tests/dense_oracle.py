@@ -33,8 +33,12 @@ read.
 
 :func:`block_homology` is the per-block dense reduction that
 :func:`bandkh.homology.homology` ran before it eliminated unit pivots on the
-sparse blocks.  :func:`divisor_chain` builds a divisor chain by trial
-division, as the library did before it merged orders by gcd and lcm.
+sparse blocks.  :func:`homology_from_factors` reads a table off block sizes
+and invariant factors by ``dim - rank out - rank in``, as
+:func:`~bandkh.homology.homology` read every connected complex before one
+table of pieces served every complex.  :func:`divisor_chain` builds a
+divisor chain by trial division, as the library did before it merged
+orders by gcd and lcm.
 
 :func:`induced_rank` is the field algebra the long-exact-sequence check
 used before it moved to block ranks: a kernel basis by ``Fraction`` (or
@@ -625,6 +629,23 @@ def block_homology(complex_, coefficients="Z"):
         if free or torsion:
             groups[(i, j, s)] = AbelianGroup(free, torsion)
     return HomologyTable(groups, coefficients)
+
+
+def homology_from_factors(sizes, factors, ring="Z"):
+    """The homology table off block sizes and the invariant factors over Z
+    of d out of each key, as :func:`bandkh.homology.homology` read a
+    connected complex before every complex read one table of pieces: at
+    each key of ``factors``, rank ``dim - rank_over(out) - rank_over(into)``
+    over the ring, and over Z the torsion the factors of d into the key
+    above 1."""
+    groups = {}
+    for (i, j, s), out in factors.items():
+        into = factors.get((i + 2, j, s), ())
+        rank = sizes[(i, j, s)] - rank_over(out, ring) - rank_over(into, ring)
+        torsion = tuple(t for t in into if t > 1) if ring == "Z" else ()
+        if rank or torsion:
+            groups[(i, j, s)] = AbelianGroup(rank, torsion)
+    return HomologyTable(groups, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from helpers import (
     euler_characteristic_consistent,
     loops_diagram,
     random_diagram,
+    surface_words,
     trefoil,
     twist_pair,
 )
@@ -221,6 +222,8 @@ def test_abelian_group_validation():
         AbelianGroup(1, (4, 2))
     with pytest.raises(HomologyError):
         AbelianGroup(0, (1,))
+    with pytest.raises(HomologyError):
+        AbelianGroup(0, (0, 2))  # checked for entries above 1 before divisibility
     assert AbelianGroup(2, (2, 4)).text == "Z^2 + Z/2 + Z/4"
 
 
@@ -359,6 +362,28 @@ def test_homology_reduces_each_block_once(monkeypatch):
             homology(cx, coefficients)
         assert len(calls) == sum(len(part.sizes) for part in
                                  ([cx] if cx._parts is None else cx._parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
+       st.sampled_from(surface_words(PANTS)))
+@example(0, 2, "a b")
+def test_connected_homology_reads_as_the_factor_formula_finds(seed, surface, word):
+    """Over Z, Q and Z/2, homology of a connected complex equals what the
+    formula ``dim - rank out - rank in`` reads off its block sizes and
+    invariant factors (``dense_oracle.homology_from_factors``): the
+    crossing-connected components of a random diagram on each of the five
+    surfaces, and the trefoil's twist around a curve of the pants, whose
+    Z/2 torsion counts at both ends of its piece over Z/2."""
+    cx = GradedComplex(random_diagram(ALL_SURFACES[surface], random.Random(seed),
+                                      max_crossings=4))
+    twist = GradedComplex(twist_pair(PANTS, word, 3))
+    assert any(g.torsion for g in homology(twist).groups.values())
+    for part in [twist] + ([cx] if cx._groups is None else cx._components()):
+        assert part._groups is None
+        for ring in COEFFICIENTS:
+            assert homology(part, ring) == \
+                dense_oracle.homology_from_factors(part.sizes, part.factors(), ring)
 
 
 def test_homology_matches_dense_block_oracle():

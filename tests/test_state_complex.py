@@ -458,12 +458,23 @@ def test_split_diagrams_match_full_enumeration(args):
     the crosscap shadow fails d o d beside its neighbours.  A complex that
     reads its own rows first (its buckets, or a chain map for odd seeds)
     builds the same components on its first read of factors or verdicts,
-    and gives the same result.  Drawn unions have at most
-    ``SPLIT_DRAW_STATES`` states."""
+    and gives the same result.  Over Z, Q and Z/2, homology equals what
+    the formula ``dim - rank out - rank in`` reads off the enumerated
+    blocks' factors (``dense_oracle.homology_from_factors``), or raises
+    if d o d fails.  Drawn unions have at most ``SPLIT_DRAW_STATES``
+    states."""
     seed = args[0]
     d = _split_union(*args)
     if len(state_complex._crossing_groups(d)) + len(d.loops) > 1:
         lifted = _assert_split_matches_full_enumeration(first := GradedComplex(d))
+        sizes, factors, d2 = map(dict, lifted)
+        for ring in COEFFICIENTS:
+            if all(d2.values()):
+                assert homology(first, ring) == \
+                    dense_oracle.homology_from_factors(sizes, factors, ring)
+            else:
+                with pytest.raises(ComplexError):
+                    homology(first, ring)
         cx = GradedComplex(d)
         (chainmaps.eta if seed % 2 else lambda cx: cx.buckets)(cx)  # its own rows first
         assert cx._parts is None
@@ -504,18 +515,18 @@ def test_split_homology_lifts_as_the_dense_oracle_finds(args):
     """homology of a split complex whose components pass d o d pairs only
     the pieces that homology sees, and enumerates no state of its own: over
     Z, Q and Z/2 its table equals what the dense oracle reads off the
-    complex's own enumerated blocks, its groups in ``gradings`` order.  One
-    to three components, each the trefoil's twist (Z/2 torsion; two bring
-    the Tor term) or a random diagram, and zero to two free loops, on all
-    five surfaces.  Drawn unions have at most ``LIFT_DRAW_STATES`` states."""
+    complex's own enumerated blocks, its groups in ``gradings`` order, as
+    a connected draw's are too.  One to three components, each the
+    trefoil's twist (Z/2 torsion; two bring the Tor term) or a random
+    diagram, and zero to two free loops, on all five surfaces.  Drawn
+    unions have at most ``LIFT_DRAW_STATES`` states."""
     cx = GradedComplex(_twists_beside(*args))
     split = cx._groups is not None
     tables = [homology(cx, ring) for ring in COEFFICIENTS]
     assert not split or "_rows" not in vars(cx)
     for table, ring in zip(tables, COEFFICIENTS):
         assert table == dense_oracle.block_homology(cx, ring)
-        if split:
-            assert list(table.groups) == [key for key in cx.gradings() if key in table.groups]
+        assert list(table.groups) == [key for key in cx.gradings() if key in table.groups]
 
 
 def test_the_d2_suite_sizes_and_gradings_of_a_split_complex_reduce_no_component_block(
