@@ -41,7 +41,7 @@ from .linalg import (
     invariant_factors,
     rank_over,
 )
-from .state_complex import ComplexError, GradedComplex, GradingKey, _CodeMap
+from .state_complex import ComplexError, GradedComplex, GradingKey, _CodeMap, _images
 from .surface import grading_negate
 
 
@@ -163,7 +163,8 @@ def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex, anchors: Sequence[i
     circle its anchored slots reach through the smoothing's ``at``, or is
     new, labelled -1, if they reach none; ``negate`` then reverses every
     label, and the states over ``m`` are signed by ``sign(m)``.  Its code
-    map keeps the matched circles, and its ``base`` is the image of code 0.
+    map keeps the matched circles, and its ``base`` is the image of code 0
+    (:func:`~bandkh.state_complex._images`).
     Raises :class:`ChainMapError` unless the matched source circles are
     distinct and cover the source smoothing."""
     n_loops, tloop = len(src_cx.diagram.loops), 4 * tgt_cx.diagram.n_crossings
@@ -184,8 +185,8 @@ def _transport(src_cx: GradedComplex, tgt_cx: GradedComplex, anchors: Sequence[i
         if len(pairs) != len(matched) or sorted(matched) != list(range(width_src)):
             raise ChainMapError(f"the circles over markers {markers} do not "
                                 "correspond between the two diagrams")
-        return sign(markers), tmarkers, _CodeMap(tmarkers, width, tuple(pairs), 0,
-                                                 {0: (0,)}, base)
+        return sign(markers), tmarkers, _CodeMap(tmarkers, width,
+                                                 _images(pairs, 0, {0: (0,)}, base))
     return step
 
 

@@ -62,9 +62,12 @@ and its *label code*, the position of its labels in
 ``k`` is labelled -1.  The row table maps each label code to the state's
 (block id, row).  Only this module reads the row tables: one walk over
 them (:meth:`GradedComplex._fill`) assembles, as sparse columns, every
-block of every chain map and of d and d+ of every complex.  The local
-work is done once per process: each flip shape's code map, with its
-(source code, target code) pairs, is kept in ``_FLIP_MAPS``, and each
+block of every chain map and of d and d+ of every complex.  Each map
+between two row tables, a crossing flip or a transport between two
+diagrams, is a code map: its target markers and width and its (source
+code, target code) pairs, expanded by one builder (:func:`_images`).  The
+local work is done once per process: each flip shape's pairs are kept in
+``_FLIP_MAPS``, its merge/split table dropped once expanded, and each
 smoothing signature's label recipe in ``_LABEL_RECIPES``.
 """
 
@@ -176,20 +179,12 @@ def _crossing_groups(diagram: Diagram) -> list[list[int]]:
 _Pieces = dict[GradingKey, tuple[int, dict[int, int]]]
 
 
-_NO_MODULI: dict[int, int] = {}  # shared by the pieces with no modulus: read only
-
-
-def _free(sizes: Mapping[GradingKey, int]) -> _Pieces:
-    """Every state a free piece: pairing these tables convolves the block
-    sizes."""
-    return {key: (n, _NO_MODULI) for key, n in sizes.items()}
-
-
 def _pieces(sizes: Mapping[GradingKey, int], out: Mapping[GradingKey, tuple[int, ...]],
             units: bool) -> _Pieces:
     """The pieces of a complex with these block sizes and invariant factors
     of d out of each key (d o d = 0): one elementary piece (Z -m-> Z) out
-    of key a per invariant factor m out of a, and the rest of a free.
+    of key a per invariant factor m out of a, and the rest of a free (all
+    of it with no factors: pairing such tables convolves the block sizes).
     Without ``units`` the unit pieces (Z -1-> Z), which homology never
     sees, are dropped, and so are the keys left with no piece."""
     table: _Pieces = {}
@@ -212,7 +207,7 @@ def _loop_pieces(loop: Circle) -> _Pieces:
         key = (0, 2 * lab if loop.kind is CurveKind.TRIVIAL else 0, GradingS.from_pairs(
             [(loop.cls, lab)] if loop.kind is CurveKind.UNBOUNDING else []))
         sizes[key] = sizes.get(key, 0) + 1
-    return _free(sizes)
+    return _pieces(sizes, {}, True)
 
 
 _UNIT: GradingKey = (0, 0, GradingS.zero())  # the key of the empty diagram's state
@@ -227,7 +222,7 @@ def _kunneth(tables: list[_Pieces]) -> _Pieces:
     two s gradings built once.  A modulus 1 may appear when two moduli are
     coprime."""
     sums: dict[tuple[GradingS, GradingS], GradingS] = {}
-    acc: _Pieces = {_UNIT: (1, _NO_MODULI)}
+    acc: _Pieces = {_UNIT: (1, {})}
     for pieces in tables:
         new: dict[GradingKey, list] = {}
         for (i, j, s), (x, ma) in acc.items():
@@ -258,8 +253,7 @@ def _kunneth(tables: list[_Pieces]) -> _Pieces:
 
 class _Lazy:
     """An attribute of a split complex, filled on first read by ``fill``:
-    ``sizes``, ``_d2`` and ``_factors``, each by its own lift
-    (:meth:`GradedComplex._lift_sizes` and the two after it), or the row
+    ``sizes`` by its lift (:meth:`GradedComplex._lift_sizes`), or the row
     tables ``_rows``, ``_keys`` and ``_bids``, with ``sizes`` if not yet
     filled, by enumerating its own states.  Every other complex stores
     them when built, and an instance attribute hides this descriptor, so
@@ -279,40 +273,35 @@ class _Lazy:
         return vars(cx)[self.name]
 
 
-@dataclass(frozen=True)
-class _CodeMap:
+class _CodeMap(NamedTuple):
     """A map on the label codes of the states over one marker vector, into
-    the ``width``-circle smoothing of ``target``: code c goes to ``base``
-    with the target bit of each source bit of c in ``kept`` toggled, joined
-    with each entry of ``local[c & mask]``.  A crossing flip (``base`` 0)
-    relabels the circles at the crossing by the merge/split table; the
-    complexes of one diagram share it, as it ignores the frozen markers.
-    A transport between two diagrams keeps every circle (``mask`` 0).
-    ``images`` lists every (source code, target code) pair in source code
-    order, derived from the other fields when not given; a flip shares it
-    with every flip of its shape (``_FLIP_MAPS``).
-    """
+    the ``width``-circle smoothing of ``target``, as its (source code,
+    target code) pairs in source code order (:func:`_images`).  A crossing
+    flip shares its pairs with every flip of its shape (``_FLIP_MAPS``);
+    the complexes of one diagram share the flip, as it ignores the frozen
+    markers."""
 
     target: MarkerVector
     width: int  # circles of the target smoothing
-    kept: tuple[tuple[int, int], ...]
-    mask: int
-    local: dict[int, tuple[int, ...]]
-    base: int = 0
-    images: tuple[tuple[int, int], ...] | None = None
+    images: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.images is None:
-            object.__setattr__(self, "images", tuple(
-                (code, new) for code in range(1 << len(self.kept) + self.mask.bit_count())
-                for new in self.targets(code)))
 
-    def targets(self, code: int) -> list[int]:
-        out = self.base
-        for src, tgt in self.kept:
+def _images(kept: Sequence[tuple[int, int]], mask: int,
+            local: Mapping[int, tuple[int, ...]], base: int = 0
+            ) -> tuple[tuple[int, int], ...]:
+    """The (source code, target code) pairs of a code map, in source code
+    order: code c goes to ``base`` with the target bit of each source bit
+    of c in ``kept`` toggled, joined with each entry of ``local[c & mask]``.
+    A flip (``base`` 0) relabels the circles of ``mask`` by the merge/split
+    table ``local``; a transport keeps every circle (``mask`` 0)."""
+    pairs = []
+    for code in range(1 << len(kept) + mask.bit_count()):
+        out = base
+        for src, tgt in kept:
             if code & src:
                 out ^= tgt
-        return [out | new for new in self.local[code & self.mask]]
+        pairs += [(code, out | new) for new in local[code & mask]]
+    return tuple(pairs)
 
 
 def _local_rule(touched: list[tuple[int, int]],
@@ -367,11 +356,12 @@ def _label_recipe(width: int, trivial: int, unbounding: tuple[tuple[int, int], .
     return [(*local, first, size) for local, (_, first, size) in blocks.items()], codes
 
 
-#: Each flip shape code's code map, its target empty (``_derive_flip``), and
-#: each smoothing signature's label recipe (``_enumerate``), derived once per
-#: process: an entry depends on its key alone, so every complex reads the
-#: same tables, and two threads that fill one entry store equal values.
-_FLIP_MAPS: dict[int, _CodeMap] = {}
+#: Each flip shape code's (source code, target code) pairs
+#: (``_derive_flip``), and each smoothing signature's label recipe
+#: (``_enumerate``), derived once per process: an entry depends on its key
+#: alone, so every complex reads the same tables, and two threads that fill
+#: one entry store equal values.
+_FLIP_MAPS: dict[int, tuple[tuple[int, int], ...]] = {}
 _LABEL_RECIPES: dict[tuple, tuple[list, list[tuple[int, int]]]] = {}
 
 
@@ -419,15 +409,14 @@ class GradedComplex:
                 share._class_ids, share._smooth_cache, share._flips)
         # Block ids number the blocks in order: ``_keys[bid]`` is a block's key
         # and ``_bids[key]`` its id, ``sizes[key]`` its size, ``_rows[markers][code]``
-        # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key;
-        # ``_d2`` and ``_factors`` are None until computed.  A split complex
-        # fills all six on first read (_Lazy).
+        # a state's (block id, row), ``_blocks[counted]`` d (-1) or d+ (+1) by key.
+        # A split complex fills the first four on first read (_Lazy).
         self.sizes: dict[GradingKey, int]
         self._keys: list[GradingKey]
         self._rows: dict[MarkerVector, list[tuple[int, int]]]
         self._bids: dict[GradingKey, int]
-        self._d2: dict[tuple[int, GradingS], bool] | None
-        self._factors: dict[GradingKey, tuple[int, ...]] | None
+        self._d2: dict[tuple[int, GradingS], bool] | None = None
+        self._factors: dict[GradingKey, tuple[int, ...]] | None = None
         self._blocks: dict[int, dict[GradingKey, Columns]] = {}
         self._buckets: Mapping[GradingKey, list[EnhancedState]] | None = None
         self._index: Mapping[StateKey, tuple[GradingKey, int]] | None = None
@@ -444,13 +433,11 @@ class GradedComplex:
             self._store(*self._enumerate())
 
     def _store(self, rows: dict, keys: list[GradingKey], counts: list[int]) -> None:
-        """Keep the row tables and block sizes.  A split complex's factors
-        and d o d verdicts are filled by :meth:`_lift_factors` and
-        :meth:`_lift_d2` alone."""
+        """Keep the row tables and block sizes."""
         self._rows, self._keys = rows, keys
         self._bids = {key: bid for bid, key in enumerate(keys)}
         if self._groups is None:
-            self.sizes, self._factors, self._d2 = dict(zip(keys, counts)), None, None
+            self.sizes = dict(zip(keys, counts))
         else:
             self._keep_sizes(dict(zip(keys, counts)))
 
@@ -468,32 +455,20 @@ class GradedComplex:
         block sizes paired as free pieces (:func:`_kunneth`), a convolution
         that reduces no block."""
         self._keep_sizes({key: free for key, (free, _) in _kunneth(
-            self._tables(lambda part: _free(part.sizes))).items()})
+            self._tables(lambda part: _pieces(part.sizes, {}, True))).items()})
 
-    def _lift_d2(self) -> None:
-        """Fill a split complex's ``_d2``: if d o d vanishes on each
-        component, every verdict is True, one per (j, s) of ``sizes``, as
-        d o d is d1 o d1 (x) 1 +- 1 (x) d2 o d2; else None, and
-        :meth:`d_squared_blocks` reads them off its own blocks."""
-        self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True) \
-            if self._parts_pass() else None
-
-    def _lift_factors(self) -> None:
-        """Fill a split complex's ``_factors``: if d o d vanishes on each
-        component, pair every piece of its components and free loops
-        (:func:`_kunneth`).  A key's size, its free pieces plus the pieces
-        out of it and into it, must equal ``sizes`` (:meth:`_keep_sizes`),
-        and its moduli merge as a direct sum (:func:`_direct_sum`).  Else
-        None, and :meth:`factors` reduces its own blocks."""
-        if not self._parts_pass():
-            self._factors = None
-            return
+    def _lift_factors(self) -> dict[GradingKey, tuple[int, ...]]:
+        """The factors of a complex that is :meth:`_lifted`: every piece of
+        its components and free loops paired (:func:`_kunneth`).  A key's
+        size, its free pieces plus the pieces out of it and into it, must
+        equal ``sizes`` (:meth:`_keep_sizes`), and its moduli merge as a
+        direct sum (:func:`_direct_sum`)."""
         product = _kunneth(self._tables(lambda part: _pieces(part.sizes, part.factors(), True)))
         out = {key: sum(moduli.values()) for key, (_, moduli) in product.items()}
         self._keep_sizes({(i, j, s): free + out[(i, j, s)] + out.get((i + 2, j, s), 0)
                           for (i, j, s), (free, _) in product.items()})
-        self._factors = {key: _direct_sum(m for m, c in product[key][1].items()
-                                          for _ in range(c)) for key in self.sizes}
+        return {key: _direct_sum(m for m, c in product[key][1].items() for _ in range(c))
+                for key in self.sizes}
 
     def _homology_pieces(self) -> _Pieces:
         """What homology sees of the complex: its free pieces and its
@@ -503,7 +478,7 @@ class GradedComplex:
         with any piece gives unit pieces alone, so dropping them is exact.
         Any other complex checks d o d on its own blocks, which raises the
         error of full enumeration, and reads its pieces off :meth:`factors`."""
-        if self._groups is not None and self._parts_pass():
+        if self._lifted():
             return _kunneth(self._tables(GradedComplex._homology_pieces))
         self.check_d_squared()
         return _pieces(self.sizes, self.factors(), False)
@@ -514,9 +489,12 @@ class GradedComplex:
         return [pieces(part) for part in self._components()] + [
             _loop_pieces(loop) for loop in self.diagram.slot_tables.loops]
 
-    def _parts_pass(self) -> bool:
-        """Whether d o d vanishes on each component of a split complex."""
-        return all(all(part.d_squared_blocks().values()) for part in self._components())
+    def _lifted(self) -> bool:
+        """Whether the complex is split and d o d vanishes on each of its
+        components: then its d o d verdicts, factors and homology pieces are
+        lifted off theirs, else read off its own blocks."""
+        return self._groups is not None and all(
+            all(part.d_squared_blocks().values()) for part in self._components())
 
     def _components(self) -> list[GradedComplex]:
         """The complex of each crossing-connected component of a split
@@ -534,7 +512,7 @@ class GradedComplex:
     def _own_rows(self) -> None:
         self._store(*self._enumerate())
 
-    sizes, _d2, _factors = _Lazy(_lift_sizes), _Lazy(_lift_d2), _Lazy(_lift_factors)
+    sizes = _Lazy(_lift_sizes)
     _rows, _keys, _bids = _Lazy(_own_rows), _Lazy(_own_rows), _Lazy(_own_rows)
 
     # -- construction ---------------------------------------------------
@@ -681,9 +659,9 @@ class GradedComplex:
         """
         if state.markers[pos] <= 0:
             return []
-        rule = self._flip(state.markers, pos)
-        return [StateKey(rule.target, _labels(code, rule.width))
-                for code in rule.targets(_code(state.labels))]
+        rule, code = self._flip(state.markers, pos), _code(state.labels)
+        return [StateKey(rule.target, _labels(new, rule.width))
+                for src, new in rule.images if src == code]
 
     def _flip(self, markers: MarkerVector, pos: int) -> _CodeMap:
         rule = self._flips.get((markers, pos))
@@ -692,10 +670,12 @@ class GradedComplex:
         return rule
 
     def _derive_flip(self, markers: MarkerVector, pos: int) -> _CodeMap:
-        """The rule of :meth:`resmoothings` for every state over ``markers``,
-        its code map but the target read off ``_FLIP_MAPS``.  Untouched
-        circles keep their slots, so their order by smallest slot, and free
-        loops come last: ``kept`` pairs them in order."""
+        """The rule of :meth:`resmoothings` for every state over ``markers``:
+        its code map, the pairs read off ``_FLIP_MAPS``.  A new shape's pairs
+        are expanded (:func:`_images`) from its merge/split table
+        (:func:`_local_rule`), which is then dropped, and from its kept
+        circles: untouched circles keep their slots, so their order by
+        smallest slot, and free loops come last, so they pair in order."""
         src = self.smoothing(markers)
         flipped = markers[:pos] + (-1,) + markers[pos + 1:]
         tgt = self.smoothing(flipped)
@@ -712,16 +692,16 @@ class GradedComplex:
             shape = shape << 2 | len(circles)
             for k in circles:
                 shape = shape << 24 | width_ - 1 - k << 4 | ids.setdefault(data.cids[k], len(ids))
-        rule = _FLIP_MAPS.get(shape)
-        if rule is None:
-            rule = _FLIP_MAPS[shape] = _CodeMap((), width, tuple(
+        images = _FLIP_MAPS.get(shape)
+        if images is None:
+            images = _FLIP_MAPS[shape] = _images(tuple(
                 (1 << width_src - 1 - a, 1 << width - 1 - b) for a, b in zip(
                     (k for k in range(width_src) if k not in touched),
                     (k for k in range(width) if k not in new))),
                 _mask(touched, width_src), _local_rule(
                     [(1 << width_src - 1 - k, src.cids[k]) for k in touched],
                     [(1 << width - 1 - k, tgt.cids[k]) for k in new]))
-        return _CodeMap(flipped, width, rule.kept, rule.mask, rule.local, 0, rule.images)
+        return _CodeMap(flipped, width, images)
 
 
     def _fill(self, target: GradedComplex, grading: Callable[[GradingKey], GradingKey],
@@ -791,11 +771,14 @@ class GradedComplex:
     def d_squared_blocks(self) -> dict[tuple[int, GradingS], bool]:
         """Whether d composed with itself vanishes on each (j, s) block.
 
-        The keys come in (j, s) order.  A split complex whose components
-        pass d o d lifts these, all True (see :meth:`_lift_d2`).  Computed on
-        the first call and stored: read the result only.
+        The keys come in (j, s) order.  A :meth:`_lifted` complex's verdicts
+        are all True, one per (j, s) of ``sizes``, as d o d is
+        d1 o d1 (x) 1 +- 1 (x) d2 o d2.  Computed on the first call and
+        stored: read the result only.
         """
-        if self._d2 is None:
+        if self._d2 is None and self._lifted():
+            self._d2 = dict.fromkeys(((j, s) for _, j, s in self.sizes), True)
+        elif self._d2 is None:
             ok: dict[tuple[int, GradingS], bool] = {}
             for (i, j, s) in self.gradings():
                 ok[(j, s)] = ok.get((j, s), True) and not any(
@@ -815,11 +798,13 @@ class GradedComplex:
     def factors(self) -> dict[GradingKey, tuple[int, ...]]:
         """The invariant factors over Z of d out of each key of ``sizes``
         (:func:`~bandkh.linalg.invariant_factors`), in the order of
-        ``sizes``.  A split complex whose components pass d o d lifts these
-        by the Kunneth formula (see :meth:`_lift_factors`).  Computed on the first
-        call and stored: read the result only.
+        ``sizes``.  A :meth:`_lifted` complex lifts these by the Kunneth
+        formula (see :meth:`_lift_factors`).  Computed on the first call and
+        stored: read the result only.
         """
-        if self._factors is None:
+        if self._factors is None and self._lifted():
+            self._factors = self._lift_factors()
+        elif self._factors is None:
             self._factors = {
                 (i, j, s): invariant_factors(self.columns((i, j, s)),
                                              self.dim((i - 2, j, s)))

@@ -80,7 +80,7 @@ def parse_diagram(text: str) -> Diagram:
                 raise ParseError("duplicate surface declaration", lineno)
             name = tokens[1] if len(tokens) > 1 else ""
             if name in _OFF_CATALOGUE:
-                raise UnsupportedSurfaceError(UNSUPPORTED_MESSAGE)
+                raise UnsupportedSurfaceError(f"line {lineno}: {UNSUPPORTED_MESSAGE}")
             try:
                 if name == "planar_holes" and len(tokens) == 3:
                     surface = SurfaceModel.planar_holes(int(tokens[2]))

@@ -260,12 +260,26 @@ def _incident(diagram, circ_cache, s_from, s_to):
     return -1 if t % 2 else 1
 
 
+def code_pairs(kept, local):
+    """The (source code, target code) pairs of a flip that toggles the
+    target bit of each source bit of ``kept`` and relabels the touched
+    circles by ``local``, sorted by source code: each subset of ``kept``
+    doubles the (source base, target base) pairs, and each is joined with
+    every entry of ``local``, as ``GradedComplex._fill`` expanded code maps
+    before each map listed its own pairs."""
+    bases = [(0, 0)]
+    for s_bit, t_bit in kept:
+        bases += [(s | s_bit, t ^ t_bit) for s, t in bases]
+    pairs = [(s | bits, t | n) for bits, news in local.items() for s, t in bases for n in news]
+    return tuple(sorted(pairs, key=lambda pair: pair[0]))
+
+
 def flip_rule(complex_, markers, pos):
-    """(target, width, kept, mask, local) of turning the +1 marker at ``pos``
-    into -1 for every state over ``markers``: the fields of the complex's
-    flip rule, with each untouched target circle matched to the source
-    circle of the same key, and ``local`` read off :func:`resmoothings`
-    state by state."""
+    """(target, width, images) of turning the +1 marker at ``pos`` into -1
+    for every state over ``markers``: the fields of the complex's flip
+    rule, with each untouched target circle matched to the source circle of
+    the same key, the touched circles relabelled as :func:`resmoothings`
+    finds state by state, and the pairs expanded by :func:`code_pairs`."""
     flipped = markers[:pos] + (-1,) + markers[pos + 1:]
     src = smooth(complex_.diagram, markers)
     tgt = smooth(complex_.diagram, flipped)
@@ -285,18 +299,17 @@ def flip_rule(complex_, markers, pos):
         local[sum(src_bit(k) for k, lab in labels.items() if lab < 0)] = tuple(
             sum(tgt_bit(k) for k in new if t.labels[k] < 0)
             for t in resmoothings(complex_, state, pos))
-    return flipped, len(tgt), kept, sum(map(src_bit, touched)), local
+    return flipped, len(tgt), code_pairs(kept, local)
 
 
 def derive_flip(complex_, markers, pos):
-    """(target, width, kept, mask, local, base, images) of the complex's
-    flip at ``pos`` over ``markers``, derived for this (markers, crossing)
-    alone, as ``GradedComplex._derive_flip`` did before it read each flip
-    shape's code map off one process-wide table: ``kept`` matches each
-    untouched target circle to the source circle through one of its slots,
-    ``local`` is derived by ``_local_rule`` with no table, and ``images``
-    expands ``kept`` into (source base, target base) pairs per map, as
-    ``GradedComplex._fill`` did, its pairs sorted by source code."""
+    """(target, width, images) of the complex's flip at ``pos`` over
+    ``markers``, derived for this (markers, crossing) alone, as
+    ``GradedComplex._derive_flip`` did before it read each flip shape's
+    pairs off one process-wide table: each untouched target circle is
+    matched to the source circle through one of its slots, the merge/split
+    table is derived by ``_local_rule`` with no table, and both are
+    expanded by :func:`code_pairs`."""
     src = complex_.smoothing(markers)
     flipped = markers[:pos] + (-1,) + markers[pos + 1:]
     tgt = complex_.smoothing(flipped)
@@ -307,13 +320,7 @@ def derive_flip(complex_, markers, pos):
                   1 << width - 1 - k) for k, c in enumerate(tgt.circles) if k not in new)
     local = state_complex._local_rule([(1 << width_src - 1 - k, src.cids[k]) for k in touched],
                                       [(1 << width - 1 - k, tgt.cids[k]) for k in new])
-    bases = [(0, 0)]
-    for s_bit, t_bit in kept:
-        bases += [(s | s_bit, t ^ t_bit) for s, t in bases]
-    pairs = [(s | bits, t | n) for bits, news in local.items() for s, t in bases for n in news]
-    mask = sum(1 << width_src - 1 - k for k in touched)
-    return (flipped, width, kept, mask, local, 0,
-            tuple(sorted(pairs, key=lambda pair: pair[0])))
+    return flipped, width, code_pairs(kept, local)
 
 
 def enumerate_rows(complex_):

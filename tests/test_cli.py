@@ -81,11 +81,13 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_unsupported_surfaces_refused():
+    """Refused by type, with the line number every other bad input gets."""
     with pytest.raises(UnsupportedSurfaceError) as err:
         parse_diagram("surface rp2\n")
     assert "projective" in str(err.value)
-    with pytest.raises(UnsupportedSurfaceError):
-        parse_diagram("surface torus\n")
+    assert str(err.value).startswith("line 1: ")
+    with pytest.raises(UnsupportedSurfaceError, match=r"^line 3: "):
+        parse_diagram("# closed surfaces are refused\n\nsurface torus\n")
 
 
 def run_cli(tmp_path, content, *args, capsys=None):

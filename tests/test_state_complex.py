@@ -818,7 +818,7 @@ def test_flip_rules_match_key_matching_oracle(seed, surface, loops):
             for pos in c.free:
                 if markers[pos] > 0:
                     rule = c._flip(markers, pos)
-                    assert (rule.target, rule.width, rule.kept, rule.mask, rule.local) \
+                    assert (rule.target, rule.width, rule.images) \
                         == dense_oracle.flip_rule(c, markers, pos)
 
 
@@ -862,8 +862,7 @@ def test_shape_maps_and_label_recipes_match_per_state_derivation(seed, surface, 
                 for pos in c.free:
                     if markers[pos] > 0:
                         rule = c._flip(markers, pos)
-                        assert (rule.target, rule.width, rule.kept, rule.mask, rule.local,
-                                rule.base, rule.images) \
+                        assert (rule.target, rule.width, rule.images) \
                             == dense_oracle.derive_flip(c, markers, pos)
 
 
@@ -981,10 +980,10 @@ def test_sweep_rejects_an_entry_off_its_grading(monkeypatch, tmp_path, capsys):
         if corrupted:
             return rule
         corrupted.append((markers, pos))
-        # ``images=None`` derives the map's code pairs again, from the new
-        # ``local``, instead of sharing those of the flip shape.
-        return dataclasses.replace(rule, local={bits: (0,) for bits in rule.local},
-                                   images=None)
+        tgt = self.smoothing(rule.target)
+        new = state_complex._mask({tgt.at[4 * pos], tgt.at[4 * pos + 1]}, rule.width)
+        return rule._replace(images=tuple(dict.fromkeys(
+            (src, code & ~new) for src, code in rule.images)))
 
     monkeypatch.setattr(GradedComplex, "_derive_flip", derive_flip)
     d = twist_pair(DISK, "", 3)
