@@ -43,7 +43,6 @@ from .surface import (
     CurveKind,
     SurfaceModel,
     Word,
-    classify,
     free_reduce,
     inverse_word,
 )
@@ -161,12 +160,11 @@ class _SlotTables:
     ``succ[slot]`` is the slot at the other end of its edge and
     ``words[slot]`` the word read leaving along it, ``names[slot]`` its
     (crossing id, s) and ``ends`` maps that name to its (edge index,
-    'a'|'b').  ``classes`` is the surface object's reduced word -> class
-    memo, shared by every diagram built on it and filled lazily with equal
-    values whoever fills it."""
+    'a'|'b').  Words are classified through the surface object's word ->
+    class memo (``SurfaceModel.class_of``), shared by every diagram built on
+    it and filled lazily with equal values whoever fills it."""
 
     def __init__(self, diagram: Diagram):
-        self.surface = diagram.surface
         self.names = tuple((c, s) for c in diagram.crossings for s in range(4))
         index = {name: slot for slot, name in enumerate(self.names)}
         self.succ, self.words = [0] * len(index), [()] * len(index)
@@ -176,13 +174,8 @@ class _SlotTables:
             a, b = index[e.a], index[e.b]
             self.succ[a], self.words[a] = b, e.word
             self.succ[b], self.words[b] = a, inverse_word(e.word)
-        self.classes: dict[Word, CurveClass] = diagram.surface._classes
-        self.loops = tuple(Circle(w, self.class_of(w), loop=k)
+        self.loops = tuple(Circle(w, diagram.surface.class_of(w), loop=k)
                            for k, w in enumerate(map(free_reduce, diagram.loops)))
-
-    def class_of(self, word: Word) -> CurveClass:
-        return self.classes.get(word) or self.classes.setdefault(
-            word, classify(word, self.surface))
 
 
 def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
@@ -193,7 +186,7 @@ def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
     """
     if len(markers) != diagram.n_crossings:
         raise DiagramError("marker vector length must equal the crossing count")
-    tables = diagram.slot_tables
+    tables, class_of = diagram.slot_tables, diagram.surface.class_of
     succ, words, arc = tables.succ, tables.words, [1 if m > 0 else 3 for m in markers]
     seen = [False] * len(succ)
     circles: list[Circle] = []
@@ -209,7 +202,7 @@ def smooth(diagram: Diagram, markers: MarkerVector) -> tuple[Circle, ...]:
             if cur == start:
                 break
         w = free_reduce(itertools.chain.from_iterable(words[k] for k in slots[1::2]))
-        circles.append(Circle(w, tables.class_of(w), tuple(slots), tables.names))
+        circles.append(Circle(w, class_of(w), tuple(slots), tables.names))
     return tuple(circles) + tables.loops
 
 

@@ -4,8 +4,9 @@ The bracket of a diagram is computed as a state sum: each marker vector
 contributes ``A`` to the power of its marker sum times ``-(A^2 + A^-2)`` per
 trivial circle, and the remaining circle classes form a crossingless basis
 element (a multiset of nontrivial curve classes).  A second, recursive
-implementation resolves one crossing at a time by edge surgery and serves
-as an independent oracle for the state sum and for the Euler-characteristic
+implementation resolves one crossing at a time on a flat table of edge ends,
+never building a diagram or tracing a smoothing, and serves as an
+independent oracle for the state sum and for the Euler-characteristic
 identity.  Both count states by nontrivial classes, A exponent and trivial
 circles, and build each basis element and its polynomial once.
 
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .diagram import Circle, Diagram, smooth, smooth_crossing
+from .diagram import Diagram, smooth
 from .homology import HomologyTable
-from .surface import CurveClass, CurveKind, GradingS, SurfaceModel
+from .surface import CurveClass, CurveKind, GradingS, SurfaceModel, free_reduce, inverse_word
 
 
 class SkeinError(ValueError):
@@ -139,9 +140,9 @@ def _tidy(expansion: BracketExpansion) -> BracketExpansion:
 _Counts = dict[tuple[CurveClass, ...], dict[tuple[int, int], int]]
 
 
-def _count(counts: _Counts, circles: tuple[Circle, ...], exp: int) -> None:
-    classes = tuple(c.cls for c in circles if c.kind is not CurveKind.TRIVIAL)
-    terms, key = counts.setdefault(classes, {}), (exp, len(circles) - len(classes))
+def _count(counts: _Counts, loops: Sequence[CurveClass], exp: int) -> None:
+    classes = tuple(c for c in loops if c.kind is not CurveKind.TRIVIAL)
+    terms, key = counts.setdefault(classes, {}), (exp, len(loops) - len(classes))
     terms[key] = terms.get(key, 0) + 1
 
 
@@ -162,21 +163,48 @@ def kauffman_bracket(diagram: Diagram) -> BracketExpansion:
     """Full state-sum bracket, collected by crossingless basis element."""
     counts: _Counts = {}
     for markers in diagram.marker_vectors():
-        _count(counts, smooth(diagram, markers), sum(markers))
+        _count(counts, [c.cls for c in smooth(diagram, markers)], sum(markers))
     return _expansion(counts)
 
 
+#: The two arcs of each marker, as slot pairs of one crossing.
+_ARCS = ((1, ((0, 1), (2, 3))), (-1, ((1, 2), (3, 0))))
+
+
 def bracket_recursive(diagram: Diagram) -> BracketExpansion:
-    """Independent bracket oracle by resolving one crossing at a time; each
-    crossingless leaf counts with the marker sum of its path."""
+    """Independent bracket oracle: resolves crossings 0, 1, ... in order on
+    a flat end table, where slot ``4 k + s`` is slot s of crossing k,
+    ``succ[slot]`` the slot at the other end of its edge and ``words[slot]``
+    the word read leaving along it.  Each node copies the table and applies
+    its marker's two arcs: an arc joins the edges at its slots, or closes
+    one edge into a loop, which is classified through the surface's memo.
+    Each leaf counts its loops' classes with the marker sum of its path."""
+    class_of = diagram.surface.class_of
+    slot = {(c, s): 4 * k + s for k, c in enumerate(diagram.crossings) for s in range(4)}
+    succ, words = [0] * len(slot), [()] * len(slot)
+    for e in diagram.edges:
+        a, b, w = slot[e.a], slot[e.b], free_reduce(e.word)
+        succ[a], words[a], succ[b], words[b] = b, w, a, inverse_word(w)
     counts: _Counts = {}
-    stack = [(diagram, 0)]
+    stack = [(0, succ, words, tuple(class_of(free_reduce(w)) for w in diagram.loops), 0)]
     while stack:
-        d, exp = stack.pop()
-        if d.n_crossings:
-            stack += ((smooth_crossing(d, 0, m), exp + m) for m in (-1, 1))
-        else:
-            _count(counts, smooth(d, ()), exp)
+        k, succ, words, loops, exp = stack.pop()
+        if k == diagram.n_crossings:
+            _count(counts, loops, exp)
+            continue
+        for m, arcs in _ARCS:
+            succ2, words2, loops2 = succ[:], words[:], loops
+            for a, b in arcs:
+                a, b = 4 * k + a, 4 * k + b
+                x, y = succ2[a], succ2[b]
+                if x == b:  # the arc closes the edge from a to b
+                    loops2 += (class_of(words2[a]),)
+                    continue
+                # The new edge runs x -> a (the inverse of words2[a]), across
+                # the arc, then b -> y.
+                w = free_reduce(words2[x] + words2[b])
+                succ2[x], words2[x], succ2[y], words2[y] = y, w, x, inverse_word(w)
+            stack.append((k + 1, succ2, words2, loops2, exp + m))
     return _expansion(counts)
 
 

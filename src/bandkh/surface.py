@@ -158,8 +158,8 @@ class SurfaceModel:
 
     ``attachment`` is the cyclic sequence of band-end tokens met along the
     disk boundary; every band symbol occurs exactly twice.  Outside its
-    fields it keeps its generator set and the word -> class memo of its
-    diagrams' smoothings.
+    fields it keeps its generator set and the word -> class memo that
+    :meth:`class_of` fills for its diagrams' smoothings and brackets.
     """
 
     bands: tuple[Band, ...]
@@ -233,6 +233,10 @@ class SurfaceModel:
 
     def flipped_symbols(self) -> frozenset[str]:
         return frozenset(b.symbol for b in self.bands if b.flipped)
+
+    def class_of(self, word: Word) -> CurveClass:
+        """The class of ``word``, classified once per word and surface object."""
+        return self._classes.get(word) or self._classes.setdefault(word, classify(word, self))
 
     def check_word(self, word: Word) -> None:
         for sym, exp in word:

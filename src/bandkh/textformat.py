@@ -58,7 +58,7 @@ def parse_diagram(text: str) -> Diagram:
 
     def endpoint(token: str, lineno: int):
         parts = token.rsplit(".", 1)
-        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) > 3:
+        if len(parts) != 2 or parts[1] not in ("0", "1", "2", "3"):
             raise ParseError(f"bad slot reference {token!r}", lineno)
         cid, slot = parts[0], int(parts[1])
         if cid not in crossings:

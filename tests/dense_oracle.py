@@ -54,10 +54,12 @@ per call, and every map block reduced (:func:`les_induced_ranks`).
 :func:`apply_r1_pos` spells out the edges of a positive kink, as the
 library did before it built one as a switched negative kink.
 
-:func:`bracket_recursive` builds and multiplies one ``LaurentPolyA`` per
-recursion node, as ``skein.bracket_recursive`` did before both bracket
-paths counted their states and collected the counts once.  Its leaves are
-traced by :func:`smooth`, so it shares no class memo with the library.
+:func:`bracket_recursive` builds one ``Diagram`` per recursion node by
+``smooth_crossing``, as ``skein.bracket_recursive`` did before it resolved
+crossings on a flat end table, and builds and multiplies one
+``LaurentPolyA`` per node, as it did before both bracket paths counted
+their states and collected the counts once.  Its leaves are traced by
+:func:`smooth`, so it shares no class memo with the library.
 :func:`phi_of_basis` rebuilds and sorts each monomial and sums each
 grading's polynomial, as ``skein.phi_of_basis`` did before it extended
 monomials in the element's class order.

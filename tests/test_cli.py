@@ -553,10 +553,13 @@ def test_parse_errors_name_the_offending_line():
 
 
 def test_cli_superscript_slot_exits_2(tmp_path, capsys):
-    text = "surface planar_holes 1\ncrossing x\nedge x.\u00b2 x.1 :\n"
-    code = run_cli(tmp_path, text, "homology")
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: line 3: bad slot reference")
+    """A slot is exactly one ASCII digit from 0 to 3: a superscript two, a
+    leading zero and an Arabic-Indic three are refused, not read as slots."""
+    for slot in ("\u00b2", "01", "\u0663"):
+        text = f"surface planar_holes 1\ncrossing x\nedge x.{slot} x.0 :\n"
+        assert run_cli(tmp_path, text, "homology") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line 3: bad slot reference 'x.{slot}'")
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from bandkh.diagram import (
     smooth,
     smooth_crossing,
 )
-from bandkh import diagram as diagram_module
+from bandkh import surface as surface_module
 from bandkh.textformat import emit_diagram, parse_diagram
 from bandkh.chainmaps import mirror_map, r2_pair, r3_data, reorder_iso, rho_I, rho_II
 from bandkh.homology import homology
-from bandkh.skein import kauffman_bracket
+from bandkh.skein import bracket_recursive, kauffman_bracket
 from bandkh.state_complex import GradedComplex
 from bandkh.surface import CurveKind, SurfaceModel, inverse_word, parse_word
 
@@ -204,10 +204,11 @@ def test_smoothing_classifies_each_word_once_per_surface(monkeypatch):
     """The word -> class memo belongs to the surface object: a parsed split
     diagram, its ``smooth_crossing`` children, a kink of it and its split
     complex's components classify each distinct word once, however many
-    marker vectors and calls meet it, and a fresh parse classifies again."""
+    marker vectors, calls and recursive brackets meet it, and a fresh parse
+    classifies again."""
     calls = []
-    real = diagram_module.classify
-    monkeypatch.setattr(diagram_module, "classify",
+    real = surface_module.classify
+    monkeypatch.setattr(surface_module, "classify",
                         lambda word, surface: calls.append(word) or real(word, surface))
     text = emit_diagram(disjoint_union(twist_pair(PANTS, "a", 3, extra_loops=("b", "")),
                                        twist_pair(PANTS, "", 2)))
@@ -219,6 +220,8 @@ def test_smoothing_classifies_each_word_once_per_surface(monkeypatch):
                   apply_r1_neg(d, ("loop", 0))]
         for _ in range(2):
             words = {c.word for x in family for m in x.marker_vectors() for c in smooth(x, m)}
+            for x in family:
+                bracket_recursive(x)
         homology(GradedComplex(d))
         assert sorted(calls) == sorted(set(calls)) and words <= set(calls)
         runs.append(list(calls))

@@ -79,3 +79,35 @@ def test_only_state_complex_reads_the_row_tables():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_keys")]
     assert not readers, f"row tables read outside state_complex: {readers}"
+
+
+#: Bindings imported by a module that reads them nowhere itself, each kept
+#: for a reader outside the package: ``bench/spans.py`` wraps every binding
+#: of a span target, so the cli.parse span wraps ``cli.parse_diagram`` and
+#: the homology.snf span ``homology.smith_normal_form``, and callers reach
+#: both through those modules.
+KEPT_IMPORTS = {("cli", "parse_diagram"): "cli.parse span of bench/spans.py",
+                ("homology", "smith_normal_form"): "homology.snf span of bench/spans.py"}
+
+
+def test_src_reads_every_name_it_imports():
+    """Every ``from .x import name`` in ``src/bandkh`` binds a name that the
+    importing module reads, but for the package's re-exports in
+    ``__init__`` and the bindings of ``KEPT_IMPORTS``."""
+    unread, kept = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if (path.stem, name) in KEPT_IMPORTS:
+                        kept.add((path.stem, name))
+                    elif name not in loaded:
+                        unread.append(f"{path.stem}: from .{node.module} import {name}")
+    assert not unread, f"imported in src/bandkh but never read: {unread}"
+    assert kept == set(KEPT_IMPORTS), "a kept binding is no longer imported"

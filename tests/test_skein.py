@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bandkh.diagram
+import bandkh.skein
+
 from bandkh.diagram import Diagram, apply_r1_neg, apply_r1_pos, smooth_crossing
 from bandkh.homology import homology
 from bandkh.skein import (
@@ -82,6 +85,30 @@ def test_state_sum_equals_recursion():
         for _ in range(4):
             d = random_diagram(surface, rng, max_crossings=5)
             assert kauffman_bracket(d) == bracket_recursive(d)
+
+
+def test_recursion_builds_no_diagram_and_traces_no_smoothing(monkeypatch):
+    """The recursion resolves crossings on its own end table: below its
+    input it builds no ``Diagram``, calls neither ``smooth`` nor
+    ``smooth_crossing`` and leaves the input's slot tables unbuilt."""
+    drawn = random_diagram(TORUS_HOLE, random.Random(26), max_crossings=5)
+    d = Diagram(drawn.surface, drawn.crossings, drawn.edges, drawn.loops)
+    assert d.n_crossings == 5 and "slot_tables" not in vars(d)
+    built = []
+    post_init = Diagram.__post_init__
+    monkeypatch.setattr(Diagram, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+
+    def refuse(*args):
+        raise AssertionError("the recursion traced a smoothing")
+
+    for module in (bandkh.diagram, bandkh.skein):
+        monkeypatch.setattr(module, "smooth", refuse)
+    monkeypatch.setattr(bandkh.diagram, "smooth_crossing", refuse)
+    got = bracket_recursive(d)
+    assert not built and "slot_tables" not in vars(d)
+    monkeypatch.undo()
+    assert got == kauffman_bracket(d)
 
 
 @settings(max_examples=80, deadline=None)

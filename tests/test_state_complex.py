@@ -7,7 +7,7 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import dense_oracle
 from bandkh import chainmaps
@@ -438,7 +438,14 @@ def _state_count(d: Diagram) -> int:
 SPLIT_DRAW_STATES = 10_000
 
 
-@settings(max_examples=40, deadline=None)
+# The test below stops at its first failing example and does not shrink a
+# failing draw.  Once d is wrong, reducing the enumerated blocks of a large
+# union to invariant factors can take minutes: with a broken flip rule the
+# first explicit example failed in a second, and running the 43 200-state
+# one after it to report every failure stalled the suite past 15 minutes.
+# Shrinking re-runs draws of up to 10 000 states in the same way.
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, len(ALL_SURFACES) - 1),
                  st.integers(1, 2), st.sampled_from(["crosscap", "none", "trefoil"]),
                  st.lists(st.integers(0, 11), max_size=2)).filter(
